@@ -17,6 +17,7 @@ import numpy as np
 
 from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN
 from .curvature import spherical_oracle
+from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, diff, evaluate, parse, var, call
 from .sphere import mean_curvature_values, star_values, surface_fields
 
@@ -103,7 +104,9 @@ class ChartReport:
 
     Conditions (1) and (2) are identically zero by the block layout and
     recorded as such; (3) is the area-form constraint, (4) the tangency
-    obstruction, cross-checked by the trace-formula normal component."""
+    obstruction, cross-checked by the trace-formula normal component.
+    degenerate marks a chart whose sphere metric has ab - c^2 <= 0 at some
+    sampled node; the residuals that need the normal frame are then NaN."""
 
     cond1_max: float
     cond2_max: float
@@ -114,10 +117,11 @@ class ChartReport:
     lorentzian_ok: bool
     pole_strategy: str
     tolerances: dict = field(default_factory=dict)
+    degenerate: bool = False
 
     @property
     def passed(self) -> bool:
-        return (self.lorentzian_ok
+        return (not self.degenerate and self.lorentzian_ok
                 and self.cond3_max <= self.tolerances.get("cond3", 1e-10)
                 and self.cond4_max <= self.tolerances.get("cond4", 1e-8)
                 and self.h_n_max <= self.tolerances.get("h_n", 1e-8))
@@ -126,7 +130,7 @@ class ChartReport:
         return {"cond1_max": self.cond1_max, "cond2_max": self.cond2_max,
                 "cond3_max": self.cond3_max, "cond4_max": self.cond4_max,
                 "h_n_max": self.h_n_max, "h_r_err_max": self.h_r_err_max,
-                "lorentzian_ok": self.lorentzian_ok,
+                "lorentzian_ok": self.lorentzian_ok, "degenerate": self.degenerate,
                 "pole_strategy": self.pole_strategy,
                 "passed": self.passed, **{f"tol_{k}": v for k, v in self.tolerances.items()}}
 
@@ -143,9 +147,21 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
     phi = np.linspace(0.0, 2 * math.pi, spec.n_phi, endpoint=False)
     rr, th, ph = np.meshgrid(radii, theta, phi, indexing="ij")
     env = {"t": np.full_like(rr, spec.t), "r": rr, "th": th, "ph": ph}
+    r4s2 = rr**4 * np.sin(th) ** 2
+    tolerances = {"cond3": spec.tol_cond3, "cond4": spec.tol_cond4, "h_n": spec.tol_h_n}
 
-    fields = surface_fields(g, env)
-    cond3 = np.max(np.abs(fields["W"] - rr**4 * np.sin(th) ** 2))
+    try:
+        fields = surface_fields(g, env)
+    except DegenerateSurfaceError:
+        c = g.component_values(env)
+        w = np.asarray(c["a"] * c["b"] - c["c"] ** 2, dtype=float)
+        nan = float("nan")
+        return ChartReport(cond1_max=0.0, cond2_max=0.0,
+                           cond3_max=float(np.max(np.abs(w - r4s2))),
+                           cond4_max=nan, h_n_max=nan, h_r_err_max=nan,
+                           lorentzian_ok=False, pole_strategy=pole_strategy,
+                           tolerances=tolerances, degenerate=True)
+    cond3 = np.max(np.abs(fields["W"] - r4s2))
     star = star_values(g, env, fields=fields)
     cond4 = float(np.max(np.abs(star)))
     h_r, h_n, _ = mean_curvature_values(g, env, method="trace", fields=fields)
@@ -156,8 +172,7 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
     return ChartReport(cond1_max=0.0, cond2_max=0.0, cond3_max=float(cond3),
                        cond4_max=cond4, h_n_max=h_n_max, h_r_err_max=h_r_err,
                        lorentzian_ok=lorentzian, pole_strategy=pole_strategy,
-                       tolerances={"cond3": spec.tol_cond3, "cond4": spec.tol_cond4,
-                                   "h_n": spec.tol_h_n})
+                       tolerances=tolerances)
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,6 @@ class BlockMetric:
         kw["d"] = _as_expr(d)
         return BlockMetric(**kw, theta_min=self.theta_min, r_min=self.r_min)
 
-    def is_spherical(self) -> bool:
-        from .expr import Lit
-        return all(isinstance(self.comps[k], Lit) and self.comps[k].value == 0.0
-                   for k in ("d", "e", "f", "c"))
-
 
 class SphericalMetric:
     """Spherically symmetric specialization: u, v functions of (t, r) only,
@@ -172,6 +167,12 @@ def det_from_components(c: Mapping) -> np.ndarray:
 def inverse_values(g: BlockMetric, env: Mapping, *, check=True) -> np.ndarray:
     """Closed-form inverse metric, shape env_broadcast + (4, 4)."""
     c = g.component_values(env)
+    return inverse_from_components(c, _broadcast_shape(c, env), check=check)
+
+
+def inverse_from_components(c: Mapping, shape, *, check=True) -> np.ndarray:
+    """Closed-form inverse from component values c (keys as COMPONENTS),
+    broadcast to shape + (4, 4)."""
     det = det_from_components(c)
     if check and np.any(np.abs(det) < 1e-14):
         raise SingularMetricError("metric determinant vanishes at a sampled point")
@@ -182,7 +183,6 @@ def inverse_values(g: BlockMetric, env: Mapping, *, check=True) -> np.ndarray:
     w = a * b - cc * cc
     cf_be = cc * f - b * e
     ce_af = cc * e - a * f
-    shape = _broadcast_shape(c, env)
     inv = np.zeros(shape + (4, 4))
     inv[..., T, T] = u2 * w
     inv[..., T, R] = inv[..., R, T] = -d * w

@@ -1,7 +1,7 @@
 """Command-line front end: load chart files, run validations and solvers,
 emit deterministic CSV or JSON tables.
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation/compatibility
+Exit codes: 0 success, 1 usage, parse or file error, 2 validation/compatibility
 failure, 3 numerical non-convergence.  Floats are printed with 17
 significant digits so identical inputs give byte-identical output.
 """
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ExprSyntaxError, KeyError, ValueError) as exc:
+    except (ExprSyntaxError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CompatibilityError as exc:

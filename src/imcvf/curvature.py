@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, inverse_values, metric_values
+from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, _broadcast_shape, \
+    inverse_values, metric_values
 from .expr import COORDS, FieldExpr, evaluate
 
 __all__ = ["ConnectionCoefficients", "CurvaturePack", "christoffel",
@@ -56,66 +57,95 @@ class CurvaturePack:
 # generic engine
 # ---------------------------------------------------------------------------
 
-def _component_jets(g: BlockMetric, env, order=2):
-    """Values and exact partials of the eight components on the env grid."""
-    vals, d1, d2 = {}, {}, {}
+def _component_jets(g: BlockMetric, env, order=2) -> dict:
+    """Values and exact partials of the eight components on the env grid,
+    keyed by name ('a'), name_m ('a_th') and name_m_n ('a_r_th', with m
+    not after n in COORDS order)."""
+    jets = {}
     for name in g.comps:
-        vals[name] = np.asarray(evaluate(g.comps[name], env), dtype=float)
-        d1[name] = {m: np.asarray(evaluate(g.deriv(name, m), env), dtype=float)
-                    for m in COORDS}
-        if order >= 2:
-            d2[name] = {}
-            for i, m in enumerate(COORDS):
+        jets[name] = np.asarray(evaluate(g.comps[name], env), dtype=float)
+        for i, m in enumerate(COORDS):
+            jets[f"{name}_{m}"] = np.asarray(evaluate(g.deriv(name, m), env), dtype=float)
+            if order >= 2:
                 for n in COORDS[i:]:
-                    d2[name][(m, n)] = np.asarray(
+                    jets[f"{name}_{m}_{n}"] = np.asarray(
                         evaluate(g.deriv(name, m, n), env), dtype=float)
-    return vals, d1, d2
+    return jets
+
+
+_SLOTS = (("d", T, R), ("e", T, TH), ("f", T, PH),
+          ("a", TH, TH), ("c", TH, PH), ("b", PH, PH))
+
+
+def _metric_first_partials(jets, shape) -> np.ndarray:
+    """dg[m, i, j, ...] = d_m g_ij from component values and first partials
+    keyed as in _component_jets.  Entry-major: each entry is one contiguous
+    array over the points, so filling it costs one contiguous write each."""
+    dg = np.zeros((4, 4, 4) + shape)
+    for mi, m in enumerate(COORDS):
+        dg[mi, T, T] = -2.0 * jets["v"] * jets[f"v_{m}"]
+        dg[mi, R, R] = 2.0 * jets["u"] * jets[f"u_{m}"]
+        for name, i, j in _SLOTS:
+            dg[mi, i, j] = dg[mi, j, i] = jets[f"{name}_{m}"]
+    return dg
 
 
 def _metric_jets(g: BlockMetric, env, order=2):
-    """dg[..., m, i, j] and d2g[..., m, n, i, j] for the block layout."""
-    vals, d1, d2 = _component_jets(g, env, order)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in vals.values()),
-                                *(np.shape(v) for v in env.values()))
-    slots = (("d", T, R), ("e", T, TH), ("f", T, PH),
-             ("a", TH, TH), ("c", TH, PH), ("b", PH, PH))
-
-    dg = np.zeros(shape + (4, 4, 4))
-    for mi, m in enumerate(COORDS):
-        dg[..., mi, T, T] = -2.0 * vals["v"] * d1["v"][m]
-        dg[..., mi, R, R] = 2.0 * vals["u"] * d1["u"][m]
-        for name, i, j in slots:
-            dg[..., mi, i, j] = dg[..., mi, j, i] = d1[name][m]
-        dg[..., mi, T, R] = dg[..., mi, R, T] = d1["d"][m]
-
+    """Entry-major dg[m, i, j, ...] and d2g[m, n, i, j, ...] for the block
+    layout."""
+    jets = _component_jets(g, env, order)
+    shape = _broadcast_shape(jets, env)
+    dg = _metric_first_partials(jets, shape)
     if order < 2:
         return dg, None
 
-    d2g = np.zeros(shape + (4, 4, 4, 4))
+    d2g = np.zeros((4, 4, 4, 4) + shape)
     for mi, m in enumerate(COORDS):
         for ni in range(mi, 4):
             n = COORDS[ni]
-            d2g[..., mi, ni, T, T] = -2.0 * (d1["v"][m] * d1["v"][n]
-                                             + vals["v"] * d2["v"][(m, n)])
-            d2g[..., mi, ni, R, R] = 2.0 * (d1["u"][m] * d1["u"][n]
-                                            + vals["u"] * d2["u"][(m, n)])
-            for name, i, j in slots:
-                d2g[..., mi, ni, i, j] = d2g[..., mi, ni, j, i] = d2[name][(m, n)]
-            d2g[..., mi, ni, T, R] = d2g[..., mi, ni, R, T] = d2["d"][(m, n)]
-            if ni != mi:
-                d2g[..., ni, mi, :, :] = d2g[..., mi, ni, :, :]
+            d2g[mi, ni, T, T] = -2.0 * (jets[f"v_{m}"] * jets[f"v_{n}"]
+                                        + jets["v"] * jets[f"v_{m}_{n}"])
+            d2g[mi, ni, R, R] = 2.0 * (jets[f"u_{m}"] * jets[f"u_{n}"]
+                                       + jets["u"] * jets[f"u_{m}_{n}"])
+            for name, i, j in _SLOTS:
+                d2g[mi, ni, i, j] = d2g[mi, ni, j, i] = jets[f"{name}_{m}_{n}"]
+            d2g[ni, mi] = d2g[mi, ni]
     return dg, d2g
+
+
+def _point_major(a, k) -> np.ndarray:
+    """C-contiguous copy of a with its first k axes moved to the end."""
+    return np.ascontiguousarray(np.moveaxis(a, range(k), range(-k, 0)))
+
+
+_ALL_PAIRS = (np.arange(4)[:, None], np.arange(4)[None, :])
+
+
+def _lowered_christoffel(dg, pairs=_ALL_PAIRS) -> np.ndarray:
+    """Point-major P[..., p, l] = d_i g_jl + d_j g_il - d_l g_ij (twice
+    Gamma_lij) from entry-major dg[m, i, j, ...] = d_m g_ij, for the lower
+    index pairs (i, j) = pairs: two index arrays that broadcast to the pair
+    shape p (all 4x4 by default)."""
+    i, j = pairs
+    pair_ndim = np.broadcast(i, j).ndim
+    p = dg[i, j] + dg[j, i] - np.moveaxis(dg[:, i, j], 0, pair_ndim)
+    return _point_major(p, pair_ndim + 1)
+
+
+def _raise_first(ginv, p) -> np.ndarray:
+    """(1/2) ginv[..., k, l] P[..., p, l] -> Gamma[..., k, p] for the rows k
+    ginv holds; the pair axes p of P are kept."""
+    lead = ginv.ndim - 2
+    pair_shape = p.shape[lead:-1]
+    flat = p.reshape(p.shape[:lead] + (-1, 4))
+    gamma = 0.5 * np.einsum("...kl,...pl->...kp", ginv, flat)
+    return gamma.reshape(gamma.shape[:-1] + pair_shape)
 
 
 def christoffel_values(g: BlockMetric, env) -> np.ndarray:
     """Gamma[..., k, i, j] on an env grid."""
     dg, _ = _metric_jets(g, env, order=1)
-    ginv = inverse_values(g, env)
-    # P_ijl = g_jl,i + g_il,j - g_ij,l
-    pijl = (np.einsum("...ijl->...ijl", dg)
-            + np.einsum("...jil->...ijl", dg)
-            - np.einsum("...lij->...ijl", dg))
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, pijl)
+    return _raise_first(inverse_values(g, env), _lowered_christoffel(dg))
 
 
 def christoffel(g: BlockMetric, p: CoordinatePoint) -> ConnectionCoefficients:
@@ -129,18 +159,14 @@ def curvature_values(g: BlockMetric, env) -> dict:
     gmat = metric_values(g, env)
     ginv = inverse_values(g, env)
 
-    pijl = (np.einsum("...ijl->...ijl", dg)
-            + np.einsum("...jil->...ijl", dg)
-            - np.einsum("...lij->...ijl", dg))
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, pijl)
+    pijl = _lowered_christoffel(dg)
+    gamma = _raise_first(ginv, pijl)
 
     # dGamma[..., m, k, i, j] = partial_m Gamma^k_ij, all derivatives exact
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    dpijl = (np.einsum("...mijl->...mijl", d2g)
-             + np.einsum("...mjil->...mijl", d2g)
-             - np.einsum("...mlij->...mijl", d2g))
-    dgamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, pijl)
-                    + np.einsum("...kl,...mijl->...mkij", ginv, dpijl))
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, _point_major(dg, 3), ginv)
+    dpijl = np.stack([_lowered_christoffel(d2g[m]) for m in range(4)], axis=-4)
+    dgamma = (_raise_first(dginv, pijl[..., None, :, :, :])
+              + _raise_first(ginv[..., None, :, :], dpijl))
 
     ric = (np.einsum("...kkij->...ij", dgamma)
            - np.einsum("...jkik->...ij", dgamma)

@@ -13,6 +13,8 @@ this grid could not meet the tolerances the validation suite demands.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -25,39 +27,83 @@ def _legendre_tables(lmax: int, x: np.ndarray):
     """Orthonormal associated Legendre values and theta-derivatives.
 
     tables[m][l-m, i] = P_l^m(x_i) with int_{-1}^{1} (P_l^m)^2 dx = 1;
-    dtables[m] holds d/dtheta of the same rows.
+    dtables[m] holds d/dtheta of the same rows.  The three-term recurrence
+    in l runs along the diagonals k = l - m, one array step per k across
+    every m at once (Schaeffer, arXiv:1202.6522); the per-m tables are
+    consecutive row blocks of one buffer.
     """
     sth = np.sqrt(1.0 - x * x)
-    tables, dtables = [], []
+    size = lmax + 1
+    ms = np.arange(size)
+    start = np.concatenate(([0], np.cumsum(size - ms)))   # row of (m, l = m)
+    buf = np.empty((start[-1], x.size))
+
     pmm = np.full_like(x, np.sqrt(0.5))
-    for m in range(lmax + 1):
-        rows = np.zeros((lmax + 1 - m, x.size))
-        rows[0] = pmm
-        if m + 1 <= lmax:
-            rows[1] = np.sqrt(2.0 * m + 3.0) * x * pmm
-        for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
-        drows = np.empty_like(rows)
-        for l in range(m, lmax + 1):
-            tmp = l * x * rows[l - m]
-            if l > m:
-                dlm = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
-                tmp = tmp - dlm * rows[l - m - 1]
-            drows[l - m] = tmp / sth
-        tables.append(rows)
-        dtables.append(drows)
+    for m in range(size):                                  # k = 0: P_m^m
+        buf[start[m]] = pmm
         if m + 1 <= lmax:
             pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * sth * pmm
-    return tables, dtables
+    m = ms[:-1]                                            # k = 1
+    buf[start[m] + 1] = np.sqrt(2.0 * m + 3.0)[:, None] * x * buf[start[m]]
+    for k in range(2, size):
+        m = ms[:size - k]
+        l = m + k
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        buf[start[m] + k] = a[:, None] * (x * buf[start[m] + k - 1]
+                                          - b[:, None] * buf[start[m] + k - 2])
+
+    dbuf = np.empty_like(buf)
+    for m in range(size):
+        rows, drows = buf[start[m]:start[m + 1]], dbuf[start[m]:start[m + 1]]
+        l = np.arange(m, size)
+        drows[:] = l[:, None] * x * rows
+        dlm = np.sqrt((2.0 * l[1:] + 1.0) * (l[1:] * l[1:] - m * m) / (2.0 * l[1:] - 1.0))
+        drows[1:] -= dlm[:, None] * rows[:-1]
+        drows /= sth
+    return ([buf[start[m]:start[m + 1]] for m in range(size)],
+            [dbuf[start[m]:start[m + 1]] for m in range(size)])
+
+
+# Nodes and tables depend only on n_theta: built once per size, shared by
+# every grid of that size, and read-only so sharing cannot leak writes.
+_MEMO_LOCK = threading.RLock()
+_NODES: dict = {}
+_TABLES: dict = {}
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
+def _gauss_nodes(n_theta: int):
+    """Gauss-Legendre nodes x = cos(theta) and weights, theta increasing."""
+    with _MEMO_LOCK:
+        if n_theta not in _NODES:
+            x, w = leggauss(n_theta)
+            order = np.argsort(-x)
+            _NODES[n_theta] = _read_only([x[order], w[order]])
+        return _NODES[n_theta]
+
+
+def _tables(n_theta: int):
+    """(plm, dplm) Legendre tables of this size, built on first use."""
+    with _MEMO_LOCK:
+        if n_theta not in _TABLES:
+            x, _ = _gauss_nodes(n_theta)
+            plm, dplm = _legendre_tables(n_theta - 1, x)
+            _TABLES[n_theta] = _read_only(plm), _read_only(dplm)
+        return _TABLES[n_theta]
 
 
 class SphereGrid:
     """Sphere S_{t,r} sampled on n_theta x n_phi nodes.
 
-    Carries the quadrature weights and the transform tables; all arrays
-    indexed [i_theta, j_phi].  Instances are immutable.
+    Carries the quadrature weights; all arrays indexed [i_theta, j_phi].
+    The Legendre transform tables are shared per n_theta and built on the
+    first transform call.  Instances are immutable.
     """
 
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
@@ -68,17 +114,13 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
 
-        x, w = leggauss(self.n_theta)
-        order = np.argsort(-x)                    # theta increasing
-        self.x = x[order]
-        self.w_theta = w[order]
+        self.x, self.w_theta = _gauss_nodes(self.n_theta)
         self.theta = np.arccos(self.x)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.weights = self.w_theta[:, None] * np.full(self.n_phi, 2.0 * np.pi / self.n_phi)
 
         self.lmax = self.n_theta - 1
         self.mmax = min(self.n_phi // 2, self.lmax)
-        self._plm, self._dplm = _legendre_tables(self.lmax, self.x)
 
         self.sin_theta = np.sin(self.theta)
         self.cos_theta = np.cos(self.theta)
@@ -91,12 +133,6 @@ class SphereGrid:
         th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
         return {"t": np.full_like(th, self.t), "r": np.full_like(th, self.r),
                 "th": th, "ph": ph}
-
-    def nodes(self):
-        """Iterator of (i, j, theta_i, phi_j)."""
-        for i, th in enumerate(self.theta):
-            for j, ph in enumerate(self.phi):
-                yield i, j, th, ph
 
     # -- quadrature ----------------------------------------------------------
 
@@ -113,8 +149,9 @@ class SphereGrid:
     def _analysis_columns(self, f: np.ndarray):
         """FFT in phi then Legendre analysis; returns per-m coefficient
         arrays coef[m][l-m] (complex), m = 0..mmax."""
+        plm, _ = _tables(self.n_theta)
         fm = np.fft.rfft(np.asarray(f, dtype=float), axis=1)
-        return [self._plm[m] @ (self.w_theta * fm[:, m]) for m in range(self.mmax + 1)]
+        return [plm[m] @ (self.w_theta * fm[:, m]) for m in range(self.mmax + 1)]
 
     def _analysis_without_constant(self, f: np.ndarray):
         """Analysis of f minus one of its own samples, for derivative
@@ -125,15 +162,11 @@ class SphereGrid:
         return self._analysis_columns(f - f.flat[0])
 
     def _synthesis_columns(self, coefs, derivative=False):
-        tables = self._dplm if derivative else self._plm
+        tables = _tables(self.n_theta)[1 if derivative else 0]
         fm = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
         for m in range(self.mmax + 1):
             fm[:, m] = tables[m].T @ coefs[m]
         return np.fft.irfft(fm, n=self.n_phi, axis=1)
-
-    def sht_filter(self, f: np.ndarray) -> np.ndarray:
-        """Round trip through the transform (projects onto the resolved band)."""
-        return self._synthesis_columns(self._analysis_columns(f))
 
     def d_theta(self, f: np.ndarray) -> np.ndarray:
         """Spectral d/dtheta of a smooth field sampled on the grid.

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, det_from_components, \
-    metric_values
-from .curvature import christoffel_values
+from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, _broadcast_shape, \
+    det_from_components, inverse_from_components, metric_values
+from .curvature import _component_jets, _lowered_christoffel, _metric_first_partials, \
+    _raise_first, christoffel_values
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .expr import evaluate
 from .grid import SphereGrid
@@ -32,12 +33,7 @@ def surface_fields(g: BlockMetric, env) -> dict:
     Keys: the components by name, first partials as e.g. 'a_th', and the
     derived fields W = ab - c^2, W_r, cf_be, ce_af, det, nn, norm_n.
     """
-    out = {}
-    for name in g.comps:
-        out[name] = np.asarray(evaluate(g.comps[name], env), dtype=float)
-        for var in ("t", "r", "th", "ph"):
-            out[f"{name}_{var}"] = np.asarray(evaluate(g.deriv(name, var), env),
-                                              dtype=float)
+    out = _component_jets(g, env, order=1)
     a, b, c = out["a"], out["b"], out["c"]
     out["W"] = a * b - c * c
     if np.any(out["W"] <= 0.0):
@@ -174,17 +170,33 @@ def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
         return h_r, h_n, star
     if method != "trace":
         raise ValueError(f"unknown method {method!r}")
-    gam = christoffel_values(g, env)
+    gt, gr = _tangent_christoffel(f, env)
     w = f["W"]
     def contract(x_hh, x_hp, x_pp):
         return (f["b"] * x_hh - 2.0 * f["c"] * x_hp + f["a"] * x_pp) / w
     # <nabla_i d_j, e_r> = (1/u)(Gamma^t_ij d + Gamma^r_ij u^2)
-    s_r = contract(*(gam[..., T, i, j] * f["d"] + gam[..., R, i, j] * f["u"] ** 2
-                     for i, j in ((TH, TH), (TH, PH), (PH, PH)))) / f["u"]
+    s_r = contract(*(gt[..., p] * f["d"] + gr[..., p] * f["u"] ** 2
+                     for p in range(3))) / f["u"]
     # <nabla_i d_j, e_n> = Gamma^t_ij <d_t, n>/||n|| = -Gamma^t_ij ||n||
-    s_n = contract(*(gam[..., T, i, j]
-                     for i, j in ((TH, TH), (TH, PH), (PH, PH)))) * (-f["norm_n"])
+    s_n = contract(*(gt[..., p] for p in range(3))) * (-f["norm_n"])
     return s_r, -s_n, star
+
+
+# lower index pairs (th, th), (th, ph), (ph, ph) of the sphere's tangent space
+_TANGENT_PAIRS = (np.array([TH, TH, PH]), np.array([TH, PH, PH]))
+
+
+def _tangent_christoffel(f, env) -> tuple:
+    """(Gamma^t_ij, Gamma^r_ij) for the tangent pairs (ij) = thth, thph, phph,
+    each of shape env_broadcast + (3,): the only rows the normal projections
+    of the second fundamental form read.  Generic formula, closed-form
+    inverse, and the component values and first partials already in the
+    surface_fields dict f."""
+    shape = _broadcast_shape(f, env)
+    ginv = inverse_from_components(f, shape)[..., (T, R), :]
+    dg = _metric_first_partials(f, shape)
+    gam = _raise_first(ginv, _lowered_christoffel(dg, _TANGENT_PAIRS))
+    return gam[..., 0, :], gam[..., 1, :]
 
 
 def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint,

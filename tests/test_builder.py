@@ -191,3 +191,14 @@ def test_monotonicity_identity_random_charts():
         v = parse(f"1+{rng.uniform(0.05, 0.3):.4f}/r")
         rep = monotonicity_check_spherical(u, v, 0.0, r_range=(1.5, 9.0), n=50)
         assert rep.identity_err_max <= 1e-9
+
+
+def test_validate_degenerate_chart_reports_instead_of_raising():
+    # a < 0 beyond r = 2 makes ab - c^2 <= 0 on the outer sample spheres
+    g = BlockMetric(v="1", d="0", e="0", f="0", u="1",
+                    a="r^2*(1-0.5*r)", b="r^2*sin(th)^2", c="0")
+    rep = validate_chart(g)
+    assert rep.degenerate and not rep.passed and not rep.lorentzian_ok
+    assert rep.cond3_max > rep.tolerances["cond3"]
+    assert rep.as_dict()["degenerate"] is True
+    assert validate_chart(build_seed("e", 1e-1)).degenerate is False

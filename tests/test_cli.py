@@ -148,3 +148,47 @@ def test_determinism(minkowski_chart, tmp_path):
         assert main(["meancurv", "--chart", minkowski_chart, "--grid", "8,8",
                      "--r", "3.0", "--out", str(target)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+CHART_COMMANDS = {
+    "validate": [],
+    "build": ["--solve-d", "--out", "{tmp}/full.json"],
+    "curvature": ["--points", "0,4,1.0,0"],
+    "hawking": ["--grid", "8,8", "--r", "3"],
+    "meancurv": ["--grid", "8,8", "--r", "2"],
+    "steer": ["--grid", "8,8", "--r", "2"],
+    "straightout": ["--grid", "8,8", "--r", "2"],
+    "flowscan": ["--r-range", "3:10:4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHART_COMMANDS))
+def test_missing_chart_file_exits_1_without_traceback(command, tmp_path, capsys):
+    extra = [a.format(tmp=tmp_path) for a in CHART_COMMANDS[command]]
+    missing = str(tmp_path / "missing.json")
+    assert main([command, "--chart", missing, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "hawking", "meancurv"])
+def test_unwritable_out_exits_1_without_traceback(command, minkowski_chart, tmp_path,
+                                                  capsys):
+    out = str(tmp_path / "no-such-dir" / "out.csv")
+    extra = [a.format(tmp=tmp_path) for a in CHART_COMMANDS[command]]
+    assert main([command, "--chart", minkowski_chart, *extra, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_validate_degenerate_chart_exits_2(tmp_path, capsys):
+    doc = dict(MINKOWSKI, a="r^2*(1-0.5*r)")   # ab - c^2 <= 0 beyond r = 2
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--chart", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    row = dict(zip(payload["columns"], payload["rows"][0]))
+    assert row["degenerate"] and not row["passed"]
+    assert "Traceback" not in captured.err

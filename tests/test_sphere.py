@@ -289,3 +289,40 @@ def test_first_variation_spherical_and_minkowski():
 def test_first_variation_perturbed_chart():
     grid = SphereGrid(0.0, 3.0, 16, 32)
     assert first_variation_area_check(e_perturbed(0.05), grid) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# trace formula: only the Christoffel entries it reads
+# ---------------------------------------------------------------------------
+
+def test_tangent_christoffel_matches_generic_christoffel():
+    from conftest import build_seed
+    from imcvf.chart import PH, R, T, TH
+    from imcvf.curvature import christoffel_values
+    from imcvf.sphere import _tangent_christoffel
+
+    g = build_seed("ef", 0.1)
+    env = SphereGrid(0.0, 2.5, 64, 128).env()
+    full = christoffel_values(g, env)
+    rows = _tangent_christoffel(surface_fields(g, env), env)
+    for k, row in zip((T, R), rows):
+        for p, (i, j) in enumerate(((TH, TH), (TH, PH), (PH, PH))):
+            ref = full[..., k, i, j]
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0
+            assert np.max(np.abs(row[..., p] - ref)) <= 1e-13 * scale, (k, i, j)
+
+
+def test_trace_oracle_fails_when_area_constraint_is_broken():
+    """The trace formula reads no closed form, so on a chart with
+    ab - c^2 != r^4 sin^2 it parts from H_r = -2/(r u)."""
+    from imcvf.builder import validate_chart
+
+    g = BlockMetric(v="1", d="0", e="0", f="0", u="1+0.2/r",
+                    a="r^2*(1+0.1*r*sin(th)^2)", b="r^2*sin(th)^2", c="0")
+    grid = SphereGrid(0.0, 2.0, 16, 32)
+    hr_c, _, _ = mean_curvature_values(g, grid.env(), method="closed")
+    hr_t, _, _ = mean_curvature_values(g, grid.env(), method="trace")
+    assert np.max(np.abs(hr_t - hr_c)) > 1e-3
+    rep = validate_chart(g)
+    assert rep.h_r_err_max > 1e-3 and not rep.passed
