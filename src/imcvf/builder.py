@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN
+from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN, component_jets
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, diff, evaluate, parse, var, call
@@ -145,16 +145,18 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
     radii = spec.radii()
     theta = np.linspace(g.theta_min, math.pi - g.theta_min, spec.n_theta)
     phi = np.linspace(0.0, 2 * math.pi, spec.n_phi, endpoint=False)
-    rr, th, ph = np.meshgrid(radii, theta, phi, indexing="ij")
-    env = {"t": np.full_like(rr, spec.t), "r": rr, "th": th, "ph": ph}
-    r4s2 = rr**4 * np.sin(th) ** 2
+    # separable sample grid: radii x theta x phi as (R,1,1), (1,n,1), (1,1,m)
+    rr = radii[:, None, None]
+    env = {"t": np.full((1, 1, 1), spec.t), "r": rr, "th": theta[None, :, None],
+           "ph": phi[None, None, :]}
+    r4s2 = rr**4 * np.sin(env["th"]) ** 2
     tolerances = {"cond3": spec.tol_cond3, "cond4": spec.tol_cond4, "h_n": spec.tol_h_n}
 
     try:
         fields = surface_fields(g, env)
     except DegenerateSurfaceError:
-        c = g.component_values(env)
-        w = np.asarray(c["a"] * c["b"] - c["c"] ** 2, dtype=float)
+        c = component_jets(g, env, ("a", "b", "c"))
+        w = c["a"] * c["b"] - c["c"] ** 2
         nan = float("nan")
         return ChartReport(cond1_max=0.0, cond2_max=0.0,
                            cond3_max=float(np.max(np.abs(w - r4s2))),

@@ -22,18 +22,23 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SingularMetricError
-from .expr import FieldExpr, diff, evaluate, parse, to_source
+from .expr import COORDS, FieldExpr, diff, evaluate, parse, to_source
 
 T, R, TH, PH = 0, 1, 2, 3
 COMPONENTS = ("v", "d", "e", "f", "u", "a", "b", "c")
 
-DEFAULT_THETA_MIN = 1e-3
-DEFAULT_R_MIN = 1.0
+# Jet keys name a component value ('a'), a first partial ('a_th') or a
+# second partial ('a_r_th', d_th d_r a), coordinates in COORDS order.
+FIRST_JETS = COMPONENTS + tuple(f"{n}_{m}" for n in COMPONENTS for m in COORDS)
+SECOND_JETS = tuple(f"{n}_{m}_{k}" for n in COMPONENTS
+                    for i, m in enumerate(COORDS) for k in COORDS[i:])
 
-__all__ = ["T", "R", "TH", "PH", "COMPONENTS", "CoordinatePoint", "BlockMetric",
-           "SphericalMetric", "metric_at", "det_metric", "inverse_metric",
-           "load_chart", "save_chart", "ChartFile",
-           "DEFAULT_THETA_MIN", "DEFAULT_R_MIN"]
+DEFAULT_THETA_MIN = 1e-3
+
+__all__ = ["T", "R", "TH", "PH", "COMPONENTS", "FIRST_JETS", "SECOND_JETS",
+           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets",
+           "component_jets", "metric_at", "det_metric", "inverse_metric",
+           "load_chart", "save_chart", "ChartFile", "DEFAULT_THETA_MIN"]
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,10 @@ class BlockMetric:
     are cached, so instances are cheap to evaluate repeatedly."""
 
     def __init__(self, *, v, d, e, f, u, a, b, c,
-                 theta_min: float = DEFAULT_THETA_MIN,
-                 r_min: float = DEFAULT_R_MIN):
+                 theta_min: float = DEFAULT_THETA_MIN):
         comps = {"v": v, "d": d, "e": e, "f": f, "u": u, "a": a, "b": b, "c": c}
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
         self.theta_min = float(theta_min)
-        self.r_min = float(r_min)
         self._d1 = {}
 
     # individual components as attributes (read-only by convention)
@@ -90,13 +93,10 @@ class BlockMetric:
             expr = cached
         return expr
 
-    def component_values(self, env: Mapping) -> dict:
-        return {k: evaluate(x, env) for k, x in self.comps.items()}
-
     def with_d(self, d) -> "BlockMetric":
         kw = dict(self.comps)
         kw["d"] = _as_expr(d)
-        return BlockMetric(**kw, theta_min=self.theta_min, r_min=self.r_min)
+        return BlockMetric(**kw, theta_min=self.theta_min)
 
 
 class SphericalMetric:
@@ -128,16 +128,38 @@ def _as_expr(x) -> FieldExpr:
 # pointwise / vectorized evaluation
 # ---------------------------------------------------------------------------
 
-def _broadcast_shape(vals, env):
-    shape = np.broadcast_shapes(*(np.shape(v) for v in vals.values()),
-                                *(np.shape(v) for v in env.values()))
-    return shape
+def env_shape(env: Mapping) -> tuple:
+    """Broadcast shape of the coordinate values in env."""
+    return np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+
+
+def field_jets(exprs: Mapping[str, FieldExpr], env: Mapping) -> dict:
+    """The named expressions evaluated on env in one evaluate pass with one
+    shared memo.  Each value comes back as a read-only float view broadcast
+    to the env's broadcast shape, so on a separable env (SphereGrid.env) a
+    factor is computed at the size of the coordinates it depends on while
+    every result still spans the whole grid."""
+    shape = env_shape(env)
+    values = evaluate(list(exprs.values()), env)
+    return {k: np.broadcast_to(np.asarray(v, dtype=float), shape)
+            for k, v in zip(exprs, values)}
+
+
+def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
+    """Values and exact partials of the metric components named by the jet
+    keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, from one field_jets
+    pass."""
+    return field_jets({k: g.deriv(*k.split("_")) for k in keys}, env)
 
 
 def metric_values(g: BlockMetric, env: Mapping) -> np.ndarray:
     """Metric matrix with shape env_broadcast + (4, 4)."""
-    c = g.component_values(env)
-    shape = _broadcast_shape(c, env)
+    return metric_from_components(component_jets(g, env, COMPONENTS), env_shape(env))
+
+
+def metric_from_components(c: Mapping, shape) -> np.ndarray:
+    """Metric matrix from component values c (keys as COMPONENTS),
+    broadcast to shape + (4, 4)."""
     m = np.zeros(shape + (4, 4))
     m[..., T, T] = -np.asarray(c["v"]) ** 2
     m[..., T, R] = m[..., R, T] = c["d"]
@@ -151,7 +173,7 @@ def metric_values(g: BlockMetric, env: Mapping) -> np.ndarray:
 
 
 def det_values(g: BlockMetric, env: Mapping) -> np.ndarray:
-    return det_from_components(g.component_values(env))
+    return det_from_components(component_jets(g, env, COMPONENTS))
 
 
 def det_from_components(c: Mapping) -> np.ndarray:
@@ -166,13 +188,15 @@ def det_from_components(c: Mapping) -> np.ndarray:
 
 def inverse_values(g: BlockMetric, env: Mapping, *, check=True) -> np.ndarray:
     """Closed-form inverse metric, shape env_broadcast + (4, 4)."""
-    c = g.component_values(env)
-    return inverse_from_components(c, _broadcast_shape(c, env), check=check)
+    return inverse_from_components(component_jets(g, env, COMPONENTS), env_shape(env),
+                                   check=check)
 
 
-def inverse_from_components(c: Mapping, shape, *, check=True) -> np.ndarray:
+def inverse_from_components(c: Mapping, shape, *, rows=(T, R, TH, PH),
+                            check=True) -> np.ndarray:
     """Closed-form inverse from component values c (keys as COMPONENTS),
-    broadcast to shape + (4, 4)."""
+    broadcast to shape + (len(rows), 4): only the requested rows of g^{-1}
+    are formed, each entry from its own closed form divided by det."""
     det = det_from_components(c)
     if check and np.any(np.abs(det) < 1e-14):
         raise SingularMetricError("metric determinant vanishes at a sampled point")
@@ -183,17 +207,21 @@ def inverse_from_components(c: Mapping, shape, *, check=True) -> np.ndarray:
     w = a * b - cc * cc
     cf_be = cc * f - b * e
     ce_af = cc * e - a * f
-    inv = np.zeros(shape + (4, 4))
-    inv[..., T, T] = u2 * w
-    inv[..., T, R] = inv[..., R, T] = -d * w
-    inv[..., T, TH] = inv[..., TH, T] = u2 * cf_be
-    inv[..., T, PH] = inv[..., PH, T] = u2 * ce_af
-    inv[..., R, R] = -v2 * w + f * ce_af + e * cf_be
-    inv[..., R, TH] = inv[..., TH, R] = -d * cf_be
-    inv[..., R, PH] = inv[..., PH, R] = -d * ce_af
-    inv[..., TH, TH] = -u2 * v2 * b - u2 * f * f - b * d * d
-    inv[..., TH, PH] = inv[..., PH, TH] = u2 * v2 * cc + u2 * e * f + cc * d * d
-    inv[..., PH, PH] = -u2 * v2 * a - u2 * e * e - a * d * d
+    # cofactor closed forms of the upper triangle, built on demand
+    upper = {(T, T): lambda: u2 * w,
+             (T, R): lambda: -d * w,
+             (T, TH): lambda: u2 * cf_be,
+             (T, PH): lambda: u2 * ce_af,
+             (R, R): lambda: -v2 * w + f * ce_af + e * cf_be,
+             (R, TH): lambda: -d * cf_be,
+             (R, PH): lambda: -d * ce_af,
+             (TH, TH): lambda: -u2 * v2 * b - u2 * f * f - b * d * d,
+             (TH, PH): lambda: u2 * v2 * cc + u2 * e * f + cc * d * d,
+             (PH, PH): lambda: -u2 * v2 * a - u2 * e * e - a * d * d}
+    inv = np.empty(shape + (len(rows), 4))
+    for k, i in enumerate(rows):
+        for j in range(4):
+            inv[..., k, j] = upper[min(i, j), max(i, j)]()
     inv /= det[..., None, None]
     return inv
 

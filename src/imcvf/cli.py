@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -40,6 +41,26 @@ def thread_count() -> int:
     return os.cpu_count() or 1 if n <= 0 else n
 
 
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _sphere_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that ``hawking`` runs its spheres on, started
+    on first use with thread_count() workers, which then live as long as
+    the process.  A pool started and joined per call would start new
+    threads each time; glibc gives each thread a malloc arena, and a thread
+    that starts before the previous one has handed its arena back gets a
+    new one, so the resident memory of a long run would depend on thread
+    timing.  The workers are idle between calls: cmd_hawking waits for
+    every sphere it submits."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=thread_count())
+        return _POOL
+
+
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -51,17 +72,43 @@ def _fmt(x) -> str:
 
 
 def _emit(args, header, rows, json_payload=None):
+    """Emit rows of mixed values (numbers, booleans, strings)."""
     if args.json:
-        payload = {"schema": SCHEMA, "command": args.command,
-                   "columns": list(header),
-                   "rows": [[_json_val(v) for v in row] for row in rows]}
-        if json_payload:
-            payload.update(json_payload)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(args, header, [[_json_val(v) for v in row] for row in rows],
+                          json_payload)
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _emit_columns(args, header, columns, json_payload=None):
+    """Emit float columns, one per header name, as rows: the same text as
+    _emit, formatted a whole row at a time."""
+    rows = zip(*(np.asarray(c, dtype=float).ravel().tolist() for c in columns))
+    if args.json:
+        text = _json_text(args, header, list(rows), json_payload)
+    else:
+        template = ",".join(["%.17g"] * len(header))
+        text = "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
+    _write(args, text)
+
+
+def _node_columns(grid: SphereGrid) -> list:
+    """(th, ph) of every grid node, theta-major like a raveled grid array."""
+    return [np.repeat(grid.theta, grid.n_phi), np.tile(grid.phi, grid.n_theta)]
+
+
+def _json_text(args, header, rows, json_payload) -> str:
+    payload = {"schema": SCHEMA, "command": args.command,
+               "columns": list(header), "rows": rows}
+    if json_payload:
+        payload.update(json_payload)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -70,12 +117,13 @@ def _emit(args, header, rows, json_payload=None):
 
 
 def _json_val(v):
+    # bool before int: bool is a subclass of int
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
     if isinstance(v, (np.floating, float)):
         return float(v)
     if isinstance(v, (np.integer, int)):
         return int(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
     return v
 
 
@@ -160,8 +208,9 @@ def cmd_hawking(args) -> int:
     def one(r):
         return hawking_mass(g, SphereGrid(args.t, r, n_theta, n_phi))
 
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(radii))) as pool:
-        masses = list(pool.map(one, radii))
+    jobs = [_sphere_pool().submit(one, r) for r in radii]
+    wait(jobs)
+    masses = [job.result() for job in jobs]
     _emit(args, ["r", "m_H"], [[r, m] for r, m in zip(radii, masses)])
     return 0
 
@@ -171,9 +220,8 @@ def cmd_meancurv(args) -> int:
     n_theta, n_phi = _grid_sizes(args.grid)
     grid = SphereGrid(args.t, args.r, n_theta, n_phi)
     h_r, h_n, star = mean_curvature_values(g, grid.env(), method=args.method)
-    rows = [[grid.theta[i], grid.phi[j], h_r[i, j], h_n[i, j], star[i, j]]
-            for i in range(n_theta) for j in range(n_phi)]
-    _emit(args, ["th", "ph", "H_r", "H_n", "star"], rows)
+    _emit_columns(args, ["th", "ph", "H_r", "H_n", "star"],
+                  _node_columns(grid) + [h_r, h_n, star])
     return 0
 
 
@@ -183,9 +231,7 @@ def cmd_steer(args) -> int:
     grid = SphereGrid(args.t, args.r, n_theta, n_phi)
     fd = frame_data(g, grid.env())
     q = steering_parameter(fd)
-    rows = [[grid.theta[i], grid.phi[j], q[i, j]]
-            for i in range(n_theta) for j in range(n_phi)]
-    _emit(args, ["th", "ph", "Q"], rows)
+    _emit_columns(args, ["th", "ph", "Q"], _node_columns(grid) + [q])
     return 0
 
 
@@ -205,18 +251,15 @@ def cmd_straightout(args) -> int:
         if not sol.converged:
             print("Picard iteration did not converge", file=sys.stderr)
             return 3
-        rows = [[grid.theta[i], grid.phi[j], sol.d[i, j]]
-                for i in range(n_theta) for j in range(n_phi)]
-        _emit(args, ["th", "ph", "d"], rows,
-              {"residual_inf": sol.residual_inf, "iterations": sol.iterations})
+        _emit_columns(args, ["th", "ph", "d"], _node_columns(grid) + [sol.d],
+                      {"residual_inf": sol.residual_inf, "iterations": sol.iterations})
         return 0
     out = straight_out_residual(g, grid)
     print(f"route agreement: max difference {out.max_difference:.3e}",
           file=sys.stderr)
-    rows = [[grid.theta[i], grid.phi[j], out.closed[i, j], out.direct[i, j]]
-            for i in range(n_theta) for j in range(n_phi)]
-    _emit(args, ["th", "ph", "residual_closed", "residual_direct"], rows,
-          {"max_difference": out.max_difference})
+    _emit_columns(args, ["th", "ph", "residual_closed", "residual_direct"],
+                  _node_columns(grid) + [out.closed, out.direct],
+                  {"max_difference": out.max_difference})
     return 0
 
 

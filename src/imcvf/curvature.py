@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, _broadcast_shape, \
-    inverse_values, metric_values
-from .expr import COORDS, FieldExpr, evaluate
+from .chart import FIRST_JETS, PH, R, SECOND_JETS, T, TH, BlockMetric, CoordinatePoint, \
+    component_jets, env_shape, field_jets, inverse_from_components, metric_from_components
+from .expr import COORDS, FieldExpr, diff
 
 __all__ = ["ConnectionCoefficients", "CurvaturePack", "christoffel",
            "christoffel_values", "curvature_pack", "curvature_values",
@@ -57,29 +57,13 @@ class CurvaturePack:
 # generic engine
 # ---------------------------------------------------------------------------
 
-def _component_jets(g: BlockMetric, env, order=2) -> dict:
-    """Values and exact partials of the eight components on the env grid,
-    keyed by name ('a'), name_m ('a_th') and name_m_n ('a_r_th', with m
-    not after n in COORDS order)."""
-    jets = {}
-    for name in g.comps:
-        jets[name] = np.asarray(evaluate(g.comps[name], env), dtype=float)
-        for i, m in enumerate(COORDS):
-            jets[f"{name}_{m}"] = np.asarray(evaluate(g.deriv(name, m), env), dtype=float)
-            if order >= 2:
-                for n in COORDS[i:]:
-                    jets[f"{name}_{m}_{n}"] = np.asarray(
-                        evaluate(g.deriv(name, m, n), env), dtype=float)
-    return jets
-
-
 _SLOTS = (("d", T, R), ("e", T, TH), ("f", T, PH),
           ("a", TH, TH), ("c", TH, PH), ("b", PH, PH))
 
 
 def _metric_first_partials(jets, shape) -> np.ndarray:
     """dg[m, i, j, ...] = d_m g_ij from component values and first partials
-    keyed as in _component_jets.  Entry-major: each entry is one contiguous
+    keyed as in chart.component_jets.  Entry-major: each entry is one contiguous
     array over the points, so filling it costs one contiguous write each."""
     dg = np.zeros((4, 4, 4) + shape)
     for mi, m in enumerate(COORDS):
@@ -90,15 +74,9 @@ def _metric_first_partials(jets, shape) -> np.ndarray:
     return dg
 
 
-def _metric_jets(g: BlockMetric, env, order=2):
-    """Entry-major dg[m, i, j, ...] and d2g[m, n, i, j, ...] for the block
-    layout."""
-    jets = _component_jets(g, env, order)
-    shape = _broadcast_shape(jets, env)
-    dg = _metric_first_partials(jets, shape)
-    if order < 2:
-        return dg, None
-
+def _metric_second_partials(jets, shape) -> np.ndarray:
+    """Entry-major d2g[m, n, i, j, ...] = d_m d_n g_ij from the component
+    jets up to second order."""
     d2g = np.zeros((4, 4, 4, 4) + shape)
     for mi, m in enumerate(COORDS):
         for ni in range(mi, 4):
@@ -110,7 +88,7 @@ def _metric_jets(g: BlockMetric, env, order=2):
             for name, i, j in _SLOTS:
                 d2g[mi, ni, i, j] = d2g[mi, ni, j, i] = jets[f"{name}_{m}_{n}"]
             d2g[ni, mi] = d2g[mi, ni]
-    return dg, d2g
+    return d2g
 
 
 def _point_major(a, k) -> np.ndarray:
@@ -144,8 +122,10 @@ def _raise_first(ginv, p) -> np.ndarray:
 
 def christoffel_values(g: BlockMetric, env) -> np.ndarray:
     """Gamma[..., k, i, j] on an env grid."""
-    dg, _ = _metric_jets(g, env, order=1)
-    return _raise_first(inverse_values(g, env), _lowered_christoffel(dg))
+    jets = component_jets(g, env, FIRST_JETS)
+    shape = env_shape(env)
+    return _raise_first(inverse_from_components(jets, shape),
+                        _lowered_christoffel(_metric_first_partials(jets, shape)))
 
 
 def christoffel(g: BlockMetric, p: CoordinatePoint) -> ConnectionCoefficients:
@@ -155,9 +135,12 @@ def christoffel(g: BlockMetric, p: CoordinatePoint) -> ConnectionCoefficients:
 
 def curvature_values(g: BlockMetric, env) -> dict:
     """Ricci, scalar and Einstein curvature on an env grid."""
-    dg, d2g = _metric_jets(g, env, order=2)
-    gmat = metric_values(g, env)
-    ginv = inverse_values(g, env)
+    jets = component_jets(g, env, FIRST_JETS + SECOND_JETS)
+    shape = env_shape(env)
+    dg = _metric_first_partials(jets, shape)
+    d2g = _metric_second_partials(jets, shape)
+    gmat = metric_from_components(jets, shape)
+    ginv = inverse_from_components(jets, shape)
 
     pijl = _lowered_christoffel(dg)
     gamma = _raise_first(ginv, pijl)
@@ -194,18 +177,12 @@ def spherical_oracle(u: FieldExpr, v: FieldExpr, env) -> dict:
     Returns every nonzero Ricci and Einstein component, the scalar
     curvature, and the Christoffel matrix entries used elsewhere.
     """
-    from .expr import diff
-
     r = np.asarray(env["r"], dtype=float)
     th = np.asarray(env.get("th", np.pi / 2), dtype=float)
-    U = np.asarray(evaluate(u, env), dtype=float)
-    V = np.asarray(evaluate(v, env), dtype=float)
-    u_t = np.asarray(evaluate(diff(u, "t"), env), dtype=float)
-    u_r = np.asarray(evaluate(diff(u, "r"), env), dtype=float)
-    u_tt = np.asarray(evaluate(diff(diff(u, "t"), "t"), env), dtype=float)
-    v_t = np.asarray(evaluate(diff(v, "t"), env), dtype=float)
-    v_r = np.asarray(evaluate(diff(v, "r"), env), dtype=float)
-    v_rr = np.asarray(evaluate(diff(diff(v, "r"), "r"), env), dtype=float)
+    jets = field_jets({"U": u, "V": v, "u_t": diff(u, "t"), "u_r": diff(u, "r"),
+                       "u_tt": diff(diff(u, "t"), "t"), "v_t": diff(v, "t"),
+                       "v_r": diff(v, "r"), "v_rr": diff(diff(v, "r"), "r")}, env)
+    U, V, u_t, u_r, u_tt, v_t, v_r, v_rr = jets.values()
     sth, cth = np.sin(th), np.cos(th)
 
     ric_tt = ((V * v_rr + 2.0 / r * V * v_r) / U**2

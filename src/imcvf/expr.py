@@ -372,7 +372,11 @@ class _Parser:
             if not isinstance(expo, Lit):
                 raise ExprSyntaxError("exponent must be a numeric constant", pos,
                                       expected={"constant exponent"})
-            return pow_(node, expo.value)
+            try:
+                return pow_(node, expo.value)
+            except (OverflowError, ValueError):
+                raise ExprSyntaxError("constant power is not a finite number", pos,
+                                      expected={"finite constant"}) from None
         return node
 
     def parse_base(self):
@@ -388,7 +392,11 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return call(value, arg)
+                try:
+                    return call(value, arg)
+                except (OverflowError, ValueError):
+                    raise ExprSyntaxError(f"{value} of this constant is not finite", pos,
+                                          expected={f"argument of {value}"}) from None
             if value in COORDS:
                 return Var(value)
             if value == "pi":
@@ -407,7 +415,9 @@ def parse(source: str, params=None) -> FieldExpr:
 
     ``params`` maps parameter names to numbers substituted at parse time.
     Raises ExprSyntaxError (with byte offset and the expected-token set) on
-    malformed input, UnknownIdentifierError on unresolved names.
+    malformed input and on constant subexpressions that cannot be folded
+    to a finite number (``4^512``, ``log(0)``; the offset is that of the
+    operator or function name), UnknownIdentifierError on unresolved names.
     """
     parser = _Parser(_tokenize(source), params)
     node = parser.parse_expr()
@@ -421,21 +431,63 @@ def parse(source: str, params=None) -> FieldExpr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(expr: FieldExpr, env):
+def evaluate(expr, env):
     """Evaluate at a point.  ``env`` maps coordinate names to scalars or
     numpy arrays (broadcast together).  Returns float for scalar input.
+
+    ``expr`` may also be a sequence of expressions: they are evaluated in
+    one pass with one shared memo, so a subtree they have in common is
+    computed once, and the results come back as a list.  A value leaves
+    the memo once every node that reads it is computed, so the pass holds
+    only the arrays still to be read.
 
     Domain violations (division by zero, log of non-positive, sqrt of
     negative, zero to a negative power) raise EvalDomainError.
     """
-    memo = {}
-    out = _ev(expr, env, memo)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if isinstance(expr, FieldExpr):
+        return _result(_ev(expr, env, {}))
+    roots = list(expr)
+    memo, readers = {}, _reader_counts(roots)
+    return [_result(_ev(e, env, memo, readers)) for e in roots]
 
 
-def _ev(e, env, memo):
+def _result(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _children(e):
+    t = type(e)
+    if t is Add or t is Sub or t is Mul or t is Div:
+        return (e.left, e.right)
+    if t is Neg or t is Call:
+        return (e.arg,)
+    if t is Pow:
+        return (e.base,)
+    return ()
+
+
+def _reader_counts(roots) -> dict:
+    """id(node) -> number of parent edges into it in the DAG under roots,
+    plus one per occurrence as a root, so that roots stay in the memo."""
+    readers = {}
+    for r in roots:
+        readers[id(r)] = readers.get(id(r), 0) + 1
+    seen = set()
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        for c in _children(e):
+            readers[id(c)] = readers.get(id(c), 0) + 1
+            stack.append(c)
+    return readers
+
+
+def _ev(e, env, memo, readers=None):
+    """Value of node e, memoised by id; with readers (see _reader_counts)
+    a child's value is dropped from the memo after its last reader."""
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -449,20 +501,20 @@ def _ev(e, env, memo):
         except KeyError:
             raise EvalDomainError(f"no value supplied for coordinate {e.name!r}")
     elif t is Add:
-        out = _ev(e.left, env, memo) + _ev(e.right, env, memo)
+        out = _ev(e.left, env, memo, readers) + _ev(e.right, env, memo, readers)
     elif t is Sub:
-        out = _ev(e.left, env, memo) - _ev(e.right, env, memo)
+        out = _ev(e.left, env, memo, readers) - _ev(e.right, env, memo, readers)
     elif t is Mul:
-        out = _ev(e.left, env, memo) * _ev(e.right, env, memo)
+        out = _ev(e.left, env, memo, readers) * _ev(e.right, env, memo, readers)
     elif t is Div:
-        den = _ev(e.right, env, memo)
+        den = _ev(e.right, env, memo, readers)
         if np.any(den == 0.0):
             raise EvalDomainError("division by zero")
-        out = _ev(e.left, env, memo) / den
+        out = _ev(e.left, env, memo, readers) / den
     elif t is Neg:
-        out = -_ev(e.arg, env, memo)
+        out = -_ev(e.arg, env, memo, readers)
     elif t is Pow:
-        base = _ev(e.base, env, memo)
+        base = _ev(e.base, env, memo, readers)
         k = e.expo
         if k != round(k) and np.any(base < 0.0):
             raise EvalDomainError(f"negative base for exponent {k}")
@@ -470,7 +522,7 @@ def _ev(e, env, memo):
             raise EvalDomainError(f"zero base for negative exponent {k}")
         out = np.power(base, k) if np.ndim(base) else base ** k
     elif t is Call:
-        arg = _ev(e.arg, env, memo)
+        arg = _ev(e.arg, env, memo, readers)
         if e.fn == "log" and np.any(arg <= 0.0):
             raise EvalDomainError("log of a non-positive value")
         if e.fn == "sqrt" and np.any(arg < 0.0):
@@ -479,6 +531,11 @@ def _ev(e, env, memo):
     else:  # pragma: no cover
         raise TypeError(f"not a FieldExpr node: {e!r}")
     memo[key] = out
+    if readers is not None:
+        for c in _children(e):
+            readers[id(c)] -= 1
+            if readers[id(c)] == 0:
+                del memo[id(c)]
     return out
 
 

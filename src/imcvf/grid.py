@@ -129,10 +129,14 @@ class SphereGrid:
     # -- coordinate helpers ------------------------------------------------
 
     def env(self) -> dict:
-        """Coordinate arrays for FieldExpr evaluation, shape (n_theta, n_phi)."""
-        th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
-        return {"t": np.full_like(th, self.t), "r": np.full_like(th, self.r),
-                "th": th, "ph": ph}
+        """Separable coordinate arrays for FieldExpr evaluation: t and r of
+        shape (1, 1), th the (n_theta, 1) column, ph the (1, n_phi) row.
+        They broadcast to the grid shape (n_theta, n_phi), and a factor that
+        depends on fewer coordinates is evaluated at its own, smaller size.
+        t and r stay arrays so that evaluation takes the same numpy path as
+        on the full grid."""
+        return {"t": np.full((1, 1), self.t), "r": np.full((1, 1), self.r),
+                "th": self.theta[:, None], "ph": self.phi[None, :]}
 
     # -- quadrature ----------------------------------------------------------
 

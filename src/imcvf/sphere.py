@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import PH, R, T, TH, BlockMetric, CoordinatePoint, _broadcast_shape, \
-    det_from_components, inverse_from_components, metric_values
-from .curvature import _component_jets, _lowered_christoffel, _metric_first_partials, \
-    _raise_first, christoffel_values
+from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, component_jets, \
+    det_from_components, env_shape, inverse_from_components, metric_values
+from .curvature import _lowered_christoffel, _metric_first_partials, _raise_first, \
+    christoffel_values
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
-from .expr import evaluate
 from .grid import SphereGrid
 
 __all__ = ["SphereFrame", "MeanCurvatureDecomp", "surface_fields", "sphere_frame",
@@ -27,13 +26,15 @@ __all__ = ["SphereFrame", "MeanCurvatureDecomp", "surface_fields", "sphere_frame
            "hawking_mass", "sphere_laplacian", "first_variation_area_check"]
 
 
-def surface_fields(g: BlockMetric, env) -> dict:
+def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     """Component values, first partials and frame scalars on an env grid.
 
     Keys: the components by name, first partials as e.g. 'a_th', and the
     derived fields W = ab - c^2, W_r, cf_be, ce_af, det, nn, norm_n.
+    extra names further component jets (e.g. 'u_th_th') to evaluate in the
+    same pass.  Every array spans the env's broadcast shape.
     """
-    out = _component_jets(g, env, order=1)
+    out = component_jets(g, env, FIRST_JETS + tuple(extra))
     a, b, c = out["a"], out["b"], out["c"]
     out["W"] = a * b - c * c
     if np.any(out["W"] <= 0.0):
@@ -120,9 +121,7 @@ def star_term(g: BlockMetric, node: CoordinatePoint) -> float:
 def star_from_christoffel(g: BlockMetric, env) -> np.ndarray:
     """Independent evaluation b G^t_thth - 2c G^t_thph + a G^t_phph."""
     gam = christoffel_values(g, env)
-    a = np.asarray(evaluate(g.comps["a"], env), dtype=float)
-    b = np.asarray(evaluate(g.comps["b"], env), dtype=float)
-    c = np.asarray(evaluate(g.comps["c"], env), dtype=float)
+    a, b, c = component_jets(g, env, ("a", "b", "c")).values()
     return (b * gam[..., T, TH, TH] - 2.0 * c * gam[..., T, TH, PH]
             + a * gam[..., T, PH, PH])
 
@@ -192,8 +191,8 @@ def _tangent_christoffel(f, env) -> tuple:
     of the second fundamental form read.  Generic formula, closed-form
     inverse, and the component values and first partials already in the
     surface_fields dict f."""
-    shape = _broadcast_shape(f, env)
-    ginv = inverse_from_components(f, shape)[..., (T, R), :]
+    shape = env_shape(env)
+    ginv = inverse_from_components(f, shape, rows=(T, R))
     dg = _metric_first_partials(f, shape)
     gam = _raise_first(ginv, _lowered_christoffel(dg, _TANGENT_PAIRS))
     return gam[..., 0, :], gam[..., 1, :]

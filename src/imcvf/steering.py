@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BlockMetric
+from .chart import BlockMetric, field_jets
 from .errors import NotAreaExpandingError
-from .expr import FieldExpr, call, diff, evaluate
+from .expr import COORDS, call, diff
 from .sphere import mean_curvature_values
 
 __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
@@ -76,31 +76,33 @@ def _frame_exprs(g: BlockMetric) -> dict:
 
 
 def frame_data(g: BlockMetric, env) -> FrameData:
-    """Evaluate the frame ingredients of a chart on an env grid."""
+    """Evaluate the frame ingredients of a chart on an env grid, in one
+    field_jets pass; every array spans the env's broadcast shape."""
     ex = _frame_exprs(g)
+    exprs = {k: ex[k] for k in ("lam", "p", "q", "x", "u", "a", "b", "c", "w")}
+    for k in ("w", "a", "b", "c"):
+        exprs.update((f"{k}_{m}", diff(ex[k], m)) for m in COORDS)
+    for k, m in (("p", "th"), ("p", "ph"), ("q", "th"), ("q", "ph")):
+        exprs[f"{k}_{m}"] = diff(ex[k], m)
+    j = field_jets(exprs, env)
+    lam = j["lam"]
 
-    def val(expr):
-        return np.asarray(evaluate(expr, env), dtype=float)
+    def e_t(k):
+        return lam * (j[f"{k}_t"] + j["x"] * j[f"{k}_r"]
+                      + j["p"] * j[f"{k}_th"] + j["q"] * j[f"{k}_ph"])
 
-    lam, p, q, x = val(ex["lam"]), val(ex["p"]), val(ex["q"]), val(ex["x"])
-    u = val(ex["u"])
-
-    def e_t(expr: FieldExpr):
-        return lam * (val(diff(expr, "t")) + x * val(diff(expr, "r"))
-                      + p * val(diff(expr, "th")) + q * val(diff(expr, "ph")))
-
-    def e_r(expr: FieldExpr):
-        return val(diff(expr, "r")) / u
+    def e_r(k):
+        return j[f"{k}_r"] / j["u"]
 
     return FrameData(
-        a=val(ex["a"]), b=val(ex["b"]), c=val(ex["c"]), W=val(ex["w"]),
-        et_W=e_t(ex["w"]), er_W=e_r(ex["w"]),
-        C_th_tth=-lam * val(diff(ex["p"], "th")),
-        C_ph_tph=-lam * val(diff(ex["q"], "ph")),
-        C_th_tph=-lam * val(diff(ex["p"], "ph")),
-        C_ph_tth=-lam * val(diff(ex["q"], "th")),
-        et_a=e_t(ex["a"]), et_b=e_t(ex["b"]), et_c=e_t(ex["c"]),
-        er_a=e_r(ex["a"]), er_b=e_r(ex["b"]), er_c=e_r(ex["c"]))
+        a=j["a"], b=j["b"], c=j["c"], W=j["w"],
+        et_W=e_t("w"), er_W=e_r("w"),
+        C_th_tth=-lam * j["p_th"],
+        C_ph_tph=-lam * j["q_ph"],
+        C_th_tph=-lam * j["p_ph"],
+        C_ph_tth=-lam * j["q_th"],
+        et_a=e_t("a"), et_b=e_t("b"), et_c=e_t("c"),
+        er_a=e_r("a"), er_b=e_r("b"), er_c=e_r("c"))
 
 
 def steering_parameter(fd: FrameData):

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric
+from .chart import BlockMetric, det_from_components
 from .errors import CompatibilityError, ConvergenceError, \
     NonSpacelikeMeanCurvatureError
-from .expr import evaluate
 from .grid import SphereGrid
 from .sphere import mean_curvature_values, surface_fields
 
@@ -66,18 +65,12 @@ def _gamma_t_radial(f, d_data=None):
     d_th = f["d_th"] if d_data is None else d_data["d_th"]
     d_ph = f["d_ph"] if d_data is None else d_data["d_ph"]
     u2 = f["u"] ** 2
-    det = f["det"] if d_data is None else _det_with_d(f, d)
+    det = f["det"] if d_data is None else det_from_components({**f, "d": d})
     g_thr = (u2 * f["W"] * (f["e_r"] + d_th) - d * f["W"] * 2.0 * f["u"] * f["u_th"]
              + u2 * f["cf_be"] * f["a_r"] + u2 * f["ce_af"] * f["c_r"]) / (2.0 * det)
     g_phr = (u2 * f["W"] * (f["f_r"] + d_ph) - d * f["W"] * 2.0 * f["u"] * f["u_ph"]
              + u2 * f["cf_be"] * f["c_r"] + u2 * f["ce_af"] * f["b_r"]) / (2.0 * det)
     return g_thr, g_phr, det
-
-
-def _det_with_d(f, d):
-    u2, v2 = f["u"] ** 2, f["v"] ** 2
-    k = 2.0 * f["c"] * f["e"] * f["f"] - f["b"] * f["e"] ** 2 - f["a"] * f["f"] ** 2
-    return (-u2 * v2 - d * d) * f["W"] + u2 * k
 
 
 def connection_one_form(g: BlockMetric, grid: SphereGrid, fields=None,
@@ -246,39 +239,29 @@ def is_time_flat(g: BlockMetric, grid: SphereGrid, alpha_h=None,
 # the assembled second-order form and its cross-validation
 # ---------------------------------------------------------------------------
 
-def _second_jets(g: BlockMetric, env) -> dict:
-    """Extra exact second partials entering the assembled form."""
-    out = {}
-    for name, pairs in (("e", (("r", "th"), ("r", "ph"))),
-                        ("f", (("r", "th"), ("r", "ph"))),
-                        ("a", (("r", "th"), ("r", "ph"))),
-                        ("b", (("r", "th"), ("r", "ph"))),
-                        ("c", (("r", "th"), ("r", "ph"))),
-                        ("u", (("th", "th"), ("th", "ph"), ("ph", "ph")))):
-        for v1, v2 in pairs:
-            out[f"{name}_{v1}{v2}"] = np.asarray(
-                evaluate(g.deriv(name, v1, v2), env), dtype=float)
-    return out
-
-
-def _symbolic_d_data(g: BlockMetric, env) -> dict:
-    keys = {"d": (), "d_th": ("th",), "d_ph": ("ph",), "d_thth": ("th", "th"),
-            "d_thph": ("th", "ph"), "d_phph": ("ph", "ph"), "d_r": ("r",)}
-    return {k: np.asarray(evaluate(g.deriv("d", *v), env), dtype=float)
-            for k, v in keys.items()}
+# second partials of the components other than d that the assembled form
+# reads, and those of d that its Laplacian reads (component jet keys)
+_ASSEMBLED_JETS = ("e_r_th", "e_r_ph", "f_r_th", "f_r_ph", "a_r_th", "a_r_ph",
+                   "b_r_th", "b_r_ph", "c_r_th", "c_r_ph",
+                   "u_th_th", "u_th_ph", "u_ph_ph")
+_D_SECOND_JETS = ("d_th_th", "d_th_ph", "d_ph_ph")
 
 
 def _grid_d_data(grid: SphereGrid, d: np.ndarray) -> dict:
+    """d and its tangential partials, keyed as component jets, from grid
+    samples of d by spectral derivatives."""
     d_th = grid.d_theta(d)
     return {"d": d, "d_th": d_th, "d_ph": grid.d_phi(d),
-            "d_thth": grid.d2_theta(d), "d_thph": grid.d_phi(d_th),
-            "d_phph": grid.d_phi(grid.d_phi(d))}
+            "d_th_th": grid.d2_theta(d), "d_th_ph": grid.d_phi(d_th),
+            "d_ph_ph": grid.d_phi(grid.d_phi(d))}
 
 
-def assembled_form(g: BlockMetric, grid: SphereGrid, fields, sec, d_data) -> np.ndarray:
+def assembled_form(g: BlockMetric, grid: SphereGrid, fields, d_data) -> np.ndarray:
     """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
     2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
-    through, so the spherically symmetric limit is exactly zero."""
+    through, so the spherically symmetric limit is exactly zero.  fields
+    must hold the _ASSEMBLED_JETS; d_data supplies d and the partials in
+    _grid_d_data's keys."""
     f = fields
     cot = grid.cot_theta[:, None]
     a, b, c = f["a"], f["b"], f["c"]
@@ -288,7 +271,7 @@ def assembled_form(g: BlockMetric, grid: SphereGrid, fields, sec, d_data) -> np.
     u = f["u"]
     u_th, u_ph = f["u_th"], f["u_ph"]
 
-    det = _det_with_d(f, d)
+    det = det_from_components({**f, "d": d})
     k = 2.0 * c * f["e"] * f["f"] - b * f["e"] ** 2 - a * f["f"] ** 2
     k_th = (2.0 * (f["c_th"] * f["e"] * f["f"] + c * f["e_th"] * f["f"]
                    + c * f["e"] * f["f_th"])
@@ -314,21 +297,21 @@ def assembled_form(g: BlockMetric, grid: SphereGrid, fields, sec, d_data) -> np.
     ce_af_th = f["c_th"] * f["e"] + c * f["e_th"] - f["a_th"] * f["f"] - a * f["f_th"]
     ce_af_ph = f["c_ph"] * f["e"] + c * f["e_ph"] - f["a_ph"] * f["f"] - a * f["f_ph"]
 
-    u2_thth = 2.0 * (u_th**2 + u * sec["u_thth"])
-    u2_thph = 2.0 * (u_th * u_ph + u * sec["u_thph"])
-    u2_phph = 2.0 * (u_ph**2 + u * sec["u_phph"])
+    u2_thth = 2.0 * (u_th**2 + u * f["u_th_th"])
+    u2_thph = 2.0 * (u_th * u_ph + u * f["u_th_ph"])
+    u2_phph = 2.0 * (u_ph**2 + u * f["u_ph_ph"])
 
     # |g_S| Lap(d)
-    lap = ((b * d_data["d_thth"] - 2.0 * c * d_data["d_thph"] + a * d_data["d_phph"])
+    lap = ((b * d_data["d_th_th"] - 2.0 * c * d_data["d_th_ph"] + a * d_data["d_ph_ph"])
            + (f["b_th"] - b * cot - f["c_ph"]) * d_th
            + (-f["c_th"] + c * cot + f["a_ph"]) * d_ph)
 
-    t1 = b * sec["e_rth"] - c * sec["f_rth"] - c * sec["e_rph"] + a * sec["f_rph"]
+    t1 = b * f["e_r_th"] - c * f["f_r_th"] - c * f["e_r_ph"] + a * f["f_r_ph"]
     t2 = -(d / u**2) * (b * u2_thth - 2.0 * c * u2_thph + a * u2_phph)
-    t3 = (cf_be / w) * (b * sec["a_rth"] - c * sec["c_rth"]
-                        - c * sec["a_rph"] + a * sec["c_rph"])
-    t4 = (ce_af / w) * (b * sec["c_rth"] - c * sec["b_rth"]
-                        - c * sec["c_rph"] + a * sec["b_rph"])
+    t3 = (cf_be / w) * (b * f["a_r_th"] - c * f["c_r_th"]
+                        - c * f["a_r_ph"] + a * f["c_r_ph"])
+    t4 = (ce_af / w) * (b * f["c_r_th"] - c * f["b_r_th"]
+                        - c * f["c_r_ph"] + a * f["b_r_ph"])
     t5 = cot * (b * d_th - c * d_ph)
     t6 = -dth_half * (b * f["e_r"] + b * d_th - c * f["f_r"] - c * d_ph)
     t7 = -dph_half * (-c * f["e_r"] - c * d_th + a * f["f_r"] + a * d_ph)
@@ -364,13 +347,11 @@ def straight_out_residual(g: BlockMetric, grid: SphereGrid) -> StraightOutResidu
 
     The agreement of the two routes (typically at rounding level, required
     below 1e-6) certifies the assembled second-order form."""
-    env = grid.env()
-    f = surface_fields(g, env)
+    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS + _D_SECOND_JETS)
     alpha = connection_one_form(g, grid, fields=f)
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     direct = 2.0 * np.sqrt(-f["W"] * f["det"]) * div
-    sec = _second_jets(g, env)
-    closed = assembled_form(g, grid, f, sec, _symbolic_d_data(g, env))
+    closed = assembled_form(g, grid, f, f)
     return StraightOutResidual(closed=closed, direct=direct,
                                max_difference=float(np.max(np.abs(closed - direct))))
 
@@ -401,9 +382,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
     than raised: it would be evidence against solvability at that
     configuration.
     """
-    env = grid.env()
-    f = surface_fields(g, env)
-    sec = _second_jets(g, env)
+    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
     area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
     cot = grid.cot_theta[:, None]
@@ -412,10 +391,10 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         """G(d, d') = F / |g_S|: the assembled form with the Laplacian of d
         stripped (zeroed second derivatives, first-order pieces removed)."""
         dd = _grid_d_data(grid, d_field)
-        zero_second = {**dd, "d_thth": np.zeros_like(d_field),
-                       "d_thph": np.zeros_like(d_field),
-                       "d_phph": np.zeros_like(d_field)}
-        f_only = assembled_form(g, grid, f, sec, zero_second)
+        zero_second = {**dd, "d_th_th": np.zeros_like(d_field),
+                       "d_th_ph": np.zeros_like(d_field),
+                       "d_ph_ph": np.zeros_like(d_field)}
+        f_only = assembled_form(g, grid, f, zero_second)
         f_only = f_only - ((f["b_th"] - f["b"] * cot - f["c_ph"]) * dd["d_th"]
                            + (-f["c_th"] + f["c"] * cot + f["a_ph"]) * dd["d_ph"])
         return f_only / f["W"]

@@ -1,10 +1,13 @@
 """CLI subcommands: exit codes, determinism, file round trips."""
 
+import argparse
 import json
+import os
 
+import numpy as np
 import pytest
 
-from imcvf.cli import main
+from imcvf.cli import _emit, _emit_columns, main
 
 from conftest import seed_inputs
 
@@ -93,6 +96,56 @@ def test_hawking_values(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     for line in lines:
         assert abs(float(line.split(",")[1]) - 1.0) <= 1e-8
+
+
+def test_hawking_reuses_one_process_wide_pool(tmp_path, capsys, monkeypatch):
+    """Spheres run on worker threads that outlive the call, so repeated
+    calls start no threads (and so take no fresh malloc arenas)."""
+    import threading
+
+    from imcvf import cli
+
+    path = tmp_path / "schw.json"
+    path.write_text(json.dumps(SCHWARZSCHILD))
+    argv = ["hawking", "--chart", str(path), "--grid", "16,32", "--r", "3,5,8"]
+    hosts = []
+    real = cli.hawking_mass
+    monkeypatch.setattr(cli, "hawking_mass",
+                        lambda g, grid: hosts.append(threading.get_ident()) or real(g, grid))
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    workers = {t.ident for t in threading.enumerate()}
+    pool = cli._sphere_pool()
+    assert main(argv) == 0 and capsys.readouterr().out == first
+    assert cli._sphere_pool() is pool
+    assert {t.ident for t in threading.enumerate()} == workers
+    assert threading.get_ident() not in hosts and set(hosts) <= workers
+
+
+def test_hawking_waits_for_every_sphere_when_one_fails(tmp_path, capsys, monkeypatch):
+    """An error at one radius leaves no sphere running on the pool."""
+    import time
+
+    from imcvf import cli
+    from imcvf.errors import DegenerateSurfaceError
+
+    started, finished = [], []
+
+    def fake(_g, grid):
+        started.append(grid.r)
+        if grid.r == 3.0:
+            raise DegenerateSurfaceError("ab - c^2 <= 0 at a sampled node")
+        time.sleep(0.05)
+        finished.append(grid.r)
+        return 1.0
+
+    monkeypatch.setattr(cli, "hawking_mass", fake)
+    path = tmp_path / "schw.json"
+    path.write_text(json.dumps(SCHWARZSCHILD))
+    assert main(["hawking", "--chart", str(path), "--grid", "16,32",
+                 "--r", "3,5,8"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert 3.0 in started and sorted(finished) == sorted(r for r in started if r != 3.0)
 
 
 def test_meancurv_minkowski(minkowski_chart, capsys):
@@ -192,3 +245,65 @@ def test_validate_degenerate_chart_exits_2(tmp_path, capsys):
     row = dict(zip(payload["columns"], payload["rows"][0]))
     assert row["degenerate"] and not row["passed"]
     assert "Traceback" not in captured.err
+
+
+def test_unfoldable_constant_factor_exits_1_without_traceback(capsys):
+    assert main(["adm", "--factor", "4^512", "--radii", "10,20,40"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_json_booleans_are_true_false(minkowski_chart, capsys):
+    assert main(["validate", "--chart", minkowski_chart, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    row = dict(zip(payload["columns"], payload["rows"][0]))
+    # JSON true/false load as bool; 1/0 would load as int
+    assert row["passed"] is True and row["lorentzian_ok"] is True
+    assert row["degenerate"] is False
+
+
+# Golden outputs on the ef seed (eps = 0.1) at 16x32, written by the code
+# before the separable env and the single jet evaluator; the grid commands
+# must keep reproducing them byte for byte.
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = {
+    "meancurv_closed": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "closed"],
+    "meancurv_trace": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "trace"],
+    "steer": ["steer", "--grid", "16,32", "--r", "4.7"],
+    "straightout": ["straightout", "--grid", "16,32", "--r", "4.7"],
+    "straightout_solve": ["straightout", "--grid", "16,32", "--r", "4.7", "--solve"],
+    "hawking": ["hawking", "--grid", "16,32", "--r", "2,3.5,5,8"],
+}
+
+
+@pytest.fixture(scope="module")
+def ef_chart(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ef")
+    ins = seed_inputs("ef", 0.1)
+    doc = dict(ins, b=f"(r^4*sin(th)^2+({ins['c']})^2)/({ins['a']})", solve_d=True)
+    seed, full = tmp / "seed.json", tmp / "full.json"
+    seed.write_text(json.dumps(doc))
+    assert main(["build", "--chart", str(seed), "--solve-d", "--out", str(full)]) == 0
+    return str(full)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
+    command, *rest = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    assert main([command, "--chart", ef_chart, *rest, "--out", str(out)]) == 0
+    with open(os.path.join(DATA, f"ef_16x32_{name}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_column_output_equals_row_output(as_json, capsys):
+    """Grid commands format whole rows from float columns; the text must be
+    what the per-cell row path prints, special values included."""
+    cols = [np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 1 / 3, -2.5e-310]),
+            np.linspace(-1.0, 1.0, 8)]
+    args = argparse.Namespace(json=as_json, out=None, command="meancurv")
+    _emit(args, ["x", "y"], [[c[i] for c in cols] for i in range(8)])
+    by_rows = capsys.readouterr().out
+    _emit_columns(args, ["x", "y"], cols)
+    assert capsys.readouterr().out == by_rows

@@ -169,6 +169,19 @@ def test_diff_matches_finite_differences(trial):
         assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact))
 
 
+@pytest.mark.parametrize("trial", range(10))
+def test_evaluate_sequence_matches_one_by_one(trial):
+    """One pass over many expressions (shared subtrees, repeated roots,
+    values released after their last reader) gives each one's own value."""
+    rng = np.random.default_rng(2000 + trial)
+    e = parse(_random_expr(3, rng))
+    exprs = [e, diff(e, "r"), diff(diff(e, "r"), "th"), e * e, diff(e, "r")]
+    env = {"t": np.full((1, 1), 0.4), "r": np.linspace(1.0, 3.0, 5)[:, None],
+           "th": np.linspace(0.5, 2.5, 7)[None, :]}
+    for together, alone in zip(evaluate(exprs, env), exprs):
+        np.testing.assert_array_equal(together, evaluate(alone, env))
+
+
 # ---------------------------------------------------------------------------
 # printing round trip
 # ---------------------------------------------------------------------------
@@ -226,6 +239,16 @@ def test_parser_total_on_garbage(source):
         parse(source)
     except ExprSyntaxError:
         pass
+
+
+@pytest.mark.parametrize("source, offset", [
+    ("4^512", 1), ("10^400", 2), ("exp(1000)", 0), ("log(0)", 0), ("sqrt(0-1)", 0)])
+def test_unfoldable_constant_is_a_syntax_error(source, offset):
+    """Constant folding that overflows or leaves the domain is reported at
+    the operator or function name, never as OverflowError/ValueError."""
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(source)
+    assert info.value.offset == offset
 
 
 def test_literal_zero_division_is_an_evaluation_error():
