@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN, component_jets
+from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN, component_jets, cross_terms
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, diff, evaluate, parse, var, call
@@ -115,7 +115,6 @@ class ChartReport:
     h_n_max: float
     h_r_err_max: float
     lorentzian_ok: bool
-    pole_strategy: str
     tolerances: dict = field(default_factory=dict)
     degenerate: bool = False
 
@@ -131,12 +130,10 @@ class ChartReport:
                 "cond3_max": self.cond3_max, "cond4_max": self.cond4_max,
                 "h_n_max": self.h_n_max, "h_r_err_max": self.h_r_err_max,
                 "lorentzian_ok": self.lorentzian_ok, "degenerate": self.degenerate,
-                "pole_strategy": self.pole_strategy,
                 "passed": self.passed, **{f"tol_{k}": v for k, v in self.tolerances.items()}}
 
 
-def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
-                   pole_strategy: str = "window") -> ChartReport:
+def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None) -> ChartReport:
     """Check the four chart conditions on a sample grid.
 
     Returns a report; nothing is raised on failure, the report carries it.
@@ -155,14 +152,12 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
     try:
         fields = surface_fields(g, env)
     except DegenerateSurfaceError:
-        c = component_jets(g, env, ("a", "b", "c"))
-        w = c["a"] * c["b"] - c["c"] ** 2
+        w = cross_terms(component_jets(g, env, ("a", "b", "c", "e", "f")))[0]
         nan = float("nan")
         return ChartReport(cond1_max=0.0, cond2_max=0.0,
                            cond3_max=float(np.max(np.abs(w - r4s2))),
                            cond4_max=nan, h_n_max=nan, h_r_err_max=nan,
-                           lorentzian_ok=False, pole_strategy=pole_strategy,
-                           tolerances=tolerances, degenerate=True)
+                           lorentzian_ok=False, tolerances=tolerances, degenerate=True)
     cond3 = np.max(np.abs(fields["W"] - r4s2))
     star = star_values(g, env, fields=fields)
     cond4 = float(np.max(np.abs(star)))
@@ -173,8 +168,7 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None,
                       and np.all(fields["W"] > 0) and np.all(fields["det"] < 0))
     return ChartReport(cond1_max=0.0, cond2_max=0.0, cond3_max=float(cond3),
                        cond4_max=cond4, h_n_max=h_n_max, h_r_err_max=h_r_err,
-                       lorentzian_ok=lorentzian, pole_strategy=pole_strategy,
-                       tolerances=tolerances)
+                       lorentzian_ok=lorentzian, tolerances=tolerances)
 
 
 # ---------------------------------------------------------------------------

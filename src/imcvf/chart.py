@@ -72,7 +72,6 @@ class BlockMetric:
         comps = {"v": v, "d": d, "e": e, "f": f, "u": u, "a": a, "b": b, "c": c}
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
         self.theta_min = float(theta_min)
-        self._d1 = {}
 
     # individual components as attributes (read-only by convention)
     def __getattr__(self, name):
@@ -82,15 +81,11 @@ class BlockMetric:
         raise AttributeError(name)
 
     def deriv(self, name: str, *vars_: str) -> FieldExpr:
-        """Cached partial derivative of a component, e.g. deriv('a','th','r')."""
+        """Partial derivative of a component, e.g. deriv('a','th','r'); diff
+        caches each derivative on its node, so repeated calls are cheap."""
         expr = self.comps[name]
         for v in vars_:
-            key = (id(expr), v)
-            cached = self._d1.get(key)
-            if cached is None:
-                cached = diff(expr, v)
-                self._d1[key] = cached
-            expr = cached
+            expr = diff(expr, v)
         return expr
 
     def with_d(self, d) -> "BlockMetric":
@@ -176,14 +171,20 @@ def det_values(g: BlockMetric, env: Mapping) -> np.ndarray:
     return det_from_components(component_jets(g, env, COMPONENTS))
 
 
-def det_from_components(c: Mapping) -> np.ndarray:
-    """|g| = (-u^2 v^2 - d^2)(ab - c^2) + u^2 (2cef - be^2 - af^2)."""
-    u2 = np.asarray(c["u"], dtype=float) ** 2
-    v2 = np.asarray(c["v"], dtype=float) ** 2
-    d, e, f = (np.asarray(c[k], dtype=float) for k in ("d", "e", "f"))
-    a, b, cc = (np.asarray(c[k], dtype=float) for k in ("a", "b", "c"))
-    w = a * b - cc * cc
-    return (-u2 * v2 - d * d) * w + u2 * (2 * cc * e * f - b * e * e - a * f * f)
+def cross_terms(c: Mapping) -> tuple:
+    """(W, cf - be, ce - af) with W = ab - c^2, from component values c
+    (keys as COMPONENTS): arrays, floats or FieldExprs alike."""
+    a, b, cc, e, f = (c[k] for k in ("a", "b", "c", "e", "f"))
+    return a * b - cc * cc, cc * f - b * e, cc * e - a * f
+
+
+def det_from_components(c: Mapping):
+    """|g| = (-u^2 v^2 - d^2)(ab - c^2) + u^2 (2cef - be^2 - af^2) from
+    component values c: arrays, floats or FieldExprs alike."""
+    u2, v2 = c["u"] * c["u"], c["v"] * c["v"]
+    a, b, cc, d, e, f = (c[k] for k in ("a", "b", "c", "d", "e", "f"))
+    w = cross_terms(c)[0]
+    return (-u2 * v2 - d * d) * w + u2 * (2.0 * cc * e * f - b * e * e - a * f * f)
 
 
 def inverse_values(g: BlockMetric, env: Mapping, *, check=True) -> np.ndarray:
@@ -200,13 +201,9 @@ def inverse_from_components(c: Mapping, shape, *, rows=(T, R, TH, PH),
     det = det_from_components(c)
     if check and np.any(np.abs(det) < 1e-14):
         raise SingularMetricError("metric determinant vanishes at a sampled point")
-    u2 = np.asarray(c["u"], dtype=float) ** 2
-    v2 = np.asarray(c["v"], dtype=float) ** 2
-    d, e, f = (np.asarray(c[k], dtype=float) for k in ("d", "e", "f"))
-    a, b, cc = (np.asarray(c[k], dtype=float) for k in ("a", "b", "c"))
-    w = a * b - cc * cc
-    cf_be = cc * f - b * e
-    ce_af = cc * e - a * f
+    u2, v2 = c["u"] * c["u"], c["v"] * c["v"]
+    a, b, cc, d, e, f = (c[k] for k in ("a", "b", "c", "d", "e", "f"))
+    w, cf_be, ce_af = cross_terms(c)
     # cofactor closed forms of the upper triangle, built on demand
     upper = {(T, T): lambda: u2 * w,
              (T, R): lambda: -d * w,

@@ -1,9 +1,10 @@
 """Command-line front end: load chart files, run validations and solvers,
 emit deterministic CSV or JSON tables.
 
-Exit codes: 0 success, 1 usage, parse or file error, 2 validation/compatibility
-failure, 3 numerical non-convergence.  Floats are printed with 17
-significant digits so identical inputs give byte-identical output.
+Exit codes: 0 success, 1 usage, parse, file or floating-point range error,
+2 validation/compatibility failure, 3 numerical non-convergence.  Floats are
+printed with 17 significant digits so identical inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ExprSyntaxError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:   # Python float overflow, e.g. r^2 at r = 1e200
+        print(f"error: floating-point range: {exc}", file=sys.stderr)
         return 1
     except CompatibilityError as exc:
         print(f"compatibility failure: {exc}", file=sys.stderr)

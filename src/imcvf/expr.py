@@ -271,7 +271,10 @@ def pow_(base, expo):
     if isinstance(base, Lit):
         v = base.value
         if v > 0 or (expo == round(expo) and (v != 0.0 or expo > 0)):
-            return Lit(v ** expo)
+            try:
+                return Lit(v ** expo)
+            except OverflowError:       # a float result too large is +-inf
+                return Lit(math.copysign(math.inf, v) if expo % 2 == 1 else math.inf)
     return Pow(base, expo)
 
 
@@ -372,11 +375,11 @@ class _Parser:
             if not isinstance(expo, Lit):
                 raise ExprSyntaxError("exponent must be a numeric constant", pos,
                                       expected={"constant exponent"})
-            try:
-                return pow_(node, expo.value)
-            except (OverflowError, ValueError):
+            out = pow_(node, expo.value)
+            if isinstance(out, Lit) and math.isinf(out.value) and math.isfinite(node.value):
                 raise ExprSyntaxError("constant power is not a finite number", pos,
-                                      expected={"finite constant"}) from None
+                                      expected={"finite constant"})
+            return out
         return node
 
     def parse_base(self):
@@ -445,7 +448,7 @@ def evaluate(expr, env):
     negative, zero to a negative power) raise EvalDomainError.
     """
     if isinstance(expr, FieldExpr):
-        return _result(_ev(expr, env, {}))
+        return evaluate([expr], env)[0]
     roots = list(expr)
     memo, readers = {}, _reader_counts(roots)
     return [_result(_ev(e, env, memo, readers)) for e in roots]
@@ -485,9 +488,9 @@ def _reader_counts(roots) -> dict:
     return readers
 
 
-def _ev(e, env, memo, readers=None):
-    """Value of node e, memoised by id; with readers (see _reader_counts)
-    a child's value is dropped from the memo after its last reader."""
+def _ev(e, env, memo, readers):
+    """Value of node e, memoised by id; a child's value is dropped from the
+    memo after its last reader (readers as from _reader_counts)."""
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -531,11 +534,10 @@ def _ev(e, env, memo, readers=None):
     else:  # pragma: no cover
         raise TypeError(f"not a FieldExpr node: {e!r}")
     memo[key] = out
-    if readers is not None:
-        for c in _children(e):
-            readers[id(c)] -= 1
-            if readers[id(c)] == 0:
-                del memo[id(c)]
+    for c in _children(e):
+        readers[id(c)] -= 1
+        if readers[id(c)] == 0:
+            del memo[id(c)]
     return out
 
 

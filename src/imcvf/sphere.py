@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, component_jets, \
-    det_from_components, env_shape, inverse_from_components, metric_values
+    cross_terms, det_from_components, env_shape, inverse_from_components, metric_values
 from .curvature import _lowered_christoffel, _metric_first_partials, _raise_first, \
     christoffel_values
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
@@ -36,18 +36,29 @@ def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     """
     out = component_jets(g, env, FIRST_JETS + tuple(extra))
     a, b, c = out["a"], out["b"], out["c"]
-    out["W"] = a * b - c * c
+    out["W"], out["cf_be"], out["ce_af"] = cross_terms(out)
     if np.any(out["W"] <= 0.0):
         raise DegenerateSurfaceError("ab - c^2 <= 0 at a sampled node")
     out["W_r"] = out["a_r"] * b + a * out["b_r"] - 2.0 * c * out["c_r"]
     out["W_th"] = out["a_th"] * b + a * out["b_th"] - 2.0 * c * out["c_th"]
     out["W_ph"] = out["a_ph"] * b + a * out["b_ph"] - 2.0 * c * out["c_ph"]
-    out["cf_be"] = c * out["f"] - b * out["e"]
-    out["ce_af"] = c * out["e"] - a * out["f"]
     out["det"] = det_from_components(out)
     out["nn"] = out["det"] / (out["u"] ** 2 * out["W"])
     out["norm_n"] = np.sqrt(-out["nn"])
     return out
+
+
+def gs_trace(f, x_thth, x_thph, x_phph):
+    """b x_thth - 2c x_thph + a x_phph: |g_S| times the g_S-trace of a
+    symmetric tangent 2-tensor, with a, b, c read from the mapping f."""
+    return f["b"] * x_thth - 2.0 * f["c"] * x_thph + f["a"] * x_phph
+
+
+def gs_laplacian_coefficients(f, cot):
+    """(b_th - b cot - c_ph, -c_th + c cot + a_ph): the coefficients of
+    psi_th and psi_ph in |g_S| Lap_{g_S}(psi) besides its g_S-trace of the
+    second partials; f holds the surface_fields jets."""
+    return (f["b_th"] - f["b"] * cot - f["c_ph"], -f["c_th"] + f["c"] * cot + f["a_ph"])
 
 
 @dataclass(frozen=True)
@@ -121,9 +132,8 @@ def star_term(g: BlockMetric, node: CoordinatePoint) -> float:
 def star_from_christoffel(g: BlockMetric, env) -> np.ndarray:
     """Independent evaluation b G^t_thth - 2c G^t_thph + a G^t_phph."""
     gam = christoffel_values(g, env)
-    a, b, c = component_jets(g, env, ("a", "b", "c")).values()
-    return (b * gam[..., T, TH, TH] - 2.0 * c * gam[..., T, TH, PH]
-            + a * gam[..., T, PH, PH])
+    return gs_trace(component_jets(g, env, ("a", "b", "c")), gam[..., T, TH, TH],
+                    gam[..., T, TH, PH], gam[..., T, PH, PH])
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +180,11 @@ def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
     if method != "trace":
         raise ValueError(f"unknown method {method!r}")
     gt, gr = _tangent_christoffel(f, env)
-    w = f["W"]
-    def contract(x_hh, x_hp, x_pp):
-        return (f["b"] * x_hh - 2.0 * f["c"] * x_hp + f["a"] * x_pp) / w
     # <nabla_i d_j, e_r> = (1/u)(Gamma^t_ij d + Gamma^r_ij u^2)
-    s_r = contract(*(gt[..., p] * f["d"] + gr[..., p] * f["u"] ** 2
-                     for p in range(3))) / f["u"]
+    s_r = gs_trace(f, *(gt[..., p] * f["d"] + gr[..., p] * f["u"] ** 2
+                        for p in range(3))) / f["W"] / f["u"]
     # <nabla_i d_j, e_n> = Gamma^t_ij <d_t, n>/||n|| = -Gamma^t_ij ||n||
-    s_n = contract(*(gt[..., p] for p in range(3))) * (-f["norm_n"])
+    s_n = gs_trace(f, *(gt[..., p] for p in range(3))) / f["W"] * (-f["norm_n"])
     return s_r, -s_n, star
 
 
@@ -253,11 +260,8 @@ def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.nd
     p_thth = grid.d2_theta(psi)
     p_thph = grid.d_phi(p_th)
     p_phph = grid.d_phi(p_ph)
-    cot = grid.cot_theta[:, None]
-    second = f["b"] * p_thth - 2.0 * f["c"] * p_thph + f["a"] * p_phph
-    first = ((f["b_th"] - f["b"] * cot - f["c_ph"]) * p_th
-             + (-f["c_th"] + f["c"] * cot + f["a_ph"]) * p_ph)
-    return (second + first) / f["W"]
+    coef_th, coef_ph = gs_laplacian_coefficients(f, grid.cot_theta[:, None])
+    return (gs_trace(f, p_thth, p_thph, p_phph) + (coef_th * p_th + coef_ph * p_ph)) / f["W"]
 
 
 def first_variation_area_check(g: BlockMetric, grid: SphereGrid) -> float:

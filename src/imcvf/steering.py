@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BlockMetric, field_jets
+from .chart import BlockMetric, cross_terms, det_from_components, field_jets
 from .errors import NotAreaExpandingError
 from .expr import COORDS, call, diff
-from .sphere import mean_curvature_values
+from .sphere import gs_trace, mean_curvature_values
 
 __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
            "tangentiality_residual", "minimal_surface_lemma_check",
@@ -63,16 +63,12 @@ class FrameData:
 
 def _frame_exprs(g: BlockMetric) -> dict:
     """Symbolic frame coefficient fields of the chart realization."""
-    a, b, c = g.comps["a"], g.comps["b"], g.comps["c"]
-    d, e, f = g.comps["d"], g.comps["e"], g.comps["f"]
-    u, v = g.comps["u"], g.comps["v"]
-    w = a * b - c * c
-    det = (-(u * u) * (v * v) - d * d) * w + (u * u) * (2.0 * c * e * f
-                                                       - b * e * e - a * f * f)
-    lam = call("sqrt", -(u * u) * w / det)    # 1/||n||, det < 0
-    return {"a": a, "b": b, "c": c, "w": w, "det": det, "lam": lam,
-            "p": (c * f - b * e) / w, "q": (c * e - a * f) / w,
-            "x": -d / (u * u), "u": u}
+    comps = g.comps
+    u = comps["u"]
+    w, cf_be, ce_af = cross_terms(comps)
+    lam = call("sqrt", -(u * u) * w / det_from_components(comps))   # 1/||n||, det < 0
+    return {"a": comps["a"], "b": comps["b"], "c": comps["c"], "w": w, "lam": lam,
+            "p": cf_be / w, "q": ce_af / w, "x": -comps["d"] / (u * u), "u": u}
 
 
 def frame_data(g: BlockMetric, env) -> FrameData:
@@ -161,8 +157,7 @@ def steered_normal_component(fd: FrameData, q):
                    - q * (-fd.er_c))
     w_pp = pref * ((-fd.et_b + 2.0 * fd.c * fd.C_th_tph + 2.0 * fd.b * fd.C_ph_tph)
                    - q * (-fd.er_b))
-    contraction = (fd.b * w_hh - 2.0 * fd.c * w_hp + fd.a * w_pp) / fd.W
-    return -np.sqrt(1.0 + q * q) * contraction
+    return -np.sqrt(1.0 + q * q) * (gs_trace(vars(fd), w_hh, w_hp, w_pp) / fd.W)
 
 
 def trace_h_er(g: BlockMetric, env, fields=None):

@@ -27,7 +27,8 @@ from .chart import BlockMetric, det_from_components
 from .errors import CompatibilityError, ConvergenceError, \
     NonSpacelikeMeanCurvatureError
 from .grid import SphereGrid
-from .sphere import mean_curvature_values, surface_fields
+from .sphere import gs_laplacian_coefficients, gs_trace, mean_curvature_values, \
+    surface_fields
 
 __all__ = ["ConnectionOneForm", "HyperbolicAngle", "connection_one_form",
            "connection_one_form_direct", "divergence_alpha", "gauge_rotation",
@@ -56,29 +57,22 @@ class HyperbolicAngle:
     iterations: int
 
 
-def _gamma_t_radial(f, d_data=None):
-    """Closed forms of Gamma^t_thr and Gamma^t_phr from the component jets.
-
-    When d_data is given its entries override the chart's own d field (used
-    by the Picard solver, where d lives on the grid)."""
-    d = f["d"] if d_data is None else d_data["d"]
-    d_th = f["d_th"] if d_data is None else d_data["d_th"]
-    d_ph = f["d_ph"] if d_data is None else d_data["d_ph"]
-    u2 = f["u"] ** 2
-    det = f["det"] if d_data is None else det_from_components({**f, "d": d})
-    g_thr = (u2 * f["W"] * (f["e_r"] + d_th) - d * f["W"] * 2.0 * f["u"] * f["u_th"]
+def _gamma_t_radial(f):
+    """Closed forms of Gamma^t_thr and Gamma^t_phr from the fields dict f
+    (surface_fields, or _grid_d_data where d lives on the grid)."""
+    d, u2, det = f["d"], f["u"] ** 2, f["det"]
+    g_thr = (u2 * f["W"] * (f["e_r"] + f["d_th"]) - d * f["W"] * 2.0 * f["u"] * f["u_th"]
              + u2 * f["cf_be"] * f["a_r"] + u2 * f["ce_af"] * f["c_r"]) / (2.0 * det)
-    g_phr = (u2 * f["W"] * (f["f_r"] + d_ph) - d * f["W"] * 2.0 * f["u"] * f["u_ph"]
+    g_phr = (u2 * f["W"] * (f["f_r"] + f["d_ph"]) - d * f["W"] * 2.0 * f["u"] * f["u_ph"]
              + u2 * f["cf_be"] * f["c_r"] + u2 * f["ce_af"] * f["b_r"]) / (2.0 * det)
-    return g_thr, g_phr, det
+    return g_thr, g_phr
 
 
-def connection_one_form(g: BlockMetric, grid: SphereGrid, fields=None,
-                        d_data=None) -> ConnectionOneForm:
+def connection_one_form(g: BlockMetric, grid: SphereGrid, fields=None) -> ConnectionOneForm:
     """One-form of e_r from the closed-form Christoffel entries."""
     f = fields if fields is not None else surface_fields(g, grid.env())
-    g_thr, g_phr, det = _gamma_t_radial(f, d_data)
-    scale = -np.sqrt(-det / f["W"]) / f["u"] ** 2
+    g_thr, g_phr = _gamma_t_radial(f)
+    scale = -np.sqrt(-f["det"] / f["W"]) / f["u"] ** 2
     return ConnectionOneForm(alpha_th=scale * g_thr, alpha_ph=scale * g_phr)
 
 
@@ -149,7 +143,7 @@ def rotate_one_form(grid: SphereGrid, alpha: ConnectionOneForm,
 # Poisson gauge
 # ---------------------------------------------------------------------------
 
-def _laplace_full(g, grid, fields, x):
+def _laplace_full(grid, fields, x):
     """div(grad x) with the induced metric, composed from the exact same
     discrete divergence used everywhere else."""
     alpha = ConnectionOneForm(alpha_th=grid.d_theta(x), alpha_ph=grid.d_phi(x))
@@ -157,7 +151,7 @@ def _laplace_full(g, grid, fields, x):
     return grid.div_tangent(beta_th, beta_ph)
 
 
-def _poisson_solve(g, grid, fields, rhs, tol, max_iter, floor_tol=None):
+def _poisson_solve(grid, fields, rhs, tol, max_iter, floor_tol=None):
     """Mean-zero x with div(grad x) = rhs, by round-sphere preconditioned
     iteration.  Returns (x, residual_inf, iterations).
 
@@ -171,7 +165,7 @@ def _poisson_solve(g, grid, fields, rhs, tol, max_iter, floor_tol=None):
     history = []
     best_x, best = x, np.inf
     for k in range(max_iter):
-        res = rhs - _laplace_full(g, grid, fields, x)
+        res = rhs - _laplace_full(grid, fields, x)
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
         if rnorm < best:
@@ -203,7 +197,7 @@ def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
     if abs(integral) > 1e-6 * max(scale, 1e-12):
         raise CompatibilityError(
             f"div(alpha) integrates to {integral:.3e}, not compatible")
-    x, rnorm, iters = _poisson_solve(g, grid, f, div, tol,
+    x, rnorm, iters = _poisson_solve(grid, f, div, tol,
                                      max_iter=10 * grid.n_theta)
     return HyperbolicAngle(theta_gauge=x, residual_inf=rnorm, iterations=iters)
 
@@ -247,31 +241,30 @@ _ASSEMBLED_JETS = ("e_r_th", "e_r_ph", "f_r_th", "f_r_ph", "a_r_th", "a_r_ph",
 _D_SECOND_JETS = ("d_th_th", "d_th_ph", "d_ph_ph")
 
 
-def _grid_d_data(grid: SphereGrid, d: np.ndarray) -> dict:
-    """d and its tangential partials, keyed as component jets, from grid
-    samples of d by spectral derivatives."""
-    d_th = grid.d_theta(d)
-    return {"d": d, "d_th": d_th, "d_ph": grid.d_phi(d),
-            "d_th_th": grid.d2_theta(d), "d_th_ph": grid.d_phi(d_th),
-            "d_ph_ph": grid.d_phi(grid.d_phi(d))}
+def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
+    """The fields dict f with grid samples of d merged in: d, its tangential
+    partials by spectral derivatives and the |g| they imply replace the
+    chart's own; other entries that depend on d (d_t, d_r, nn, norm_n and
+    any second partials of d) are left as the chart gives them."""
+    out = {**f, "d": d, "d_th": grid.d_theta(d), "d_ph": grid.d_phi(d)}
+    out["det"] = det_from_components(out)
+    return out
 
 
-def assembled_form(g: BlockMetric, grid: SphereGrid, fields, d_data) -> np.ndarray:
+def assembled_form(g: BlockMetric, grid: SphereGrid, fields) -> np.ndarray:
     """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
     2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
     through, so the spherically symmetric limit is exactly zero.  fields
-    must hold the _ASSEMBLED_JETS; d_data supplies d and the partials in
-    _grid_d_data's keys."""
+    must hold the _ASSEMBLED_JETS and _D_SECOND_JETS besides the
+    surface_fields entries."""
     f = fields
     cot = grid.cot_theta[:, None]
     a, b, c = f["a"], f["b"], f["c"]
     w = f["W"]
-    d = d_data["d"]
-    d_th, d_ph = d_data["d_th"], d_data["d_ph"]
+    d, d_th, d_ph, det = f["d"], f["d_th"], f["d_ph"], f["det"]
     u = f["u"]
     u_th, u_ph = f["u_th"], f["u_ph"]
 
-    det = det_from_components({**f, "d": d})
     k = 2.0 * c * f["e"] * f["f"] - b * f["e"] ** 2 - a * f["f"] ** 2
     k_th = (2.0 * (f["c_th"] * f["e"] * f["f"] + c * f["e_th"] * f["f"]
                    + c * f["e"] * f["f_th"])
@@ -302,12 +295,12 @@ def assembled_form(g: BlockMetric, grid: SphereGrid, fields, d_data) -> np.ndarr
     u2_phph = 2.0 * (u_ph**2 + u * f["u_ph_ph"])
 
     # |g_S| Lap(d)
-    lap = ((b * d_data["d_th_th"] - 2.0 * c * d_data["d_th_ph"] + a * d_data["d_ph_ph"])
-           + (f["b_th"] - b * cot - f["c_ph"]) * d_th
-           + (-f["c_th"] + c * cot + f["a_ph"]) * d_ph)
+    coef_th, coef_ph = gs_laplacian_coefficients(f, cot)
+    lap = (gs_trace(f, f["d_th_th"], f["d_th_ph"], f["d_ph_ph"])
+           + coef_th * d_th + coef_ph * d_ph)
 
     t1 = b * f["e_r_th"] - c * f["f_r_th"] - c * f["e_r_ph"] + a * f["f_r_ph"]
-    t2 = -(d / u**2) * (b * u2_thth - 2.0 * c * u2_thph + a * u2_phph)
+    t2 = -(d / u**2) * gs_trace(f, u2_thth, u2_thph, u2_phph)
     t3 = (cf_be / w) * (b * f["a_r_th"] - c * f["c_r_th"]
                         - c * f["a_r_ph"] + a * f["c_r_ph"])
     t4 = (ce_af / w) * (b * f["c_r_th"] - c * f["b_r_th"]
@@ -351,7 +344,7 @@ def straight_out_residual(g: BlockMetric, grid: SphereGrid) -> StraightOutResidu
     alpha = connection_one_form(g, grid, fields=f)
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     direct = 2.0 * np.sqrt(-f["W"] * f["det"]) * div
-    closed = assembled_form(g, grid, f, f)
+    closed = assembled_form(g, grid, f)
     return StraightOutResidual(closed=closed, direct=direct,
                                max_difference=float(np.max(np.abs(closed - direct))))
 
@@ -385,18 +378,14 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
     f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
     area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
-    cot = grid.cot_theta[:, None]
+    coef_th, coef_ph = gs_laplacian_coefficients(f, grid.cot_theta[:, None])
 
     def big_g_of(d_field):
         """G(d, d') = F / |g_S|: the assembled form with the Laplacian of d
-        stripped (zeroed second derivatives, first-order pieces removed)."""
-        dd = _grid_d_data(grid, d_field)
-        zero_second = {**dd, "d_th_th": np.zeros_like(d_field),
-                       "d_th_ph": np.zeros_like(d_field),
-                       "d_ph_ph": np.zeros_like(d_field)}
-        f_only = assembled_form(g, grid, f, zero_second)
-        f_only = f_only - ((f["b_th"] - f["b"] * cot - f["c_ph"]) * dd["d_th"]
-                           + (-f["c_th"] + f["c"] * cot + f["a_ph"]) * dd["d_ph"])
+        stripped (zero second partials, first-order pieces removed)."""
+        fd = {**_grid_d_data(grid, f, d_field), "d_th_th": 0.0, "d_th_ph": 0.0,
+              "d_ph_ph": 0.0}
+        f_only = assembled_form(g, grid, fd) - (coef_th * fd["d_th"] + coef_ph * fd["d_ph"])
         return f_only / f["W"]
 
     d = np.zeros((grid.n_theta, grid.n_phi)) if d0 is None else np.array(d0, dtype=float)
@@ -416,7 +405,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         # accept the coarse-grid truncation floor up to 2e-7: still a wide
         # margin on the 1e-6 target for the assembled PDE residual
         scale = max(1.0, float(np.max(np.abs(rhs))))
-        x, _, _ = _poisson_solve(g, grid, f, rhs, tol=1e-9 * scale,
+        x, _, _ = _poisson_solve(grid, f, rhs, tol=1e-9 * scale,
                                  max_iter=10 * grid.n_theta,
                                  floor_tol=2e-7 * scale)
         new_d = grid.mean_zero(d + damping * (x - d), sqrt_gs)
@@ -429,7 +418,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         sol.iterations = k + 1
         if update <= tol:
             big_g = big_g_of(d)
-            residual = (_laplace_full(g, grid, f, d) + big_g
+            residual = (_laplace_full(grid, f, d) + big_g
                         - grid.integrate_area(big_g, sqrt_gs) / area)
             sol.d = d
             sol.converged = True

@@ -1,12 +1,18 @@
 """CLI subcommands: exit codes, determinism, file round trips."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from imcvf.chart import COMPONENTS
 from imcvf.cli import _emit, _emit_columns, main
 
 from conftest import seed_inputs
@@ -253,6 +259,14 @@ def test_unfoldable_constant_factor_exits_1_without_traceback(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_large_literal_in_chart_runs_without_traceback(tmp_path, capsys):
+    """d/dr of r/1e200 squares 1e200 while folding; it must still run."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, u="1+r/1e200")))
+    assert main(["meancurv", "--chart", str(path), "--grid", "8,16", "--r", "2"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_json_booleans_are_true_false(minkowski_chart, capsys):
     assert main(["validate", "--chart", minkowski_chart, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -307,3 +321,95 @@ def test_column_output_equals_row_output(as_json, capsys):
     by_rows = capsys.readouterr().out
     _emit_columns(args, ["x", "y"], cols)
     assert capsys.readouterr().out == by_rows
+
+
+# ---------------------------------------------------------------------------
+# property: every subcommand exits in {0, 1, 2, 3} and never with a traceback
+# ---------------------------------------------------------------------------
+
+_HOSTILE = ["exp(r^3)", "1+r/1e200", "log(r-2)", "1/(r-2)", "sqrt(2-r)", "r^(-2)",
+            "tan(th)^2", "0", "-1", "1e200*r", "sin(th)^2*cos(ph)"]
+_GARBAGE = ["r^", "q*r", "sin(", "4^512", "(1-1)^(-2)", "1/(2-2)", ""]
+
+
+@st.composite
+def _charts(draw):
+    """Chart documents: a windowed seed chart (d = 0, or d left to the
+    builder), then mostly unchanged, else with one hostile or malformed
+    component, a component missing, or a parameter."""
+    ins = seed_inputs(draw(st.sampled_from(["e", "f", "a", "ef", "ea", "c"])),
+                      draw(st.sampled_from([0.1, 1e-2, 0.5])))
+    doc = dict(ins, b=f"(r^4*sin(th)^2+({ins['c']})^2)/({ins['a']})", d="0")
+    doc["u"] = draw(st.sampled_from([ins["u"], "1", "1+1/r", "(1-2/r)^(-0.5)"]))
+    change = draw(st.sampled_from(["none"] * 4 + ["solve_d", "hostile", "garbage",
+                                                  "drop", "params"]))
+    key = draw(st.sampled_from(sorted(COMPONENTS)))
+    if change == "solve_d":
+        del doc["d"]
+        doc["solve_d"] = True
+    elif change == "hostile":
+        doc[key] = draw(st.sampled_from(_HOSTILE))
+    elif change == "garbage":
+        doc[key] = draw(st.sampled_from(_GARBAGE))
+    elif change == "drop":
+        del doc[key]
+    elif change == "params":
+        doc["params"] = {"q": draw(st.sampled_from([0.1, -2.0, 1e200]))}
+        doc[key] = f"q*sin(th)^9*cos(ph)+({doc[key]})"
+    return doc
+
+
+_RADII = st.lists(st.sampled_from(["2", "3.5", "8"] * 2 + ["0.5", "0", "-1", "1e200"]),
+                  min_size=1, max_size=3).map(",".join)
+_RADIUS = st.sampled_from(["2", "4.7", "3"] * 2 + ["0.5", "1e-3", "0", "-1", "1e200", "x"])
+_POINT = st.one_of(
+    st.tuples(st.sampled_from(["0", "1"]), st.sampled_from(["2.5", "4", "1e-9", "0", "1e200"]),
+              st.sampled_from(["1", "2.5", "1e-9", "3.2"]), st.sampled_from(["0", "4"])),
+    st.lists(st.sampled_from(["0", "2.5", "-1", "1e200"]), min_size=3, max_size=5)).map(
+        ",".join)
+_GRID = ["--grid", "8,16"]
+_ARGS = {
+    "validate": st.one_of(st.just([]), _RADII.map(lambda r: ["--r-values", r])),
+    "build": st.sampled_from([["--solve-d"], []]),
+    "curvature": st.lists(_POINT, min_size=1, max_size=2).map(
+        lambda p: ["--points", ";".join(p)]),
+    "hawking": _RADII.map(lambda r: _GRID + ["--r", r]),
+    "meancurv": st.tuples(_RADIUS, st.sampled_from(["closed", "trace"])).map(
+        lambda a: _GRID + ["--r", a[0], "--method", a[1]]),
+    "steer": _RADIUS.map(lambda r: _GRID + ["--r", r]),
+    "straightout": st.tuples(_RADIUS, st.sampled_from([[], ["--solve"]])).map(
+        lambda a: _GRID + ["--r", a[0], *a[1]]),
+    "flowscan": st.tuples(st.sampled_from(["1.5", "3", "0.5", "0", "-1"]),
+                          st.sampled_from(["10", "4", "1e200"]),
+                          st.sampled_from(["4", "8", "1", "0", "x"])).map(
+        lambda a: ["--r-range", ":".join(a)]),
+    "adm": st.tuples(st.sampled_from(["1+{k}/(2*r)", "1+{k}/r^2", "exp({k}*r)", "r^{k}", "{k}",
+                                      "log(r-{k})", "1+{k}*r/1e200", "4^512", "r^"]),
+                     st.sampled_from(["1", "0.5", "-2", "0", "1e200"]), _RADII).map(
+        lambda a: ["--factor", a[0].format(k=a[1]), "--radii", a[2]]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # hostile charts overflow on purpose
+@pytest.mark.parametrize("command", sorted(_ARGS))
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_codes_on_random_charts(command, data):
+    """Every subcommand, on random charts and arguments at 8x16, exits with
+    0, 1, 2 or 3 and writes no traceback to stderr."""
+    doc = data.draw(_charts())
+    argv = [command, *data.draw(_ARGS[command]), *data.draw(st.sampled_from([[], ["--json"]]))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chart.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        if command != "adm":
+            argv += ["--chart", path]
+        if command == "build":
+            argv += ["--out", os.path.join(tmp, "full.json")]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, doc, code)
+    assert "Traceback" not in err.getvalue(), (argv, doc)

@@ -251,6 +251,17 @@ def test_unfoldable_constant_is_a_syntax_error(source, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("source, derivative", [
+    ("r/1e200", "1e-200"), ("exp(r)/1e160", "exp(r)/1e160")])
+def test_diff_total_on_large_literals(source, derivative):
+    """The quotient rule squares the literal denominator; a square that
+    overflows folds to inf and is annihilated by its zero numerator, so
+    diff returns the exact derivative instead of raising OverflowError."""
+    d = diff(parse(source), "r")
+    for r in (0.5, 2.0):
+        assert evaluate(d, {"r": r}) == pytest.approx(ev(derivative, r=r), rel=1e-15)
+
+
 def test_literal_zero_division_is_an_evaluation_error():
     e = parse("1/(2-2)")
     with pytest.raises(EvalDomainError):

@@ -96,6 +96,25 @@ def test_solvability_integral_small_on_chart_one_forms():
 # gauge rotation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", ["ef", "ea", "c"])
+def test_sphere_laplacian_matches_poisson_operator(kind):
+    """The two g_S Laplacians agree on eps = 0.1 seeds: sphere_laplacian
+    (second partials, the g_S-trace and first-order coefficients) and the
+    Poisson operator div(g_S^-1 grad) built from the spectral divergence.
+    ea and c perturb the sphere metric itself (a_ph, c_th, c_ph != 0), so
+    every first-order coefficient is exercised."""
+    from imcvf.sphere import sphere_laplacian
+    from imcvf.straightout import _laplace_full
+    g = build_seed(kind, 0.1)
+    grid = SphereGrid(0.0, 2.0, 48, 96)
+    th, ph = grid.theta[:, None], grid.phi[None, :]
+    psi = np.cos(th) + np.sin(th) ** 2 * np.cos(2 * ph) + 0.3 * np.sin(th) * np.sin(ph)
+    lap = sphere_laplacian(g, grid, psi)
+    div_grad = _laplace_full(grid, surface_fields(g, grid.env()), psi)
+    assert np.max(np.abs(lap)) > 1.0
+    assert np.max(np.abs(lap - div_grad)) <= 1e-9
+
+
 def test_gauge_rotation_zero_alpha():
     g = minkowski()
     grid = SphereGrid(0.0, 1.0, 16, 32)
@@ -342,12 +361,28 @@ def test_picard_small_perturbation_converges():
     from imcvf.sphere import surface_fields
     from imcvf.straightout import _grid_d_data
     f = surface_fields(g, grid.env())
-    alpha = connection_one_form(g, grid, fields=f, d_data=_grid_d_data(grid, sol.d))
+    alpha = connection_one_form(g, grid, fields=_grid_d_data(grid, f, sol.d))
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     before = connection_one_form(g, grid, fields=f)
     div0, _ = divergence_alpha(g, grid, before, fields=f)
     assert np.max(np.abs(div)) <= 1e-5
     assert np.max(np.abs(div)) < 0.02 * np.max(np.abs(div0))
+
+
+def test_picard_map_takes_no_second_theta_derivative(monkeypatch):
+    """G(d, d') reads only first partials of d: the Picard solve must not
+    transform d twice in theta (each d2_theta is a full Legendre pass)."""
+    calls = []
+    d2_theta = SphereGrid.d2_theta
+
+    def counted(self, f):
+        calls.append(1)
+        return d2_theta(self, f)
+
+    monkeypatch.setattr(SphereGrid, "d2_theta", counted)
+    sol = solve_straight_out_d(unsolved_seed("e", 1e-3), SphereGrid(0.0, 2.0, 16, 32))
+    assert sol.converged and sol.iterations >= 2
+    assert calls == []
 
 
 def test_picard_compatibility_reporting_path():
