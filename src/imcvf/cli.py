@@ -75,8 +75,9 @@ def _fmt(x) -> str:
 def _emit(args, header, rows, json_payload=None):
     """Emit rows of mixed values (numbers, booleans, strings)."""
     if args.json:
-        text = _json_text(args, header, [[_json_val(v) for v in row] for row in rows],
-                          json_payload)
+        payload = _payload(args, header, json_payload)
+        payload["rows"] = [[_json_val(v) for v in row] for row in rows]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -84,29 +85,68 @@ def _emit(args, header, rows, json_payload=None):
     _write(args, text)
 
 
+# stands for the rows in the JSON that _emit_columns writes around them
+_ROWS = "\0rows"
+# float text that json writes for what repr writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_floats(a: np.ndarray) -> list:
+    return list(map("%.17g".__mod__, a.ravel().tolist()))
+
+
+def _json_floats(a: np.ndarray) -> list:
+    text = list(map(float.__repr__, a.ravel().tolist()))
+    if np.isfinite(a).all():
+        return text
+    return [_JSON_NONFINITE.get(s, s) for s in text]
+
+
+def _column_strings(column, fmt) -> list:
+    """Text of each value of a float column, in raveled order.  A column
+    broadcast along an axis (stride 0, as the node columns are) is
+    formatted once per distinct entry and the strings are repeated."""
+    column = np.asarray(column, dtype=float)
+    base = column[tuple(slice(None) if s else slice(0, 1) for s in column.strides)]
+    text = fmt(base)
+    if base.shape == column.shape:
+        return text
+    text = np.array(text, dtype=object).reshape(base.shape)
+    return np.broadcast_to(text, column.shape).ravel().tolist()
+
+
 def _emit_columns(args, header, columns, json_payload=None):
-    """Emit float columns, one per header name, as rows: the same text as
-    _emit, formatted a whole row at a time."""
-    rows = zip(*(np.asarray(c, dtype=float).ravel().tolist() for c in columns))
+    """Emit float columns, one per header name: the same text as _emit
+    prints row by row, formatted a column at a time and written directly
+    (the JSON is json.dumps(payload, indent=2, sort_keys=True) byte for
+    byte)."""
     if args.json:
-        text = _json_text(args, header, list(rows), json_payload)
+        rows = zip(*(_column_strings(c, _json_floats) for c in columns))
+        body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+        body = "[\n    [\n      " + body + "\n    ]\n  ]" if body else "[]"
+        payload = _payload(args, header, json_payload)
+        payload["rows"] = _ROWS
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_ROWS))
+        text = head + body + tail + "\n"
     else:
-        template = ",".join(["%.17g"] * len(header))
-        text = "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
+        rows = zip(*(_column_strings(c, _csv_floats) for c in columns))
+        text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
     _write(args, text)
 
 
 def _node_columns(grid: SphereGrid) -> list:
-    """(th, ph) of every grid node, theta-major like a raveled grid array."""
-    return [np.repeat(grid.theta, grid.n_phi), np.tile(grid.phi, grid.n_theta)]
+    """(th, ph) of every grid node, theta-major like a raveled grid array,
+    as broadcast views of the node coordinates."""
+    shape = (grid.n_theta, grid.n_phi)
+    return [np.broadcast_to(grid.theta[:, None], shape),
+            np.broadcast_to(grid.phi[None, :], shape)]
 
 
-def _json_text(args, header, rows, json_payload) -> str:
-    payload = {"schema": SCHEMA, "command": args.command,
-               "columns": list(header), "rows": rows}
+def _payload(args, header, json_payload) -> dict:
+    payload = {"schema": SCHEMA, "command": args.command, "columns": list(header)}
     if json_payload:
         payload.update(json_payload)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
 
 
 def _write(args, text: str) -> None:
@@ -249,6 +289,9 @@ def cmd_straightout(args) -> int:
             print("compatibility failure: solvability integral is not zero",
                   file=sys.stderr)
             return 2
+        if sol.poisson_history:
+            print(f"Poisson solve stalled at residual {min(sol.poisson_history):.3e}",
+                  file=sys.stderr)
         if not sol.converged:
             print("Picard iteration did not converge", file=sys.stderr)
             return 3

@@ -442,7 +442,9 @@ def evaluate(expr, env):
     one pass with one shared memo, so a subtree they have in common is
     computed once, and the results come back as a list.  A value leaves
     the memo once every node that reads it is computed, so the pass holds
-    only the arrays still to be read.
+    only the arrays still to be read.  At a point (every env value 0-d)
+    nothing is worth releasing, so the pass skips counting the readers and
+    keeps every value.
 
     Domain violations (division by zero, log of non-positive, sqrt of
     negative, zero to a negative power) raise EvalDomainError.
@@ -450,7 +452,8 @@ def evaluate(expr, env):
     if isinstance(expr, FieldExpr):
         return evaluate([expr], env)[0]
     roots = list(expr)
-    memo, readers = {}, _reader_counts(roots)
+    point = all(np.ndim(v) == 0 for v in env.values())
+    memo, readers = {}, None if point else _reader_counts(roots)
     return [_result(_ev(e, env, memo, readers)) for e in roots]
 
 
@@ -490,7 +493,8 @@ def _reader_counts(roots) -> dict:
 
 def _ev(e, env, memo, readers):
     """Value of node e, memoised by id; a child's value is dropped from the
-    memo after its last reader (readers as from _reader_counts)."""
+    memo after its last reader (readers as from _reader_counts, or None to
+    keep every value)."""
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -534,6 +538,8 @@ def _ev(e, env, memo, readers):
     else:  # pragma: no cover
         raise TypeError(f"not a FieldExpr node: {e!r}")
     memo[key] = out
+    if readers is None:
+        return out
     for c in _children(e):
         readers[id(c)] -= 1
         if readers[id(c)] == 0:

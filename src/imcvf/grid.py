@@ -13,6 +13,7 @@ this grid could not meet the tolerances the validation suite demands.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -98,6 +99,17 @@ def _tables(n_theta: int):
         return _TABLES[n_theta]
 
 
+@functools.lru_cache(maxsize=None)
+def _packing(n_theta: int, mmax: int):
+    """(start, ell) of the packed coefficients of orders m = 0..mmax: the
+    rows of order m are start[m]:start[m + 1], and ell is the degree of
+    each row (as a float)."""
+    ms = np.arange(mmax + 1)
+    start = np.concatenate(([0], np.cumsum(n_theta - ms)))
+    em = np.repeat(ms, n_theta - ms)
+    return _read_only([start, (np.arange(start[-1]) - start[em] + em).astype(float)])
+
+
 class SphereGrid:
     """Sphere S_{t,r} sampled on n_theta x n_phi nodes.
 
@@ -149,28 +161,58 @@ class SphereGrid:
         return float(np.sum(self.weights * values * sqrt_gs / self.sin_theta[:, None]))
 
     # -- spherical-harmonic transform ---------------------------------------
+    # A stack of k fields (k, n_theta, n_phi) has Fourier rows (k, n_theta,
+    # n_phi // 2 + 1) and packed coefficients (rows, k), m-major as in
+    # _packing.  Each Legendre stage runs one real GEMM per m on the float
+    # view of the complex columns (2k real columns), as SHTns and libsharp
+    # batch their transforms.
 
-    def _analysis_columns(self, f: np.ndarray):
-        """FFT in phi then Legendre analysis; returns per-m coefficient
-        arrays coef[m][l-m] (complex), m = 0..mmax."""
+    def _analysis(self, fm: np.ndarray) -> np.ndarray:
+        """Legendre analysis of the Fourier rows fm of k fields: packed
+        coefficients (rows, k), m = 0..mmax."""
         plm, _ = _tables(self.n_theta)
-        fm = np.fft.rfft(np.asarray(f, dtype=float), axis=1)
-        return [plm[m] @ (self.w_theta * fm[:, m]) for m in range(self.mmax + 1)]
-
-    def _analysis_without_constant(self, f: np.ndarray):
-        """Analysis of f minus one of its own samples, for derivative
-        operators: a constant becomes exact zeros, so its l >= 1
-        coefficients carry no quadrature roundoff (whose size would depend
-        on the BLAS summation order) for l(l+1) and cot/sin^2 to amplify."""
-        f = np.asarray(f, dtype=float)
-        return self._analysis_columns(f - f.flat[0])
-
-    def _synthesis_columns(self, coefs, derivative=False):
-        tables = _tables(self.n_theta)[1 if derivative else 0]
-        fm = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
+        start = _packing(self.n_theta, self.mmax)[0]
+        cols = np.ascontiguousarray(
+            (fm[..., :self.mmax + 1] * self.w_theta[:, None]).transpose(2, 1, 0))
+        coef = np.empty((start[-1], 2 * fm.shape[0]))
         for m in range(self.mmax + 1):
-            fm[:, m] = tables[m].T @ coefs[m]
-        return np.fft.irfft(fm, n=self.n_phi, axis=1)
+            np.matmul(plm[m], cols[m].view(float), out=coef[start[m]:start[m + 1]])
+        return coef.view(complex)
+
+    def _synthesis(self, coef: np.ndarray, derivative=False) -> np.ndarray:
+        """Fourier rows of the values (or theta-derivatives) of the k fields
+        whose packed coefficients are coef (rows, k)."""
+        tables = _tables(self.n_theta)[1 if derivative else 0]
+        start = _packing(self.n_theta, self.mmax)[0]
+        c = np.ascontiguousarray(coef).view(float)
+        out = np.zeros((self.n_phi // 2 + 1, self.n_theta, c.shape[1]))
+        for m in range(self.mmax + 1):
+            np.matmul(tables[m].T, c[start[m]:start[m + 1]], out=out[m])
+        return out.view(complex).transpose(2, 1, 0)
+
+    def _grid(self, fm: np.ndarray) -> np.ndarray:
+        """The stack of fields whose Fourier rows are fm."""
+        return np.fft.irfft(fm, n=self.n_phi, axis=-1)
+
+    def _rows_without_constant(self, f) -> np.ndarray:
+        """Fourier rows of each field of f (one field or a stack) minus one
+        of its own samples, for derivative operators: a constant becomes
+        exact zeros, so its l >= 1 coefficients carry no quadrature roundoff
+        (whose size would depend on the BLAS summation order) for l(l+1)
+        and cot/sin^2 to amplify."""
+        f = np.asarray(f, dtype=float).reshape(-1, self.n_theta, self.n_phi)
+        return np.fft.rfft(f - f[:, :1, :1], axis=-1)
+
+    def _analysis_without_constant(self, f) -> np.ndarray:
+        return self._analysis(self._rows_without_constant(f))
+
+    def _phi_factor(self) -> np.ndarray:
+        """i m of each Fourier row; the Nyquist mode has no well-defined
+        derivative and gets 0."""
+        m = np.arange(self.n_phi // 2 + 1.0)
+        if self.n_phi % 2 == 0:
+            m[-1] = 0.0
+        return 1j * m
 
     def d_theta(self, f: np.ndarray) -> np.ndarray:
         """Spectral d/dtheta of a smooth field sampled on the grid.
@@ -178,16 +220,20 @@ class SphereGrid:
         The constant part is removed before analysis, so constants map to
         exactly zero independent of BLAS summation order.
         """
-        return self._synthesis_columns(self._analysis_without_constant(f), derivative=True)
+        coef = self._analysis_without_constant(f)
+        return self._grid(self._synthesis(coef, derivative=True))[0]
 
     def d_phi(self, f: np.ndarray) -> np.ndarray:
         """Spectral d/dphi (FFT factor im)."""
-        fm = np.fft.rfft(np.asarray(f, dtype=float), axis=1)
-        m = np.arange(fm.shape[1])
-        if self.n_phi % 2 == 0:
-            m = m.copy()
-            m[-1] = 0          # Nyquist mode has no well-defined derivative
-        return np.fft.irfft(fm * (1j * m), n=self.n_phi, axis=1)
+        fm = np.fft.rfft(np.asarray(f, dtype=float), axis=-1)
+        return np.fft.irfft(fm * self._phi_factor(), n=self.n_phi, axis=-1)
+
+    def gradient(self, f: np.ndarray):
+        """(d_theta(f), d_phi(f)) from one FFT of f, transformed back
+        together."""
+        fm = self._rows_without_constant(f)
+        f_th = self._synthesis(self._analysis(fm), derivative=True)
+        return tuple(self._grid(np.concatenate([f_th, fm * self._phi_factor()])))
 
     def d2_theta(self, f: np.ndarray) -> np.ndarray:
         """Spectral d^2/dtheta^2 from a single analysis.
@@ -195,21 +241,20 @@ class SphereGrid:
         Uses the associated-Legendre ODE, P'' = -cot P' + (m^2/sin^2 - l(l+1))P,
         instead of differentiating twice: the theta-derivative of a scalar
         leaves the scalar parity class, and re-analysing it would lose
-        spectral accuracy.  The constant part is removed before analysis,
-        so constants map to exactly zero independent of BLAS summation
-        order.
+        spectral accuracy.  The l(l+1) term, the values and d/dtheta come
+        from one coefficient set, and d^2/dphi^2 is the values' Fourier rows
+        times (im)^2 (Nyquist zeroed as in d_phi).  The constant part is
+        removed before analysis, so constants map to exactly zero
+        independent of BLAS summation order.
         """
-        coefs = self._analysis_without_constant(f)
-        lap1 = []
-        for m, c in enumerate(coefs):
-            l = np.arange(m, self.lmax + 1)
-            lap1.append(c * (-(l * (l + 1.0))))
-        lap1 = self._synthesis_columns(lap1)
-        f_th = self._synthesis_columns(coefs, derivative=True)
-        f_phph = self.d_phi(self.d_phi(self._synthesis_columns(coefs)))
+        ell = _packing(self.n_theta, self.mmax)[1]
+        coef = self._analysis_without_constant(f)
+        lap1, values = self._synthesis(np.hstack([coef * -(ell * (ell + 1.0))[:, None], coef]))
+        f_phph = values * self._phi_factor() ** 2
+        f_th = self._synthesis(coef, derivative=True)[0]
         cot = self.cot_theta[:, None]
         s2 = self.sin_theta[:, None] ** 2
-        return lap1 - cot * f_th - f_phph / s2
+        return self._grid(lap1 - cot * f_th - f_phph / s2)
 
     def div_tangent(self, beta_th: np.ndarray, beta_ph: np.ndarray) -> np.ndarray:
         """Divergence of a tangent vector on a chart with area form
@@ -217,9 +262,13 @@ class SphereGrid:
 
         The sin-weighted theta component lies in the scalar parity class,
         which keeps the transform spectrally accurate for smooth fields.
+        Both components are transformed together and the divergence is
+        formed on their Fourier rows.
         """
         sth = self.sin_theta[:, None]
-        return self.d_theta(sth * beta_th) / sth + self.d_phi(beta_ph)
+        fm = self._rows_without_constant(np.stack([sth * beta_th, beta_ph]))
+        div_th = self._synthesis(self._analysis(fm[:1]), derivative=True)[0] / sth
+        return self._grid(div_th + fm[1] * self._phi_factor())
 
     def laplacian_round(self, f: np.ndarray, radius=None) -> np.ndarray:
         """Laplace-Beltrami operator of the round sphere of this radius.
@@ -228,28 +277,20 @@ class SphereGrid:
         exactly zero independent of BLAS summation order.
         """
         radius = self.r if radius is None else radius
-        coefs = self._analysis_without_constant(f)
-        out = []
-        for m, c in enumerate(coefs):
-            l = np.arange(m, self.lmax + 1)
-            out.append(c * (-(l * (l + 1.0)) / radius**2))
-        return self._synthesis_columns(out)
+        ell = _packing(self.n_theta, self.mmax)[1]
+        coef = self._analysis_without_constant(f)
+        eig = -(ell * (ell + 1.0)) / radius**2
+        return self._grid(self._synthesis(coef * eig[:, None]))[0]
 
     def solve_poisson_round(self, rhs: np.ndarray, radius=None) -> np.ndarray:
         """Mean-zero solution of the round-sphere Poisson equation."""
         radius = self.r if radius is None else radius
-        coefs = self._analysis_columns(rhs)
-        out = []
-        for m, c in enumerate(coefs):
-            l = np.arange(m, self.lmax + 1)
-            eig = -(l * (l + 1.0)) / radius**2
-            if m == 0:
-                c = c.copy()
-                c[0] = 0.0
-                eig = eig.copy()
-                eig[0] = 1.0
-            out.append(c / eig)
-        return self._synthesis_columns(out)
+        ell = _packing(self.n_theta, self.mmax)[1]
+        coef = self._analysis(np.fft.rfft(np.asarray(rhs, dtype=float)[None], axis=-1))
+        eig = -(ell * (ell + 1.0)) / radius**2
+        coef[0] = 0.0                  # (l, m) = (0, 0): the mean
+        eig[0] = 1.0
+        return self._grid(self._synthesis(coef / eig[:, None]))[0]
 
     def mean_zero(self, f: np.ndarray, sqrt_gs=None) -> np.ndarray:
         """Subtract the area-weighted mean."""

@@ -255,8 +255,7 @@ def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.nd
     env = grid.env()
     f = surface_fields(g, env)
     psi = np.asarray(psi, dtype=float)
-    p_th = grid.d_theta(psi)
-    p_ph = grid.d_phi(psi)
+    p_th, p_ph = grid.gradient(psi)
     p_thth = grid.d2_theta(psi)
     p_thph = grid.d_phi(p_th)
     p_phph = grid.d_phi(p_ph)

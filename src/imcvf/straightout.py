@@ -134,9 +134,9 @@ def rotate_one_form(grid: SphereGrid, alpha: ConnectionOneForm,
                     chi: np.ndarray, normal="rotated") -> ConnectionOneForm:
     """One-form after a hyperbolic rotation of the normal by angle chi:
     alpha - d(chi)."""
-    return ConnectionOneForm(alpha_th=alpha.alpha_th - grid.d_theta(chi),
-                             alpha_ph=alpha.alpha_ph - grid.d_phi(chi),
-                             normal=normal)
+    chi_th, chi_ph = grid.gradient(chi)
+    return ConnectionOneForm(alpha_th=alpha.alpha_th - chi_th,
+                             alpha_ph=alpha.alpha_ph - chi_ph, normal=normal)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ def rotate_one_form(grid: SphereGrid, alpha: ConnectionOneForm,
 def _laplace_full(grid, fields, x):
     """div(grad x) with the induced metric, composed from the exact same
     discrete divergence used everywhere else."""
-    alpha = ConnectionOneForm(alpha_th=grid.d_theta(x), alpha_ph=grid.d_phi(x))
-    beta_th, beta_ph = _dual_vector(fields, alpha)
+    x_th, x_ph = grid.gradient(x)
+    beta_th, beta_ph = _dual_vector(fields, ConnectionOneForm(alpha_th=x_th, alpha_ph=x_ph))
     return grid.div_tangent(beta_th, beta_ph)
 
 
@@ -246,7 +246,8 @@ def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
     partials by spectral derivatives and the |g| they imply replace the
     chart's own; other entries that depend on d (d_t, d_r, nn, norm_n and
     any second partials of d) are left as the chart gives them."""
-    out = {**f, "d": d, "d_th": grid.d_theta(d), "d_ph": grid.d_phi(d)}
+    d_th, d_ph = grid.gradient(d)
+    out = {**f, "d": d, "d_th": d_th, "d_ph": d_ph}
     out["det"] = det_from_components(out)
     return out
 
@@ -355,6 +356,10 @@ def straight_out_residual(g: BlockMetric, grid: SphereGrid) -> StraightOutResidu
 
 @dataclass
 class StraightOutSolution:
+    """Picard iterate d and its histories.  poisson_history holds the
+    residual history of an inner Poisson solve that stalled, which ends the
+    iteration unconverged; it is empty otherwise."""
+
     d: np.ndarray
     converged: bool
     compatibility_failed: bool
@@ -362,6 +367,7 @@ class StraightOutSolution:
     update_norms: list = field(default_factory=list)
     compat_integrals: list = field(default_factory=list)
     residual_inf: float = float("nan")
+    poisson_history: list = field(default_factory=list)
 
 
 def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
@@ -373,7 +379,8 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
     spectral tangential derivatives and the mean-zero gauge.  A solvability
     integral far from zero is reported as a compatibility failure rather
     than raised: it would be evidence against solvability at that
-    configuration.
+    configuration.  So is an inner Poisson solve that stalls above its
+    floor: the solution comes back unconverged with its poisson_history.
     """
     f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
@@ -405,9 +412,13 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         # accept the coarse-grid truncation floor up to 2e-7: still a wide
         # margin on the 1e-6 target for the assembled PDE residual
         scale = max(1.0, float(np.max(np.abs(rhs))))
-        x, _, _ = _poisson_solve(grid, f, rhs, tol=1e-9 * scale,
-                                 max_iter=10 * grid.n_theta,
-                                 floor_tol=2e-7 * scale)
+        try:
+            x, _, _ = _poisson_solve(grid, f, rhs, tol=1e-9 * scale,
+                                     max_iter=10 * grid.n_theta,
+                                     floor_tol=2e-7 * scale)
+        except ConvergenceError as exc:
+            sol.poisson_history = exc.history
+            break
         new_d = grid.mean_zero(d + damping * (x - d), sqrt_gs)
         update = float(np.max(np.abs(new_d - d)))
         sol.update_norms.append(update)

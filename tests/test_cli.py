@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from imcvf.chart import COMPONENTS
-from imcvf.cli import _emit, _emit_columns, main
+from imcvf.cli import SCHEMA, _emit, _emit_columns, _node_columns, main
+from imcvf.grid import SphereGrid
 
 from conftest import seed_inputs
 
@@ -290,15 +291,20 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def ef_chart(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("ef")
+def write_ef_chart(directory) -> str:
+    """Build the golden chart (ef seed, eps = 0.1) into directory; its path."""
     ins = seed_inputs("ef", 0.1)
     doc = dict(ins, b=f"(r^4*sin(th)^2+({ins['c']})^2)/({ins['a']})", solve_d=True)
-    seed, full = tmp / "seed.json", tmp / "full.json"
-    seed.write_text(json.dumps(doc))
-    assert main(["build", "--chart", str(seed), "--solve-d", "--out", str(full)]) == 0
-    return str(full)
+    seed, full = os.path.join(directory, "seed.json"), os.path.join(directory, "full.json")
+    with open(seed, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["build", "--chart", seed, "--solve-d", "--out", full]) == 0
+    return full
+
+
+@pytest.fixture(scope="module")
+def ef_chart(tmp_path_factory):
+    return write_ef_chart(str(tmp_path_factory.mktemp("ef")))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -321,6 +327,41 @@ def test_column_output_equals_row_output(as_json, capsys):
     by_rows = capsys.readouterr().out
     _emit_columns(args, ["x", "y"], cols)
     assert capsys.readouterr().out == by_rows
+
+
+def _row_text(args, header, columns, payload):
+    """The row-at-a-time text: a %.17g template per CSV row, or json.dumps
+    of the whole payload."""
+    rows = list(zip(*(np.asarray(c, dtype=float).ravel().tolist() for c in columns)))
+    if args.json:
+        doc = {"schema": SCHEMA, "command": args.command, "columns": list(header),
+               "rows": rows, **(payload or {})}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    template = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command,header,payload", [
+    ("meancurv", ["th", "ph", "H_r", "H_n", "star"], None),
+    ("straightout", ["th", "ph", "d"], {"residual_inf": 3.1e-11, "iterations": 3}),
+])
+def test_column_writer_matches_row_text(as_json, command, header, payload, capsys):
+    """Node columns formatted once per distinct node, value columns a
+    column at a time: byte for byte the row-wise text, special values,
+    subnormals and repeats included."""
+    grid = SphereGrid(0.0, 2.0, 6, 8)
+    shape = (grid.n_theta, grid.n_phi)
+    values = np.random.default_rng(9).normal(size=(len(header) - 2,) + shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 1 / 3, 1 / 3]
+    values[0].flat[:len(special)] = special
+    values[-1].flat[-len(special):] = special[::-1]
+    if len(values) > 2:
+        values[1] = np.repeat([0.1, -0.0, 2.0, np.nan], values[1].size // 4).reshape(shape)
+    columns = _node_columns(grid) + list(values)
+    args = argparse.Namespace(json=as_json, out=None, command=command)
+    _emit_columns(args, header, columns, payload)
+    assert capsys.readouterr().out == _row_text(args, header, columns, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,28 @@ def test_evaluate_sequence_matches_one_by_one(trial):
         np.testing.assert_array_equal(together, evaluate(alone, env))
 
 
+def test_point_evaluation_skips_the_reader_walk(monkeypatch):
+    """A 0-d env keeps every value, so it needs no reader counts; the
+    values are those of the counted pass, bit for bit."""
+    from imcvf import expr as expr_mod
+
+    rng = np.random.default_rng(77)
+    e = parse(_random_expr(3, rng))
+    exprs = [e, diff(e, "r"), diff(diff(e, "r"), "th"), e * e, diff(e, "r")]
+    point = {"t": 0.4, "r": np.float64(1.7), "th": np.array(0.9), "ph": 0.3}
+    counted = [expr_mod._ev(x, point, {}, expr_mod._reader_counts(exprs)) for x in exprs]
+    grid = {k: np.full((2, 3), float(v)) for k, v in point.items()}
+
+    calls = []
+    walk = expr_mod._reader_counts
+    monkeypatch.setattr(expr_mod, "_reader_counts", lambda roots: calls.append(1) or walk(roots))
+    assert evaluate(exprs, point) == [float(v) for v in counted]
+    assert evaluate(e, point) == float(counted[0])
+    assert calls == []
+    evaluate(exprs, grid)
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # printing round trip
 # ---------------------------------------------------------------------------

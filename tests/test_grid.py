@@ -121,3 +121,91 @@ def test_concurrent_first_use_builds_once(counted_builds):
     assert not any(t.is_alive() for t in threads) and errors == []
     assert counted_builds == [19]
     assert len(seen) == 8 and all(s is seen[0] for s in seen)
+
+
+# ---------------------------------------------------------------------------
+# the real-arithmetic, batched transform
+# ---------------------------------------------------------------------------
+
+def complex_roundtrip(g, f, derivative):
+    """Reference: per-m complex matmuls on one field, analysis then
+    synthesis of values or theta-derivatives."""
+    plm, dplm = grid_mod._tables(g.n_theta)
+    out_tables = dplm if derivative else plm
+    fm = np.fft.rfft(f, axis=1)
+    back = np.zeros_like(fm)
+    for m in range(g.mmax + 1):
+        coef = plm[m].astype(complex) @ (g.w_theta * fm[:, m])
+        back[:, m] = out_tables[m].T.astype(complex) @ coef
+    return np.fft.irfft(back, n=g.n_phi, axis=1)
+
+
+def roundtrip(g, stack, derivative):
+    coef = g._analysis(np.fft.rfft(stack, axis=-1))
+    return g._grid(g._synthesis(coef, derivative=derivative))
+
+
+def rounding_scale(g, f, derivative):
+    """Unit roundoff times the sum of the magnitudes of every term that
+    enters the Legendre analysis and synthesis of f, per theta row: two
+    summation orders of the same sums may differ by a fraction of it."""
+    plm, dplm = grid_mod._tables(g.n_theta)
+    out_tables = dplm if derivative else plm
+    fm = np.abs(np.fft.rfft(f, axis=1))
+    total = np.zeros(g.n_theta)
+    for m in range(g.mmax + 1):
+        terms = np.abs(out_tables[m]).T @ (np.abs(plm[m]) @ (g.w_theta * fm[:, m]))
+        total += terms if m == 0 else 2.0 * terms
+    return np.finfo(float).eps * total[:, None] / g.n_phi
+
+
+def sample_fields(g, seed):
+    """A smooth field and white noise."""
+    rng = np.random.default_rng(seed)
+    th, ph = g.theta[:, None], g.phi[None, :]
+    smooth = (np.exp(np.sin(th) * np.cos(ph - rng.uniform(0.0, 6.0))) * (1.0 + 0.3 * np.cos(th))
+              + np.sin(th) ** 2 * np.sin(2.0 * ph))
+    return [smooth, rng.normal(size=smooth.shape)]
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_real_transform_matches_complex_reference(n, derivative):
+    """One real GEMM per m gives the per-m complex matmul's values, and
+    theta-derivatives, to rounding."""
+    g = SphereGrid(0.0, 2.0, n, 2 * n)
+    for f in sample_fields(g, n):
+        ref = complex_roundtrip(g, f, derivative)
+        got = roundtrip(g, f[None], derivative)[0]
+        assert np.all(np.abs(got - ref) <= rounding_scale(g, f, derivative))
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_stack_equals_single_transforms(n):
+    """Equal to rounding: BLAS may order a GEMM's sums differently for
+    2k columns than for 2."""
+    g = SphereGrid(0.0, 2.0, n, 2 * n)
+    stack = np.stack(sample_fields(g, n) + sample_fields(g, n + 1))
+    for derivative in (False, True):
+        together = roundtrip(g, stack, derivative)
+        for k, f in enumerate(stack):
+            alone = roundtrip(g, stack[k:k + 1], derivative)[0]
+            assert np.all(np.abs(together[k] - alone) <= rounding_scale(g, f, derivative))
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(24, 48), (16, 16)])
+def test_d2_theta_phi_term_matches_d_phi_twice(n_theta, n_phi):
+    """d2_theta takes d^2/dphi^2 from Fourier rows times (im)^2; the
+    associated-Legendre ODE with d_phi(d_phi(f)) in its place agrees to
+    spectral accuracy, with the Nyquist mode present (16x16) or not."""
+    g = SphereGrid(0.0, 1.0, n_theta, n_phi)
+    th, ph = g.theta[:, None], g.phi[None, :]
+    f = (np.sin(th) ** 3 * np.cos(3 * ph) + 0.3 * np.sin(th) ** 5 * np.sin(5 * ph)
+         + np.cos(th) * np.sin(th) * np.cos(ph) + 0.2 * np.sin(th) ** 8 * np.cos(8 * ph))
+    s2 = np.sin(th) ** 2
+    via_fft = (g.laplacian_round(f) - g.cot_theta[:, None] * g.d_theta(f)
+               - g.d_phi(g.d_phi(f)) / s2)
+    assert np.max(np.abs(g.d2_theta(f) - via_fft)) <= 1e-10
+    f_th, f_ph = g.gradient(f)
+    np.testing.assert_allclose(f_th, g.d_theta(f), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f_ph, g.d_phi(f), rtol=0, atol=1e-12)

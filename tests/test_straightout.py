@@ -391,3 +391,26 @@ def test_picard_compatibility_reporting_path():
     grid = SphereGrid(0.0, 2.0, 16, 32)
     sol = solve_straight_out_d(g, grid, compat_tol=-1.0)
     assert sol.compatibility_failed and not sol.converged
+
+
+@pytest.mark.parametrize("kind,floor", [("ea", 1.83e-4), ("ef", 1.96e-6)])
+def test_poisson_stall_is_reported_not_raised(kind, floor, tmp_path, capsys):
+    """At 16x32 the inner Poisson solve of the first Picard step stalls
+    above its floor: the solution says so and carries the residual history,
+    and straightout --solve still exits 3."""
+    from imcvf.chart import save_chart
+    from imcvf.cli import main
+
+    g = build_seed(kind, 0.1)
+    sol = solve_straight_out_d(g, SphereGrid(0.0, 2.0, 16, 32))
+    assert not sol.converged and not sol.compatibility_failed
+    assert sol.iterations == 0 and sol.update_norms == [] and len(sol.compat_integrals) == 1
+    assert len(sol.poisson_history) >= 6
+    assert min(sol.poisson_history) == pytest.approx(floor, rel=0.01)
+    assert np.all(sol.d == 0.0)
+
+    path = tmp_path / "chart.json"
+    save_chart(g, str(path))
+    assert main(["straightout", "--chart", str(path), "--grid", "16,32", "--r", "2",
+                 "--solve"]) == 3
+    assert "Poisson solve stalled at residual" in capsys.readouterr().err
