@@ -140,6 +140,15 @@ def field_jets(exprs: Mapping[str, FieldExpr], env: Mapping) -> dict:
             for k, v in zip(exprs, values)}
 
 
+def compact_base(x) -> np.ndarray:
+    """The distinct entries of a broadcast view: x as a float array with
+    every stride-0 axis sliced to length 1.  It broadcasts back to x's
+    shape, so elementwise arithmetic on it gives the same values at the
+    size of the coordinates x depends on."""
+    x = np.asarray(x, dtype=float)
+    return x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)]
+
+
 def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
     """Values and exact partials of the metric components named by the jet
     keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, from one field_jets

@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import builder
 from .asymptotics import ConformalMetric3, adm_mass
-from .chart import BlockMetric, CoordinatePoint, load_chart, save_chart
+from .chart import BlockMetric, CoordinatePoint, compact_base, load_chart, save_chart
 from .curvature import curvature_pack
 from .errors import CompatibilityError, ConvergenceError, ExprSyntaxError, ImcvfError
 from .expr import parse
@@ -106,13 +107,12 @@ def _column_strings(column, fmt) -> list:
     """Text of each value of a float column, in raveled order.  A column
     broadcast along an axis (stride 0, as the node columns are) is
     formatted once per distinct entry and the strings are repeated."""
-    column = np.asarray(column, dtype=float)
-    base = column[tuple(slice(None) if s else slice(0, 1) for s in column.strides)]
+    base = compact_base(column)
     text = fmt(base)
-    if base.shape == column.shape:
+    if base.shape == np.shape(column):
         return text
     text = np.array(text, dtype=object).reshape(base.shape)
-    return np.broadcast_to(text, column.shape).ravel().tolist()
+    return np.broadcast_to(text, np.shape(column)).ravel().tolist()
 
 
 def _emit_columns(args, header, columns, json_payload=None):
@@ -337,7 +337,10 @@ def cmd_flowscan(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every call of main shares it."""
     ap = argparse.ArgumentParser(prog="imcvf",
                                  description="IMCVF chart construction and validation")
     sub = ap.add_subparsers(dest="command", required=True)

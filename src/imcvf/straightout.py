@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric, det_from_components
+from .chart import BlockMetric, compact_base, det_from_components
 from .errors import CompatibilityError, ConvergenceError, \
     NonSpacelikeMeanCurvatureError
 from .grid import SphereGrid
@@ -143,10 +143,11 @@ def rotate_one_form(grid: SphereGrid, alpha: ConnectionOneForm,
 # Poisson gauge
 # ---------------------------------------------------------------------------
 
-def _laplace_full(grid, fields, x):
+def _laplace_full(grid, fields, x, grad=None):
     """div(grad x) with the induced metric, composed from the exact same
-    discrete divergence used everywhere else."""
-    x_th, x_ph = grid.gradient(x)
+    discrete divergence used everywhere else; grad is the (x_th, x_ph) of
+    grid.gradient(x) when the caller already holds it."""
+    x_th, x_ph = grid.gradient(x) if grad is None else grad
     beta_th, beta_ph = _dual_vector(fields, ConnectionOneForm(alpha_th=x_th, alpha_ph=x_ph))
     return grid.div_tangent(beta_th, beta_ph)
 
@@ -252,17 +253,20 @@ def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
     return out
 
 
-def assembled_form(g: BlockMetric, grid: SphereGrid, fields) -> np.ndarray:
-    """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
-    2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
-    through, so the spherically symmetric limit is exactly zero.  fields
-    must hold the _ASSEMBLED_JETS and _D_SECOND_JETS besides the
-    surface_fields entries."""
-    f = fields
+# entries of a fields dict that depend on d; the d-free stage reads none
+_D_ENTRIES = ("d", "d_t", "d_r", "d_th", "d_ph", "det", "nn", "norm_n") + _D_SECOND_JETS
+
+
+def _assembled_d_free(grid: SphereGrid, fields) -> dict:
+    """Every array of assembled_form that does not depend on d, formed from
+    the compact base of each jet (chart.compact_base): a separable factor
+    stays at the size of the coordinates it depends on.  Elementwise
+    arithmetic does not depend on broadcasting, so each array holds the bits
+    the full-grid jets give."""
+    f = {key: compact_base(v) for key, v in fields.items() if key not in _D_ENTRIES}
     cot = grid.cot_theta[:, None]
     a, b, c = f["a"], f["b"], f["c"]
     w = f["W"]
-    d, d_th, d_ph, det = f["d"], f["d_th"], f["d_ph"], f["det"]
     u = f["u"]
     u_th, u_ph = f["u_th"], f["u_ph"]
 
@@ -275,55 +279,94 @@ def assembled_form(g: BlockMetric, grid: SphereGrid, fields) -> np.ndarray:
                    + c * f["e"] * f["f_ph"])
             - (f["b_ph"] * f["e"] ** 2 + 2.0 * b * f["e"] * f["e_ph"])
             - (f["a_ph"] * f["f"] ** 2 + 2.0 * a * f["f"] * f["f_ph"]))
-    u2v2 = u**2 * f["v"] ** 2
-    det_th = (-(2.0 * u * u_th * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_th"]) * w
-              - 2.0 * d * d_th * w - (u2v2 + d * d) * f["W_th"]
-              + 2.0 * u * u_th * k + u**2 * k_th)
-    det_ph = (-(2.0 * u * u_ph * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_ph"]) * w
-              - 2.0 * d * d_ph * w - (u2v2 + d * d) * f["W_ph"]
-              + 2.0 * u * u_ph * k + u**2 * k_ph)
-    dth_half = det_th / (2.0 * det)
-    dph_half = det_ph / (2.0 * det)
-
     cf_be, ce_af = f["cf_be"], f["ce_af"]
-    cf_be_th = f["c_th"] * f["f"] + c * f["f_th"] - f["b_th"] * f["e"] - b * f["e_th"]
-    cf_be_ph = f["c_ph"] * f["f"] + c * f["f_ph"] - f["b_ph"] * f["e"] - b * f["e_ph"]
-    ce_af_th = f["c_th"] * f["e"] + c * f["e_th"] - f["a_th"] * f["f"] - a * f["f_th"]
-    ce_af_ph = f["c_ph"] * f["e"] + c * f["e_ph"] - f["a_ph"] * f["f"] - a * f["f_ph"]
-
     u2_thth = 2.0 * (u_th**2 + u * f["u_th_th"])
     u2_thph = 2.0 * (u_th * u_ph + u * f["u_th_ph"])
     u2_phph = 2.0 * (u_ph**2 + u * f["u_ph_ph"])
+    coef_th, coef_ph = gs_laplacian_coefficients(f, cot)
+    return {
+        "a": a, "b": b, "c": c, "W": w, "u": u, "u_th": u_th, "u_ph": u_ph,
+        "cot": cot, "two_cot": 2.0 * cot, "coef_th": coef_th, "coef_ph": coef_ph,
+        # factors of det_th, det_ph, t2 and t6 .. t12 that hold no d
+        "k": k, "k_th": k_th, "k_ph": k_ph, "W_th": f["W_th"], "W_ph": f["W_ph"],
+        "u2v2": u**2 * f["v"] ** 2, "u2": u**2,
+        "uv2_th": 2.0 * u * u_th * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_th"],
+        "uv2_ph": 2.0 * u * u_ph * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_ph"],
+        "two_u_th": 2.0 * u * u_th, "two_u_ph": 2.0 * u * u_ph,
+        "tr_u2": gs_trace(f, u2_thth, u2_thph, u2_phph),
+        "b_e_r": b * f["e_r"], "c_f_r": c * f["f_r"],
+        "mc_e_r": -c * f["e_r"], "a_f_r": a * f["f_r"],
+        "m2_u": -(2.0 / u), "bu_cu": b * u_th - c * u_ph, "cu_au": -c * u_th + a * u_ph,
+        "cf_be": cf_be, "ce_af": ce_af,
+        "cf_be_th": f["c_th"] * f["f"] + c * f["f_th"] - f["b_th"] * f["e"] - b * f["e_th"],
+        "cf_be_ph": f["c_ph"] * f["f"] + c * f["f_ph"] - f["b_ph"] * f["e"] - b * f["e_ph"],
+        "ce_af_th": f["c_th"] * f["e"] + c * f["e_th"] - f["a_th"] * f["f"] - a * f["f_th"],
+        "ce_af_ph": f["c_ph"] * f["e"] + c * f["e_ph"] - f["a_ph"] * f["f"] - a * f["f_ph"],
+        "ba_cc": b * f["a_r"] - c * f["c_r"], "ca_ac": -c * f["a_r"] + a * f["c_r"],
+        "bc_cb": b * f["c_r"] - c * f["b_r"], "cc_ab": -c * f["c_r"] + a * f["b_r"],
+        "t12_u": (f["b_th"] * u_th - f["c_ph"] * u_th
+                  - f["c_th"] * u_ph + f["a_ph"] * u_ph),
+        "t1": b * f["e_r_th"] - c * f["f_r_th"] - c * f["e_r_ph"] + a * f["f_r_ph"],
+        "t3": (cf_be / w) * (b * f["a_r_th"] - c * f["c_r_th"]
+                             - c * f["a_r_ph"] + a * f["c_r_ph"]),
+        "t4": (ce_af / w) * (b * f["c_r_th"] - c * f["b_r_th"]
+                             - c * f["c_r_ph"] + a * f["b_r_ph"]),
+        "t11": (f["b_th"] * f["e_r"] - f["c_ph"] * f["e_r"]
+                - f["c_th"] * f["f_r"] + f["a_ph"] * f["f_r"]),
+        "t13": ((cf_be / w) * (f["b_th"] * f["a_r"] - f["a_r"] * f["c_ph"]
+                               - f["c_r"] * f["c_th"] + f["a_ph"] * f["c_r"])
+                + (ce_af / w) * (f["b_th"] * f["c_r"] - f["c_r"] * f["c_ph"]
+                                 - f["b_r"] * f["c_th"] + f["a_ph"] * f["b_r"])),
+    }
+
+
+def _assembled_d_terms(p, fields) -> np.ndarray:
+    """assembled_form from its d-free arrays p (_assembled_d_free) and the
+    entries of fields that depend on d."""
+    f = fields
+    a, b, c, w = p["a"], p["b"], p["c"], p["W"]
+    u, u_th, u_ph = p["u"], p["u_th"], p["u_ph"]
+    d, d_th, d_ph, det = f["d"], f["d_th"], f["d_ph"], f["det"]
+
+    det_th = (-p["uv2_th"] * w - 2.0 * d * d_th * w - (p["u2v2"] + d * d) * p["W_th"]
+              + p["two_u_th"] * p["k"] + p["u2"] * p["k_th"])
+    det_ph = (-p["uv2_ph"] * w - 2.0 * d * d_ph * w - (p["u2v2"] + d * d) * p["W_ph"]
+              + p["two_u_ph"] * p["k"] + p["u2"] * p["k_ph"])
+    dth_half = det_th / (2.0 * det)
+    dph_half = det_ph / (2.0 * det)
+    cf_be, ce_af = p["cf_be"], p["ce_af"]
 
     # |g_S| Lap(d)
-    coef_th, coef_ph = gs_laplacian_coefficients(f, cot)
-    lap = (gs_trace(f, f["d_th_th"], f["d_th_ph"], f["d_ph_ph"])
-           + coef_th * d_th + coef_ph * d_ph)
+    lap = (gs_trace(p, f["d_th_th"], f["d_th_ph"], f["d_ph_ph"])
+           + p["coef_th"] * d_th + p["coef_ph"] * d_ph)
 
-    t1 = b * f["e_r_th"] - c * f["f_r_th"] - c * f["e_r_ph"] + a * f["f_r_ph"]
-    t2 = -(d / u**2) * gs_trace(f, u2_thth, u2_thph, u2_phph)
-    t3 = (cf_be / w) * (b * f["a_r_th"] - c * f["c_r_th"]
-                        - c * f["a_r_ph"] + a * f["c_r_ph"])
-    t4 = (ce_af / w) * (b * f["c_r_th"] - c * f["b_r_th"]
-                        - c * f["c_r_ph"] + a * f["b_r_ph"])
-    t5 = cot * (b * d_th - c * d_ph)
-    t6 = -dth_half * (b * f["e_r"] + b * d_th - c * f["f_r"] - c * d_ph)
-    t7 = -dph_half * (-c * f["e_r"] - c * d_th + a * f["f_r"] + a * d_ph)
-    t8 = -(2.0 / u) * ((d_th - 2.0 * d * u_th / u - d * dth_half) * (b * u_th - c * u_ph)
-                       + (d_ph - 2.0 * d * u_ph / u - d * dph_half) * (-c * u_th + a * u_ph))
-    t9 = ((cf_be_th - cf_be * (dth_half + 2.0 * cot)) * (b * f["a_r"] - c * f["c_r"])
-          + (cf_be_ph - cf_be * dph_half) * (-c * f["a_r"] + a * f["c_r"])) / w
-    t10 = ((ce_af_th - ce_af * (dth_half + 2.0 * cot)) * (b * f["c_r"] - c * f["b_r"])
-           + (ce_af_ph - ce_af * dph_half) * (-c * f["c_r"] + a * f["b_r"])) / w
-    t11 = (f["b_th"] * f["e_r"] - f["c_ph"] * f["e_r"]
-           - f["c_th"] * f["f_r"] + f["a_ph"] * f["f_r"])
-    t12 = -(2.0 * d / u) * (f["b_th"] * u_th - f["c_ph"] * u_th
-                            - f["c_th"] * u_ph + f["a_ph"] * u_ph)
-    t13 = ((cf_be / w) * (f["b_th"] * f["a_r"] - f["a_r"] * f["c_ph"]
-                          - f["c_r"] * f["c_th"] + f["a_ph"] * f["c_r"])
-           + (ce_af / w) * (f["b_th"] * f["c_r"] - f["c_r"] * f["c_ph"]
-                            - f["b_r"] * f["c_th"] + f["a_ph"] * f["b_r"]))
-    return lap + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12 + t13
+    t2 = -(d / p["u2"]) * p["tr_u2"]
+    t5 = p["cot"] * (b * d_th - c * d_ph)
+    t6 = -dth_half * (p["b_e_r"] + b * d_th - p["c_f_r"] - c * d_ph)
+    t7 = -dph_half * (p["mc_e_r"] - c * d_th + p["a_f_r"] + a * d_ph)
+    t8 = p["m2_u"] * ((d_th - 2.0 * d * u_th / u - d * dth_half) * p["bu_cu"]
+                      + (d_ph - 2.0 * d * u_ph / u - d * dph_half) * p["cu_au"])
+    t9 = ((p["cf_be_th"] - cf_be * (dth_half + p["two_cot"])) * p["ba_cc"]
+          + (p["cf_be_ph"] - cf_be * dph_half) * p["ca_ac"]) / w
+    t10 = ((p["ce_af_th"] - ce_af * (dth_half + p["two_cot"])) * p["bc_cb"]
+           + (p["ce_af_ph"] - ce_af * dph_half) * p["cc_ab"]) / w
+    t12 = -(2.0 * d / u) * p["t12_u"]
+    return (lap + p["t1"] + t2 + p["t3"] + p["t4"] + t5 + t6 + t7 + t8 + t9 + t10
+            + p["t11"] + t12 + p["t13"])
+
+
+def assembled_form(g: BlockMetric, grid: SphereGrid, fields) -> np.ndarray:
+    """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
+    2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
+    through, so the spherically symmetric limit is exactly zero.  fields
+    must hold the _ASSEMBLED_JETS and _D_SECOND_JETS besides the
+    surface_fields entries.
+
+    It runs in two stages: _assembled_d_free forms every array that does
+    not depend on d from the compact jets, and _assembled_d_terms adds the
+    terms in d.  The Picard solve runs the first stage once and the second
+    per step; the bits equal those of one pass over full-grid arrays."""
+    return _assembled_d_terms(_assembled_d_free(grid, fields), fields)
 
 
 @dataclass(frozen=True)
@@ -385,14 +428,15 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
     f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
     area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
-    coef_th, coef_ph = gs_laplacian_coefficients(f, grid.cot_theta[:, None])
+    d_free = _assembled_d_free(grid, f)
 
-    def big_g_of(d_field):
-        """G(d, d') = F / |g_S|: the assembled form with the Laplacian of d
-        stripped (zero second partials, first-order pieces removed)."""
-        fd = {**_grid_d_data(grid, f, d_field), "d_th_th": 0.0, "d_th_ph": 0.0,
-              "d_ph_ph": 0.0}
-        f_only = assembled_form(g, grid, fd) - (coef_th * fd["d_th"] + coef_ph * fd["d_ph"])
+    def big_g_of(fd):
+        """G(d, d') = F / |g_S| on the fields fd of _grid_d_data: the
+        assembled form with the Laplacian of d stripped (zero second
+        partials, first-order pieces removed)."""
+        fd = {**fd, "d_th_th": 0.0, "d_th_ph": 0.0, "d_ph_ph": 0.0}
+        f_only = (_assembled_d_terms(d_free, fd)
+                  - (d_free["coef_th"] * fd["d_th"] + d_free["coef_ph"] * fd["d_ph"]))
         return f_only / f["W"]
 
     d = np.zeros((grid.n_theta, grid.n_phi)) if d0 is None else np.array(d0, dtype=float)
@@ -401,7 +445,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
     prev_update = np.inf
     damping = 1.0
     for k in range(max_iter):
-        big_g = big_g_of(d)
+        big_g = big_g_of(_grid_d_data(grid, f, d))
         compat = grid.integrate_area(big_g, sqrt_gs)
         sol.compat_integrals.append(float(compat))
         if abs(compat) > compat_tol * (1.0 + float(np.max(np.abs(big_g)))):
@@ -428,8 +472,9 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         d = new_d
         sol.iterations = k + 1
         if update <= tol:
-            big_g = big_g_of(d)
-            residual = (_laplace_full(grid, f, d) + big_g
+            fd = _grid_d_data(grid, f, d)
+            big_g = big_g_of(fd)
+            residual = (_laplace_full(grid, f, d, grad=(fd["d_th"], fd["d_ph"])) + big_g
                         - grid.integrate_area(big_g, sqrt_gs) / area)
             sol.d = d
             sol.converged = True

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from imcvf import cli
 from imcvf.chart import COMPONENTS
 from imcvf.cli import SCHEMA, _emit, _emit_columns, _node_columns, main
 from imcvf.grid import SphereGrid
@@ -63,6 +64,30 @@ def test_build_then_validate(seed_chart, tmp_path):
     assert main(["build", "--chart", seed_chart, "--solve-d",
                  "--out", str(full)]) == 0
     assert main(["validate", "--chart", str(full)]) == 0
+
+
+def test_cached_parser_behaves_like_a_fresh_one(minkowski_chart, capsys):
+    """main builds its parser once per process: a failed parse leaves it
+    unchanged, and later calls of other subcommands read their own
+    arguments and defaults, exactly as with a parser built per call."""
+    calls = [["hawking", "--chart", minkowski_chart, "--grid"],
+             ["curvature", "--chart", minkowski_chart, "--points", "0,4,1.0,0"],
+             ["hawking", "--chart", minkowski_chart, "--grid", "8,16", "--r", "3"],
+             ["adm", "--factor", "1+1/(2*r)", "--radii", "10,20", "--json"]]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append((main(argv), capsys.readouterr()))
+        return results
+
+    cached = run(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _ in cached] == [1, 0, 0, 0]
+    assert "expected one argument" in cached[0][1].err
+    assert cached == run(fresh=True)
 
 
 def test_adm_schwarzschild(capsys):

@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 
 from imcvf import chart, expr
-from imcvf.chart import FIRST_JETS, R, T, component_jets, inverse_from_components
+from imcvf.chart import (FIRST_JETS, R, T, BlockMetric, component_jets,
+                         inverse_from_components)
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
-from imcvf.sphere import hawking_mass, mean_curvature_values, surface_fields
+from imcvf.sphere import (gs_laplacian_coefficients, gs_trace, hawking_mass,
+                          mean_curvature_values, surface_fields)
 from imcvf.steering import frame_data, steering_parameter
-from imcvf.straightout import solve_straight_out_d, straight_out_residual
+from imcvf.straightout import (_ASSEMBLED_JETS, _D_SECOND_JETS, _assembled_d_free,
+                               _grid_d_data, assembled_form, solve_straight_out_d,
+                               straight_out_residual)
 
 from conftest import build_seed
 
@@ -111,6 +115,130 @@ def test_straight_out_solve_matches_meshgrid_env(seed, size):
 def test_hawking_mass_matches_meshgrid_env(seed):
     sep, mesh = (hawking_mass(seed, gr) for gr in _grids((16, 32)))
     assert sep == mesh
+
+
+def test_compact_base_keeps_only_the_distinct_entries():
+    col = np.arange(3.0)[:, None]
+    view = np.broadcast_to(col, (3, 4))
+    base = chart.compact_base(view)
+    assert base.shape == (3, 1) and np.array_equal(base, col)
+    full = np.arange(12.0).reshape(3, 4)
+    assert chart.compact_base(full).shape == full.shape
+    assert np.shares_memory(chart.compact_base(full), full)
+    assert chart.compact_base(np.broadcast_to(2.5, (3, 4))).shape == (1, 1)
+
+
+def _one_pass_assembled_form(grid, fields):
+    """The assembled form computed in one pass, every term from the fields
+    as given: the bitwise reference for the two stages of assembled_form,
+    which must keep its operations and their order."""
+    f = fields
+    cot = grid.cot_theta[:, None]
+    a, b, c = f["a"], f["b"], f["c"]
+    w = f["W"]
+    d, d_th, d_ph, det = f["d"], f["d_th"], f["d_ph"], f["det"]
+    u = f["u"]
+    u_th, u_ph = f["u_th"], f["u_ph"]
+
+    k = 2.0 * c * f["e"] * f["f"] - b * f["e"] ** 2 - a * f["f"] ** 2
+    k_th = (2.0 * (f["c_th"] * f["e"] * f["f"] + c * f["e_th"] * f["f"]
+                   + c * f["e"] * f["f_th"])
+            - (f["b_th"] * f["e"] ** 2 + 2.0 * b * f["e"] * f["e_th"])
+            - (f["a_th"] * f["f"] ** 2 + 2.0 * a * f["f"] * f["f_th"]))
+    k_ph = (2.0 * (f["c_ph"] * f["e"] * f["f"] + c * f["e_ph"] * f["f"]
+                   + c * f["e"] * f["f_ph"])
+            - (f["b_ph"] * f["e"] ** 2 + 2.0 * b * f["e"] * f["e_ph"])
+            - (f["a_ph"] * f["f"] ** 2 + 2.0 * a * f["f"] * f["f_ph"]))
+    u2v2 = u**2 * f["v"] ** 2
+    det_th = (-(2.0 * u * u_th * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_th"]) * w
+              - 2.0 * d * d_th * w - (u2v2 + d * d) * f["W_th"]
+              + 2.0 * u * u_th * k + u**2 * k_th)
+    det_ph = (-(2.0 * u * u_ph * f["v"] ** 2 + u**2 * 2.0 * f["v"] * f["v_ph"]) * w
+              - 2.0 * d * d_ph * w - (u2v2 + d * d) * f["W_ph"]
+              + 2.0 * u * u_ph * k + u**2 * k_ph)
+    dth_half = det_th / (2.0 * det)
+    dph_half = det_ph / (2.0 * det)
+
+    cf_be, ce_af = f["cf_be"], f["ce_af"]
+    cf_be_th = f["c_th"] * f["f"] + c * f["f_th"] - f["b_th"] * f["e"] - b * f["e_th"]
+    cf_be_ph = f["c_ph"] * f["f"] + c * f["f_ph"] - f["b_ph"] * f["e"] - b * f["e_ph"]
+    ce_af_th = f["c_th"] * f["e"] + c * f["e_th"] - f["a_th"] * f["f"] - a * f["f_th"]
+    ce_af_ph = f["c_ph"] * f["e"] + c * f["e_ph"] - f["a_ph"] * f["f"] - a * f["f_ph"]
+
+    u2_thth = 2.0 * (u_th**2 + u * f["u_th_th"])
+    u2_thph = 2.0 * (u_th * u_ph + u * f["u_th_ph"])
+    u2_phph = 2.0 * (u_ph**2 + u * f["u_ph_ph"])
+
+    # |g_S| Lap(d)
+    coef_th, coef_ph = gs_laplacian_coefficients(f, cot)
+    lap = (gs_trace(f, f["d_th_th"], f["d_th_ph"], f["d_ph_ph"])
+           + coef_th * d_th + coef_ph * d_ph)
+
+    t1 = b * f["e_r_th"] - c * f["f_r_th"] - c * f["e_r_ph"] + a * f["f_r_ph"]
+    t2 = -(d / u**2) * gs_trace(f, u2_thth, u2_thph, u2_phph)
+    t3 = (cf_be / w) * (b * f["a_r_th"] - c * f["c_r_th"]
+                        - c * f["a_r_ph"] + a * f["c_r_ph"])
+    t4 = (ce_af / w) * (b * f["c_r_th"] - c * f["b_r_th"]
+                        - c * f["c_r_ph"] + a * f["b_r_ph"])
+    t5 = cot * (b * d_th - c * d_ph)
+    t6 = -dth_half * (b * f["e_r"] + b * d_th - c * f["f_r"] - c * d_ph)
+    t7 = -dph_half * (-c * f["e_r"] - c * d_th + a * f["f_r"] + a * d_ph)
+    t8 = -(2.0 / u) * ((d_th - 2.0 * d * u_th / u - d * dth_half) * (b * u_th - c * u_ph)
+                       + (d_ph - 2.0 * d * u_ph / u - d * dph_half) * (-c * u_th + a * u_ph))
+    t9 = ((cf_be_th - cf_be * (dth_half + 2.0 * cot)) * (b * f["a_r"] - c * f["c_r"])
+          + (cf_be_ph - cf_be * dph_half) * (-c * f["a_r"] + a * f["c_r"])) / w
+    t10 = ((ce_af_th - ce_af * (dth_half + 2.0 * cot)) * (b * f["c_r"] - c * f["b_r"])
+           + (ce_af_ph - ce_af * dph_half) * (-c * f["c_r"] + a * f["b_r"])) / w
+    t11 = (f["b_th"] * f["e_r"] - f["c_ph"] * f["e_r"]
+           - f["c_th"] * f["f_r"] + f["a_ph"] * f["f_r"])
+    t12 = -(2.0 * d / u) * (f["b_th"] * u_th - f["c_ph"] * u_th
+                            - f["c_th"] * u_ph + f["a_ph"] * u_ph)
+    t13 = ((cf_be / w) * (f["b_th"] * f["a_r"] - f["a_r"] * f["c_ph"]
+                          - f["c_r"] * f["c_th"] + f["a_ph"] * f["c_r"])
+           + (ce_af / w) * (f["b_th"] * f["c_r"] - f["c_r"] * f["c_ph"]
+                            - f["b_r"] * f["c_th"] + f["a_ph"] * f["b_r"]))
+    return lap + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12 + t13
+
+
+# every component depends on r, th and ph, so that no term of the assembled
+# form vanishes identically (on the seeds u is radial and e, f do not depend
+# on r, which zeroes t1, t2, t4 and t11)
+GENERIC = {"v": "1+0.1*r*sin(th)^2*cos(ph)", "d": "0.05*r*sin(th)^3*sin(ph)",
+           "e": "0.1*r*sin(th)^5*cos(ph)", "f": "0.1*r*sin(th)^5*sin(ph+0.3)",
+           "u": "1+0.2*r*sin(th)^2*sin(ph)", "a": "r^2*(1+0.1*r*sin(th)^2*cos(ph))",
+           "b": "r^2*sin(th)^2*(1+0.05*r*cos(th)^2*sin(ph))",
+           "c": "0.1*r^3*sin(th)^3*sin(ph)"}
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("kind", ("e", "ef", "ea", "c", "ac", "generic"))
+def test_assembled_form_on_compact_jets_is_bitwise(kind, size):
+    """The d-free stage of the assembled form reads the compact base of each
+    broadcast jet: its result equals, bit for bit, the form on the same
+    fields materialised to full-grid copies, with d sampled on the grid,
+    and the one-pass reference; so does the Picard map's input, where the
+    second partials of d are zero."""
+    g = BlockMetric(**GENERIC) if kind == "generic" else build_seed(kind, 0.1)
+    grid = SphereGrid(0.0, 2.0, *size)
+    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS + _D_SECOND_JETS)
+    fd = _grid_d_data(grid, f, np.array(f["d"]))
+    full = {k: np.array(v) for k, v in fd.items()}
+    assert any(0 in v.strides for v in fd.values())
+    assert not any(0 in v.strides for v in full.values())
+    closed = assembled_form(g, grid, fd)
+    _same(closed, assembled_form(g, grid, full), size)
+    _same(closed, _one_pass_assembled_form(grid, full), size)
+    picard = {**fd, "d_th_th": 0.0, "d_th_ph": 0.0, "d_ph_ph": 0.0}
+    _same(assembled_form(g, grid, picard), _one_pass_assembled_form(grid, picard), size)
+
+
+def test_d_free_stage_keeps_separable_factors_compact():
+    grid = SphereGrid(0.0, 2.0, 16, 32)
+    f = surface_fields(build_seed("ef", 0.1), grid.env(), extra=_ASSEMBLED_JETS)
+    p = _assembled_d_free(grid, f)
+    assert p["a"].shape == p["u"].shape == p["u2"].shape == (1, 1)
+    assert p["b"].shape == p["tr_u2"].shape == (16, 1)
+    assert p["t3"].shape == (16, 32)
 
 
 # ---------------------------------------------------------------------------

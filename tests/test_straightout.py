@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from imcvf import straightout
 from imcvf.chart import BlockMetric, SphericalMetric
 from imcvf.errors import CompatibilityError
 from imcvf.expr import parse
@@ -383,6 +384,51 @@ def test_picard_map_takes_no_second_theta_derivative(monkeypatch):
     sol = solve_straight_out_d(unsolved_seed("e", 1e-3), SphereGrid(0.0, 2.0, 16, 32))
     assert sol.converged and sol.iterations >= 2
     assert calls == []
+
+
+def test_picard_forms_the_d_free_terms_once(monkeypatch):
+    """The d-free stage of the assembled form runs once per solve; the
+    d-dependent stage runs once per Picard step and once more for the
+    final residual."""
+    calls = {"free": 0, "terms": 0}
+    free, terms = straightout._assembled_d_free, straightout._assembled_d_terms
+
+    def counted_free(*args):
+        calls["free"] += 1
+        return free(*args)
+
+    def counted_terms(*args):
+        calls["terms"] += 1
+        return terms(*args)
+
+    monkeypatch.setattr(straightout, "_assembled_d_free", counted_free)
+    monkeypatch.setattr(straightout, "_assembled_d_terms", counted_terms)
+    sol = solve_straight_out_d(unsolved_seed("e", 1e-3), SphereGrid(0.0, 2.0, 16, 32))
+    assert sol.converged and sol.iterations >= 2
+    assert calls == {"free": 1, "terms": sol.iterations + 1}
+
+
+def test_picard_spherical_gradient_calls(monkeypatch):
+    """On the chart of test_picard_spherical_converges_immediately, G is zero
+    and the solve converges in one step.  Step 0 takes one gradient for
+    d's partials in _grid_d_data and one in _laplace_full for the first
+    (and last) residual of the inner Poisson solve, whose right-hand side
+    is zero.  At convergence _grid_d_data takes one more, and the final
+    residual reuses it rather than differentiating d again in
+    _laplace_full: 1 + 1 + 1 = 3 gradients, one fewer than 4 without the
+    reuse."""
+    calls = []
+    gradient = SphereGrid.gradient
+
+    def counted(self, f):
+        calls.append(1)
+        return gradient(self, f)
+
+    monkeypatch.setattr(SphereGrid, "gradient", counted)
+    sol = solve_straight_out_d(SphericalMetric("1+1/r", "1").block(),
+                               SphereGrid(0.0, 2.0, 16, 32))
+    assert sol.converged and sol.iterations == 1
+    assert len(calls) == 3
 
 
 def test_picard_compatibility_reporting_path():
