@@ -196,24 +196,24 @@ def det_from_components(c: Mapping):
     return (-u2 * v2 - d * d) * w + u2 * (2.0 * cc * e * f - b * e * e - a * f * f)
 
 
-def inverse_values(g: BlockMetric, env: Mapping, *, check=True) -> np.ndarray:
+def inverse_values(g: BlockMetric, env: Mapping) -> np.ndarray:
     """Closed-form inverse metric, shape env_broadcast + (4, 4)."""
-    return inverse_from_components(component_jets(g, env, COMPONENTS), env_shape(env),
-                                   check=check)
+    return inverse_from_components(component_jets(g, env, COMPONENTS), env_shape(env))
 
 
-def inverse_from_components(c: Mapping, shape, *, rows=(T, R, TH, PH),
-                            check=True) -> np.ndarray:
-    """Closed-form inverse from component values c (keys as COMPONENTS),
-    broadcast to shape + (len(rows), 4): only the requested rows of g^{-1}
-    are formed, each entry from its own closed form divided by det."""
-    det = det_from_components(c)
-    if check and np.any(np.abs(det) < 1e-14):
+def check_det(det) -> None:
+    """Raise SingularMetricError where |det| < 1e-14."""
+    if np.any(np.abs(det) < 1e-14):
         raise SingularMetricError("metric determinant vanishes at a sampled point")
+
+
+def cofactors(c: Mapping, cross):
+    """cof(i, j) = det(g) g^{ij} in closed form, from component values c
+    (keys as COMPONENTS) and cross = cross_terms(c).  Each call forms one
+    entry, so a caller forms only the entries it reads."""
     u2, v2 = c["u"] * c["u"], c["v"] * c["v"]
     a, b, cc, d, e, f = (c[k] for k in ("a", "b", "c", "d", "e", "f"))
-    w, cf_be, ce_af = cross_terms(c)
-    # cofactor closed forms of the upper triangle, built on demand
+    w, cf_be, ce_af = cross
     upper = {(T, T): lambda: u2 * w,
              (T, R): lambda: -d * w,
              (T, TH): lambda: u2 * cf_be,
@@ -224,10 +224,20 @@ def inverse_from_components(c: Mapping, shape, *, rows=(T, R, TH, PH),
              (TH, TH): lambda: -u2 * v2 * b - u2 * f * f - b * d * d,
              (TH, PH): lambda: u2 * v2 * cc + u2 * e * f + cc * d * d,
              (PH, PH): lambda: -u2 * v2 * a - u2 * e * e - a * d * d}
-    inv = np.empty(shape + (len(rows), 4))
-    for k, i in enumerate(rows):
+    return lambda i, j: upper[min(i, j), max(i, j)]()
+
+
+def inverse_from_components(c: Mapping, shape) -> np.ndarray:
+    """Closed-form inverse from component values c (keys as COMPONENTS),
+    broadcast to shape + (4, 4): each entry its cofactor divided by det.
+    Raises SingularMetricError where |det| < 1e-14."""
+    det = det_from_components(c)
+    check_det(det)
+    cof = cofactors(c, cross_terms(c))
+    inv = np.empty(shape + (4, 4))
+    for i in range(4):
         for j in range(4):
-            inv[..., k, j] = upper[min(i, j), max(i, j)]()
+            inv[..., i, j] = cof(i, j)
     inv /= det[..., None, None]
     return inv
 

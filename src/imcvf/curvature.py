@@ -59,18 +59,31 @@ class CurvaturePack:
 
 _SLOTS = (("d", T, R), ("e", T, TH), ("f", T, PH),
           ("a", TH, TH), ("c", TH, PH), ("b", PH, PH))
+_SLOT_NAME = {**{(i, j): n for n, i, j in _SLOTS}, **{(j, i): n for n, i, j in _SLOTS}}
+
+
+def metric_partial(jets, m, i, j):
+    """d_m g_ij from component values and first partials keyed as in
+    chart.component_jets, m an index into COORDS: -2 v v_m, 2 u u_m, the
+    slot component's partial, or 0.0 for g_r,th and g_r,ph."""
+    x = COORDS[m]
+    if i == j == T:
+        return -2.0 * jets["v"] * jets[f"v_{x}"]
+    if i == j == R:
+        return 2.0 * jets["u"] * jets[f"u_{x}"]
+    name = _SLOT_NAME.get((i, j))
+    return 0.0 if name is None else jets[f"{name}_{x}"]
 
 
 def _metric_first_partials(jets, shape) -> np.ndarray:
     """dg[m, i, j, ...] = d_m g_ij from component values and first partials
     keyed as in chart.component_jets.  Entry-major: each entry is one contiguous
     array over the points, so filling it costs one contiguous write each."""
-    dg = np.zeros((4, 4, 4) + shape)
-    for mi, m in enumerate(COORDS):
-        dg[mi, T, T] = -2.0 * jets["v"] * jets[f"v_{m}"]
-        dg[mi, R, R] = 2.0 * jets["u"] * jets[f"u_{m}"]
-        for name, i, j in _SLOTS:
-            dg[mi, i, j] = dg[mi, j, i] = jets[f"{name}_{m}"]
+    dg = np.empty((4, 4, 4) + shape)
+    for m in range(4):
+        for i in range(4):
+            for j in range(i, 4):
+                dg[m, i, j] = dg[m, j, i] = metric_partial(jets, m, i, j)
     return dg
 
 
@@ -96,18 +109,17 @@ def _point_major(a, k) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, range(k), range(-k, 0)))
 
 
-_ALL_PAIRS = (np.arange(4)[:, None], np.arange(4)[None, :])
+def _lowered_christoffel(dg) -> np.ndarray:
+    """Point-major P[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij (twice
+    Gamma_lij) from entry-major dg[m, i, j, ...] = d_m g_ij."""
+    return _point_major(dg + dg.swapaxes(0, 1) - np.moveaxis(dg, 0, 2), 3)
 
 
-def _lowered_christoffel(dg, pairs=_ALL_PAIRS) -> np.ndarray:
-    """Point-major P[..., p, l] = d_i g_jl + d_j g_il - d_l g_ij (twice
-    Gamma_lij) from entry-major dg[m, i, j, ...] = d_m g_ij, for the lower
-    index pairs (i, j) = pairs: two index arrays that broadcast to the pair
-    shape p (all 4x4 by default)."""
-    i, j = pairs
-    pair_ndim = np.broadcast(i, j).ndim
-    p = dg[i, j] + dg[j, i] - np.moveaxis(dg[:, i, j], 0, pair_ndim)
-    return _point_major(p, pair_ndim + 1)
+def raise_sum(g, p):
+    """(1/2) sum over l = 0..3 of g[l] p[l], added in the fixed order
+    (1/2) ((t_0 + t_2) + (t_1 + t_3)) with t_l = g[l] p[l], so the bits do
+    not depend on how a library kernel orders the sum."""
+    return 0.5 * ((g[0] * p[0] + g[2] * p[2]) + (g[1] * p[1] + g[3] * p[3]))
 
 
 def _raise_first(ginv, p) -> np.ndarray:
@@ -116,7 +128,8 @@ def _raise_first(ginv, p) -> np.ndarray:
     lead = ginv.ndim - 2
     pair_shape = p.shape[lead:-1]
     flat = p.reshape(p.shape[:lead] + (-1, 4))
-    gamma = 0.5 * np.einsum("...kl,...pl->...kp", ginv, flat)
+    gamma = raise_sum([ginv[..., :, None, l] for l in range(4)],
+                      [flat[..., None, :, l] for l in range(4)])
     return gamma.reshape(gamma.shape[:-1] + pair_shape)
 
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, component_jets, \
-    cross_terms, det_from_components, env_shape, inverse_from_components, metric_values
-from .curvature import _lowered_christoffel, _metric_first_partials, _raise_first, \
-    christoffel_values
+from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, check_det, \
+    cofactors, compact_base, component_jets, cross_terms, det_from_components, metric_values
+from .curvature import christoffel_values, metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .grid import SphereGrid
 
@@ -179,30 +178,30 @@ def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
         return h_r, h_n, star
     if method != "trace":
         raise ValueError(f"unknown method {method!r}")
-    gt, gr = _tangent_christoffel(f, env)
+    gt, gr = _tangent_christoffel(f)
     # <nabla_i d_j, e_r> = (1/u)(Gamma^t_ij d + Gamma^r_ij u^2)
-    s_r = gs_trace(f, *(gt[..., p] * f["d"] + gr[..., p] * f["u"] ** 2
-                        for p in range(3))) / f["W"] / f["u"]
+    s_r = gs_trace(f, *(t * f["d"] + r * f["u"] ** 2
+                        for t, r in zip(gt, gr))) / f["W"] / f["u"]
     # <nabla_i d_j, e_n> = Gamma^t_ij <d_t, n>/||n|| = -Gamma^t_ij ||n||
-    s_n = gs_trace(f, *(gt[..., p] for p in range(3))) / f["W"] * (-f["norm_n"])
+    s_n = gs_trace(f, *gt) / f["W"] * (-f["norm_n"])
     return s_r, -s_n, star
 
 
-# lower index pairs (th, th), (th, ph), (ph, ph) of the sphere's tangent space
-_TANGENT_PAIRS = (np.array([TH, TH, PH]), np.array([TH, PH, PH]))
-
-
-def _tangent_christoffel(f, env) -> tuple:
-    """(Gamma^t_ij, Gamma^r_ij) for the tangent pairs (ij) = thth, thph, phph,
-    each of shape env_broadcast + (3,): the only rows the normal projections
-    of the second fundamental form read.  Generic formula, closed-form
-    inverse, and the component values and first partials already in the
-    surface_fields dict f."""
-    shape = env_shape(env)
-    ginv = inverse_from_components(f, shape, rows=(T, R))
-    dg = _metric_first_partials(f, shape)
-    gam = _raise_first(ginv, _lowered_christoffel(dg, _TANGENT_PAIRS))
-    return gam[..., 0, :], gam[..., 1, :]
+def _tangent_christoffel(f) -> tuple:
+    """(Gamma^t_ij, Gamma^r_ij) for the tangent pairs (ij) = thth, thph, phph:
+    two triples of arrays that broadcast to the grid, the only entries the
+    normal projections of the second fundamental form read.  Generic
+    formula: P_l = d_i g_jl + d_j g_il - d_l g_ij from the first partials,
+    raised with the (T, R) rows of the cofactor inverse, all on the compact
+    base of each array in the surface_fields dict f."""
+    c = {k: compact_base(f[k]) for k in FIRST_JETS + ("W", "cf_be", "ce_af", "det")}
+    check_det(c["det"])
+    cof = cofactors(c, (c["W"], c["cf_be"], c["ce_af"]))
+    ginv = [[cof(k, l) / c["det"] for l in range(4)] for k in (T, R)]
+    lowered = [[(metric_partial(c, i, j, l) + metric_partial(c, j, i, l))
+                - metric_partial(c, l, i, j) for l in range(4)]
+               for i, j in ((TH, TH), (TH, PH), (PH, PH))]
+    return tuple(tuple(raise_sum(row, p) for p in lowered) for row in ginv)
 
 
 def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from imcvf import chart, expr
-from imcvf.chart import (FIRST_JETS, R, T, BlockMetric, component_jets,
-                         inverse_from_components)
+from imcvf.chart import FIRST_JETS, BlockMetric, component_jets
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
@@ -300,10 +299,3 @@ def test_evaluate_sequence_shares_one_memo(monkeypatch):
     assert len(visits) == n_one + 1              # the second root is one memo hit
     assert np.array_equal(two[0], one[0]) and two[1] is two[0]
 
-
-def test_inverse_rows_equal_rows_of_the_full_inverse(seed):
-    f = surface_fields(seed, SphereGrid(0.0, 2.5, 64, 128).env())
-    full = inverse_from_components(f, (64, 128))
-    rows = inverse_from_components(f, (64, 128), rows=(T, R))
-    assert rows.shape == (64, 128, 2, 4)
-    assert np.array_equal(rows, full[..., (T, R), :])

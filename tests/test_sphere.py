@@ -304,13 +304,72 @@ def test_tangent_christoffel_matches_generic_christoffel():
     g = build_seed("ef", 0.1)
     env = SphereGrid(0.0, 2.5, 64, 128).env()
     full = christoffel_values(g, env)
-    rows = _tangent_christoffel(surface_fields(g, env), env)
+    rows = _tangent_christoffel(surface_fields(g, env))
     for k, row in zip((T, R), rows):
         for p, (i, j) in enumerate(((TH, TH), (TH, PH), (PH, PH))):
             ref = full[..., k, i, j]
             scale = np.max(np.abs(ref))
             assert scale > 0.0
-            assert np.max(np.abs(row[..., p] - ref)) <= 1e-13 * scale, (k, i, j)
+            assert np.max(np.abs(row[p] - ref)) <= 1e-13 * scale, (k, i, j)
+
+
+@pytest.mark.parametrize("size", ((16, 32), (64, 128)))
+def test_tangent_christoffel_rows_equal_generic_rows_bitwise(seed_charts, size):
+    """Same P entries, same cofactors and the same fixed-order raise as
+    christoffel_values, so the trace formula's rows carry the same bits."""
+    from imcvf.chart import PH, R, T, TH
+    from imcvf.curvature import christoffel_values
+    from imcvf.sphere import _tangent_christoffel
+
+    env = SphereGrid(0.0, 2.5, *size).env()
+    for kind, eps, g in seed_charts:
+        full = christoffel_values(g, env)
+        rows = _tangent_christoffel(surface_fields(g, env))
+        for k, row in zip((T, R), rows):
+            for p, (i, j) in enumerate(((TH, TH), (TH, PH), (PH, PH))):
+                assert np.array_equal(np.broadcast_to(row[p], size), full[..., k, i, j]), \
+                    (kind, eps, k, i, j)
+
+
+def test_hawking_mass_peak_memory_at_128x256():
+    """The trace formula forms no (4, 4, 4)-per-node array: one 128x256
+    sphere stays well below the 16 MB such an array alone would take."""
+    import tracemalloc
+
+    from conftest import build_seed
+
+    g = build_seed("ef", 0.1)
+    grid = SphereGrid(0.0, 2.0, 128, 256)
+    hawking_mass(g, grid)
+    tracemalloc.start()
+    try:
+        hawking_mass(g, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_trace_formula_raises_on_singular_metric():
+    from imcvf.errors import SingularMetricError
+
+    g = BlockMetric(v="0", d="0", e="0", f="0", u="1",
+                    a="r^2", b="r^2*sin(th)^2", c="0")
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(SingularMetricError):
+        mean_curvature_values(g, SphereGrid(0.0, 2.0, 16, 32).env(), method="trace")
+
+
+def test_hawking_mass_does_not_fill_metric_first_partials(monkeypatch):
+    from imcvf import curvature
+
+    def fail(*args):
+        raise AssertionError("the trace formula filled the full dg array")
+
+    monkeypatch.setattr(curvature, "_metric_first_partials", fail)
+    m = hawking_mass(SphericalMetric("(1-2/r)^(-0.5)", "(1-2/r)^0.5").block(),
+                     SphereGrid(0.0, 5.0, 16, 32))
+    assert abs(m - 1.0) < 1e-8
 
 
 def test_trace_oracle_fails_when_area_constraint_is_broken():
