@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric, ChartFile, DEFAULT_THETA_MIN, component_jets, cross_terms
+from .chart import (BlockMetric, ChartFile, DEFAULT_THETA_MIN, _as_expr, component_jets,
+                    cross_terms)
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, diff, evaluate, parse, var, call
@@ -34,7 +35,7 @@ def solve_d(a, b, c, e, f, u) -> FieldExpr:
     Constant folding collapses it to the zero literal whenever e = f = 0
     and the cross terms cf - be, ce - af vanish identically.
     """
-    a, b, c, e, f, u = (_expr(x) for x in (a, b, c, e, f, u))
+    a, b, c, e, f, u = (_as_expr(x) for x in (a, b, c, e, f, u))
     r = var("r")
     sth = call("sin", var("th"))
     w = r**4 * sth**2
@@ -49,16 +50,11 @@ def solve_d(a, b, c, e, f, u) -> FieldExpr:
     return -(u**2 / (4.0 * r**3 * sth**2)) * bracket
 
 
-def _expr(x):
-    from .chart import _as_expr
-    return _as_expr(x)
-
-
 def complete_chart(*, a, c, e, f, u, v,
                    theta_min: float = DEFAULT_THETA_MIN) -> BlockMetric:
     """Build a full chart from the six free functions: b is derived from the
     area constraint (exactly), d from solve_d."""
-    a, c, e, f, u, v = (_expr(x) for x in (a, c, e, f, u, v))
+    a, c, e, f, u, v = (_as_expr(x) for x in (a, c, e, f, u, v))
     b = (parse("r^4*sin(th)^2") + c * c) / a
     d = solve_d(a, b, c, e, f, u)
     return BlockMetric(v=v, d=d, e=e, f=f, u=u, a=a, b=b, c=c,
@@ -211,7 +207,7 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
     identity  dm_H/ds (exact) = (r/2)(r^2/(2 v^2)) G_tt  and flags any
     sample with G_tt >= 0 but decreasing mass.
     """
-    u, v = _expr(u), _expr(v)
+    u, v = _as_expr(u), _as_expr(v)
     radii = np.linspace(r_range[0], r_range[1], n)
 
     def m_h_at(rv):

@@ -88,11 +88,6 @@ class BlockMetric:
             expr = diff(expr, v)
         return expr
 
-    def with_d(self, d) -> "BlockMetric":
-        kw = dict(self.comps)
-        kw["d"] = _as_expr(d)
-        return BlockMetric(**kw, theta_min=self.theta_min)
-
 
 class SphericalMetric:
     """Spherically symmetric specialization: u, v functions of (t, r) only,
@@ -177,7 +172,8 @@ def metric_from_components(c: Mapping, shape) -> np.ndarray:
 
 
 def det_values(g: BlockMetric, env: Mapping) -> np.ndarray:
-    return det_from_components(component_jets(g, env, COMPONENTS))
+    c = component_jets(g, env, COMPONENTS)
+    return det_from_components(c, cross_terms(c)[0])
 
 
 def cross_terms(c: Mapping) -> tuple:
@@ -187,12 +183,12 @@ def cross_terms(c: Mapping) -> tuple:
     return a * b - cc * cc, cc * f - b * e, cc * e - a * f
 
 
-def det_from_components(c: Mapping):
-    """|g| = (-u^2 v^2 - d^2)(ab - c^2) + u^2 (2cef - be^2 - af^2) from
-    component values c: arrays, floats or FieldExprs alike."""
+def det_from_components(c: Mapping, w):
+    """|g| = (-u^2 v^2 - d^2) w + u^2 (2cef - be^2 - af^2) from component
+    values c and w = ab - c^2 as cross_terms(c) gives it: arrays, floats or
+    FieldExprs alike."""
     u2, v2 = c["u"] * c["u"], c["v"] * c["v"]
     a, b, cc, d, e, f = (c[k] for k in ("a", "b", "c", "d", "e", "f"))
-    w = cross_terms(c)[0]
     return (-u2 * v2 - d * d) * w + u2 * (2.0 * cc * e * f - b * e * e - a * f * f)
 
 
@@ -231,9 +227,10 @@ def inverse_from_components(c: Mapping, shape) -> np.ndarray:
     """Closed-form inverse from component values c (keys as COMPONENTS),
     broadcast to shape + (4, 4): each entry its cofactor divided by det.
     Raises SingularMetricError where |det| < 1e-14."""
-    det = det_from_components(c)
+    cross = cross_terms(c)
+    det = det_from_components(c, cross[0])
     check_det(det)
-    cof = cofactors(c, cross_terms(c))
+    cof = cofactors(c, cross)
     inv = np.empty(shape + (4, 4))
     for i in range(4):
         for j in range(4):

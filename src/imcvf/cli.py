@@ -63,30 +63,7 @@ def _sphere_pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
-
-
-def _emit(args, header, rows, json_payload=None):
-    """Emit rows of mixed values (numbers, booleans, strings)."""
-    if args.json:
-        payload = _payload(args, header, json_payload)
-        payload["rows"] = [[_json_val(v) for v in row] for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
-
-
-# stands for the rows in the JSON that _emit_columns writes around them
+# stands for the rows in the JSON that _emit writes around them
 _ROWS = "\0rows"
 # float text that json writes for what repr writes as nan, inf and -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -103,10 +80,23 @@ def _json_floats(a: np.ndarray) -> list:
     return [_JSON_NONFINITE.get(s, s) for s in text]
 
 
-def _column_strings(column, fmt) -> list:
-    """Text of each value of a float column, in raveled order.  A column
+def _csv_word(v) -> str:
+    return v if isinstance(v, str) else "true" if v else "false"
+
+
+def _json_word(v) -> str:
+    return json.dumps(v if isinstance(v, str) else bool(v))
+
+
+def _column_strings(column, fmt, word) -> list:
+    """Text of each cell of a column, in raveled order.  A float array
     broadcast along an axis (stride 0, as the node columns are) is
-    formatted once per distinct entry and the strings are repeated."""
+    formatted once per distinct entry and the strings are repeated.  A
+    list is a short column whose cells may also be booleans or labels
+    (str); those take word's text."""
+    if isinstance(column, list):
+        return [word(v) if isinstance(v, (bool, str)) else fmt(np.asarray(v, float))[0]
+                for v in column]
     base = compact_base(column)
     text = fmt(base)
     if base.shape == np.shape(column):
@@ -115,13 +105,12 @@ def _column_strings(column, fmt) -> list:
     return np.broadcast_to(text, np.shape(column)).ravel().tolist()
 
 
-def _emit_columns(args, header, columns, json_payload=None):
-    """Emit float columns, one per header name: the same text as _emit
-    prints row by row, formatted a column at a time and written directly
-    (the JSON is json.dumps(payload, indent=2, sort_keys=True) byte for
-    byte)."""
+def _emit(args, header, columns, json_payload=None):
+    """Emit columns, one per header name, as CSV (floats with %.17g) or as
+    the JSON that json.dumps(payload, indent=2, sort_keys=True) writes, byte
+    for byte, formatted a column at a time and written directly."""
     if args.json:
-        rows = zip(*(_column_strings(c, _json_floats) for c in columns))
+        rows = zip(*(_column_strings(c, _json_floats, _json_word) for c in columns))
         body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
         body = "[\n    [\n      " + body + "\n    ]\n  ]" if body else "[]"
         payload = _payload(args, header, json_payload)
@@ -129,7 +118,7 @@ def _emit_columns(args, header, columns, json_payload=None):
         head, tail = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_ROWS))
         text = head + body + tail + "\n"
     else:
-        rows = zip(*(_column_strings(c, _csv_floats) for c in columns))
+        rows = zip(*(_column_strings(c, _csv_floats, _csv_word) for c in columns))
         text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
     _write(args, text)
 
@@ -155,17 +144,6 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_val(v):
-    # bool before int: bool is a subclass of int
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return v
 
 
 def _grid_sizes(spec: str):
@@ -203,7 +181,7 @@ def cmd_validate(args) -> int:
         spec.tol_cond4 = args.tol_cond4
     report = builder.validate_chart(g, spec)
     items = sorted(report.as_dict().items())
-    _emit(args, [k for k, _ in items], [[v for _, v in items]])
+    _emit(args, [k for k, _ in items], [[v] for _, v in items])
     return 0 if report.passed else 2
 
 
@@ -230,14 +208,10 @@ def cmd_curvature(args) -> int:
         vals = _floats(spec)
         if len(vals) != 4:
             raise ImcvfError(f"bad point {spec!r}, expected 't,r,th,ph'")
-        p = CoordinatePoint(*vals)
-        pack = curvature_pack(g, p)
-        row = list(vals) + [pack.scalar]
-        for _, attr in comps:
-            m = getattr(pack, attr)
-            row += [m[i, j] for i, j in idx]
-        rows.append(row)
-    _emit(args, header, rows)
+        pack = curvature_pack(g, CoordinatePoint(*vals))
+        rows.append(vals + [pack.scalar] + [getattr(pack, attr)[i, j]
+                                            for _, attr in comps for i, j in idx])
+    _emit(args, header, list(np.array(rows, dtype=float).T))
     return 0
 
 
@@ -252,7 +226,7 @@ def cmd_hawking(args) -> int:
     jobs = [_sphere_pool().submit(one, r) for r in radii]
     wait(jobs)
     masses = [job.result() for job in jobs]
-    _emit(args, ["r", "m_H"], [[r, m] for r, m in zip(radii, masses)])
+    _emit(args, ["r", "m_H"], [radii, masses])
     return 0
 
 
@@ -261,8 +235,7 @@ def cmd_meancurv(args) -> int:
     n_theta, n_phi = _grid_sizes(args.grid)
     grid = SphereGrid(args.t, args.r, n_theta, n_phi)
     h_r, h_n, star = mean_curvature_values(g, grid.env(), method=args.method)
-    _emit_columns(args, ["th", "ph", "H_r", "H_n", "star"],
-                  _node_columns(grid) + [h_r, h_n, star])
+    _emit(args, ["th", "ph", "H_r", "H_n", "star"], _node_columns(grid) + [h_r, h_n, star])
     return 0
 
 
@@ -272,7 +245,7 @@ def cmd_steer(args) -> int:
     grid = SphereGrid(args.t, args.r, n_theta, n_phi)
     fd = frame_data(g, grid.env())
     q = steering_parameter(fd)
-    _emit_columns(args, ["th", "ph", "Q"], _node_columns(grid) + [q])
+    _emit(args, ["th", "ph", "Q"], _node_columns(grid) + [q])
     return 0
 
 
@@ -295,15 +268,15 @@ def cmd_straightout(args) -> int:
         if not sol.converged:
             print("Picard iteration did not converge", file=sys.stderr)
             return 3
-        _emit_columns(args, ["th", "ph", "d"], _node_columns(grid) + [sol.d],
-                      {"residual_inf": sol.residual_inf, "iterations": sol.iterations})
+        _emit(args, ["th", "ph", "d"], _node_columns(grid) + [sol.d],
+              {"residual_inf": sol.residual_inf, "iterations": sol.iterations})
         return 0
     out = straight_out_residual(g, grid)
     print(f"route agreement: max difference {out.max_difference:.3e}",
           file=sys.stderr)
-    _emit_columns(args, ["th", "ph", "residual_closed", "residual_direct"],
-                  _node_columns(grid) + [out.closed, out.direct],
-                  {"max_difference": out.max_difference})
+    _emit(args, ["th", "ph", "residual_closed", "residual_direct"],
+          _node_columns(grid) + [out.closed, out.direct],
+          {"max_difference": out.max_difference})
     return 0
 
 
@@ -311,10 +284,8 @@ def cmd_adm(args) -> int:
     factor = parse(args.factor)
     radii = _floats(args.radii)
     res = adm_mass(ConformalMetric3(factor), radii)
-    rows = [[r, v] for r, v in zip(res.radii, res.values)]
-    rows.append(["extrapolated", res.mass])
-    _emit(args, ["r", "adm_integral"], rows, {"mass": res.mass,
-                                              "diverging": bool(res.diverging)})
+    _emit(args, ["r", "adm_integral"], [[*res.radii, "extrapolated"], [*res.values, res.mass]],
+          {"mass": res.mass, "diverging": bool(res.diverging)})
     if res.diverging:
         print("warning: surface integrals diverge with radius", file=sys.stderr)
         return 2
@@ -327,9 +298,7 @@ def cmd_flowscan(args) -> int:
     lo, hi, n = args.r_range.split(":")
     rep = builder.monotonicity_check_spherical(u, v, args.t,
                                                (float(lo), float(hi)), int(n))
-    rows = [[r, m, dm, gtt] for r, m, dm, gtt in
-            zip(rep.r, rep.m_h, rep.dmh_ds, rep.g_tt)]
-    _emit(args, ["r", "m_H", "dmH_ds", "G_tt"], rows,
+    _emit(args, ["r", "m_H", "dmH_ds", "G_tt"], [rep.r, rep.m_h, rep.dmh_ds, rep.g_tt],
           {"identity_err_max": rep.identity_err_max,
            "monotone_ok": bool(rep.monotone_ok)})
     return 0 if rep.monotone_ok else 2
@@ -425,7 +394,7 @@ def main(argv=None) -> int:
     except (ExprSyntaxError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:   # Python float overflow, e.g. r^2 at r = 1e200
+    except ArithmeticError as exc:   # SphereGrid's Python-float r**2 at r = 1e200
         print(f"error: floating-point range: {exc}", file=sys.stderr)
         return 1
     except CompatibilityError as exc:

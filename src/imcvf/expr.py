@@ -271,10 +271,8 @@ def pow_(base, expo):
     if isinstance(base, Lit):
         v = base.value
         if v > 0 or (expo == round(expo) and (v != 0.0 or expo > 0)):
-            try:
-                return Lit(v ** expo)
-            except OverflowError:       # a float result too large is +-inf
-                return Lit(math.copysign(math.inf, v) if expo % 2 == 1 else math.inf)
+            with np.errstate(all="ignore"):     # a result too large is +-inf
+                return Lit(np.power(v, expo))
     return Pow(base, expo)
 
 
@@ -282,12 +280,11 @@ def call(fn, arg):
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
     if isinstance(arg, Lit):
-        return Lit(_SCALAR_FN[fn](arg.value))
+        with np.errstate(all="ignore"):         # inf or nan; the parser rejects both
+            return Lit(_NUMPY_FN[fn](arg.value))
     return Call(fn, arg)
 
 
-_SCALAR_FN = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
-              "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 _NUMPY_FN = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
              "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
 
@@ -375,11 +372,8 @@ class _Parser:
             if not isinstance(expo, Lit):
                 raise ExprSyntaxError("exponent must be a numeric constant", pos,
                                       expected={"constant exponent"})
-            out = pow_(node, expo.value)
-            if isinstance(out, Lit) and math.isinf(out.value) and math.isfinite(node.value):
-                raise ExprSyntaxError("constant power is not a finite number", pos,
-                                      expected={"finite constant"})
-            return out
+            expo = _finite(expo, pos, "exponent", "finite constant")
+            return _finite(pow_(node, expo.value), pos, "constant power", "finite constant")
         return node
 
     def parse_base(self):
@@ -395,11 +389,8 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                try:
-                    return call(value, arg)
-                except (OverflowError, ValueError):
-                    raise ExprSyntaxError(f"{value} of this constant is not finite", pos,
-                                          expected={f"argument of {value}"}) from None
+                return _finite(call(value, arg), pos, f"{value} of this constant",
+                               f"argument of {value}")
             if value in COORDS:
                 return Var(value)
             if value == "pi":
@@ -411,6 +402,14 @@ class _Parser:
                 expected=set(COORDS) | set(FUNCTIONS) | {"pi"} | set(self.params))
         raise ExprSyntaxError(f"expected a value, found {value or 'end of input'!r}",
                               pos, expected={"number", "identifier", "'('", "'-'"})
+
+
+def _finite(node, pos, what, expected):
+    """node, unless it is a constant folded to inf or nan: then an
+    ExprSyntaxError at pos, the offset of the operator or function name."""
+    if isinstance(node, Lit) and not math.isfinite(node.value):
+        raise ExprSyntaxError(f"{what} is not a finite number", pos, expected={expected})
+    return node
 
 
 def parse(source: str, params=None) -> FieldExpr:
@@ -454,11 +453,8 @@ def evaluate(expr, env):
     roots = list(expr)
     point = all(np.ndim(v) == 0 for v in env.values())
     memo, readers = {}, None if point else _reader_counts(roots)
-    return [_result(_ev(e, env, memo, readers)) for e in roots]
-
-
-def _result(out):
-    return float(out) if np.ndim(out) == 0 else out
+    values = [_ev(e, env, memo, readers) for e in roots]
+    return [float(v) for v in values] if point else values
 
 
 def _children(e):
@@ -527,14 +523,14 @@ def _ev(e, env, memo, readers):
             raise EvalDomainError(f"negative base for exponent {k}")
         if k < 0 and np.any(base == 0.0):
             raise EvalDomainError(f"zero base for negative exponent {k}")
-        out = np.power(base, k) if np.ndim(base) else base ** k
+        out = np.power(base, k)
     elif t is Call:
         arg = _ev(e.arg, env, memo, readers)
         if e.fn == "log" and np.any(arg <= 0.0):
             raise EvalDomainError("log of a non-positive value")
         if e.fn == "sqrt" and np.any(arg < 0.0):
             raise EvalDomainError("sqrt of a negative value")
-        out = _NUMPY_FN[e.fn](arg) if np.ndim(arg) else _SCALAR_FN[e.fn](arg)
+        out = _NUMPY_FN[e.fn](arg)
     else:  # pragma: no cover
         raise TypeError(f"not a FieldExpr node: {e!r}")
     memo[key] = out

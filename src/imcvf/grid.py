@@ -270,24 +270,23 @@ class SphereGrid:
         div_th = self._synthesis(self._analysis(fm[:1]), derivative=True)[0] / sth
         return self._grid(div_th + fm[1] * self._phi_factor())
 
-    def laplacian_round(self, f: np.ndarray, radius=None) -> np.ndarray:
-        """Laplace-Beltrami operator of the round sphere of this radius.
+    def laplacian_round(self, f: np.ndarray) -> np.ndarray:
+        """Laplace-Beltrami operator of the round sphere of radius r.
 
         The constant part is removed before analysis, so constants map to
         exactly zero independent of BLAS summation order.
         """
-        radius = self.r if radius is None else radius
         ell = _packing(self.n_theta, self.mmax)[1]
         coef = self._analysis_without_constant(f)
-        eig = -(ell * (ell + 1.0)) / radius**2
+        eig = -(ell * (ell + 1.0)) / self.r**2
         return self._grid(self._synthesis(coef * eig[:, None]))[0]
 
-    def solve_poisson_round(self, rhs: np.ndarray, radius=None) -> np.ndarray:
-        """Mean-zero solution of the round-sphere Poisson equation."""
-        radius = self.r if radius is None else radius
+    def solve_poisson_round(self, rhs: np.ndarray) -> np.ndarray:
+        """Mean-zero solution of the Poisson equation on the round sphere
+        of radius r."""
         ell = _packing(self.n_theta, self.mmax)[1]
         coef = self._analysis(np.fft.rfft(np.asarray(rhs, dtype=float)[None], axis=-1))
-        eig = -(ell * (ell + 1.0)) / radius**2
+        eig = -(ell * (ell + 1.0)) / self.r**2
         coef[0] = 0.0                  # (l, m) = (0, 0): the mean
         eig[0] = 1.0
         return self._grid(self._synthesis(coef / eig[:, None]))[0]

@@ -41,7 +41,7 @@ def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     out["W_r"] = out["a_r"] * b + a * out["b_r"] - 2.0 * c * out["c_r"]
     out["W_th"] = out["a_th"] * b + a * out["b_th"] - 2.0 * c * out["c_th"]
     out["W_ph"] = out["a_ph"] * b + a * out["b_ph"] - 2.0 * c * out["c_ph"]
-    out["det"] = det_from_components(out)
+    out["det"] = det_from_components(out, out["W"])
     out["nn"] = out["det"] / (out["u"] ** 2 * out["W"])
     out["norm_n"] = np.sqrt(-out["nn"])
     return out

@@ -66,7 +66,7 @@ def _frame_exprs(g: BlockMetric) -> dict:
     comps = g.comps
     u = comps["u"]
     w, cf_be, ce_af = cross_terms(comps)
-    lam = call("sqrt", -(u * u) * w / det_from_components(comps))   # 1/||n||, det < 0
+    lam = call("sqrt", -(u * u) * w / det_from_components(comps, w))   # 1/||n||, det < 0
     return {"a": comps["a"], "b": comps["b"], "c": comps["c"], "w": w, "lam": lam,
             "p": cf_be / w, "q": ce_af / w, "x": -comps["d"] / (u * u), "u": u}
 

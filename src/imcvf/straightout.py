@@ -152,9 +152,10 @@ def _laplace_full(grid, fields, x, grad=None):
     return grid.div_tangent(beta_th, beta_ph)
 
 
-def _poisson_solve(grid, fields, rhs, tol, max_iter, floor_tol=None):
+def _poisson_solve(grid, fields, rhs, tol, floor_tol=None):
     """Mean-zero x with div(grad x) = rhs, by round-sphere preconditioned
-    iteration.  Returns (x, residual_inf, iterations).
+    iteration of at most 10 n_theta steps.  Returns (x, residual_inf,
+    iterations).
 
     The residual cannot drop below the band-truncation floor of the metric
     coefficient fields; a stagnated iterate is accepted when it sits under
@@ -165,7 +166,7 @@ def _poisson_solve(grid, fields, rhs, tol, max_iter, floor_tol=None):
     x = grid.mean_zero(grid.solve_poisson_round(rhs), sqrt_gs)
     history = []
     best_x, best = x, np.inf
-    for k in range(max_iter):
+    for k in range(10 * grid.n_theta):
         res = rhs - _laplace_full(grid, fields, x)
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
@@ -198,8 +199,7 @@ def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
     if abs(integral) > 1e-6 * max(scale, 1e-12):
         raise CompatibilityError(
             f"div(alpha) integrates to {integral:.3e}, not compatible")
-    x, rnorm, iters = _poisson_solve(grid, f, div, tol,
-                                     max_iter=10 * grid.n_theta)
+    x, rnorm, iters = _poisson_solve(grid, f, div, tol)
     return HyperbolicAngle(theta_gauge=x, residual_inf=rnorm, iterations=iters)
 
 
@@ -249,7 +249,7 @@ def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
     any second partials of d) are left as the chart gives them."""
     d_th, d_ph = grid.gradient(d)
     out = {**f, "d": d, "d_th": d_th, "d_ph": d_ph}
-    out["det"] = det_from_components(out)
+    out["det"] = det_from_components(out, out["W"])
     return out
 
 
@@ -355,7 +355,7 @@ def _assembled_d_terms(p, fields) -> np.ndarray:
             + p["t11"] + t12 + p["t13"])
 
 
-def assembled_form(g: BlockMetric, grid: SphereGrid, fields) -> np.ndarray:
+def assembled_form(grid: SphereGrid, fields) -> np.ndarray:
     """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
     2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
     through, so the spherically symmetric limit is exactly zero.  fields
@@ -388,7 +388,7 @@ def straight_out_residual(g: BlockMetric, grid: SphereGrid) -> StraightOutResidu
     alpha = connection_one_form(g, grid, fields=f)
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     direct = 2.0 * np.sqrt(-f["W"] * f["det"]) * div
-    closed = assembled_form(g, grid, f)
+    closed = assembled_form(grid, f)
     return StraightOutResidual(closed=closed, direct=direct,
                                max_difference=float(np.max(np.abs(closed - direct))))
 
@@ -458,7 +458,6 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         scale = max(1.0, float(np.max(np.abs(rhs))))
         try:
             x, _, _ = _poisson_solve(grid, f, rhs, tol=1e-9 * scale,
-                                     max_iter=10 * grid.n_theta,
                                      floor_tol=2e-7 * scale)
         except ConvergenceError as exc:
             sol.poisson_history = exc.history

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from imcvf import cli
 from imcvf.chart import COMPONENTS
-from imcvf.cli import SCHEMA, _emit, _emit_columns, _node_columns, main
+from imcvf.cli import SCHEMA, _emit, _node_columns, main
 from imcvf.grid import SphereGrid
 
 from conftest import seed_inputs
@@ -313,6 +313,9 @@ GOLDEN = {
     "straightout": ["straightout", "--grid", "16,32", "--r", "4.7"],
     "straightout_solve": ["straightout", "--grid", "16,32", "--r", "4.7", "--solve"],
     "hawking": ["hawking", "--grid", "16,32", "--r", "2,3.5,5,8"],
+    "validate": ["validate"],
+    "curvature": ["curvature", "--points", "0,2,1,0.5;0,3.5,0.7,2;0,6,2.2,4.5"],
+    "flowscan": ["flowscan", "--r-range", "1.5:10:16"],
 }
 
 
@@ -341,29 +344,23 @@ def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
-@pytest.mark.parametrize("as_json", [False, True])
-def test_column_output_equals_row_output(as_json, capsys):
-    """Grid commands format whole rows from float columns; the text must be
-    what the per-cell row path prints, special values included."""
-    cols = [np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 1 / 3, -2.5e-310]),
-            np.linspace(-1.0, 1.0, 8)]
-    args = argparse.Namespace(json=as_json, out=None, command="meancurv")
-    _emit(args, ["x", "y"], [[c[i] for c in cols] for i in range(8)])
-    by_rows = capsys.readouterr().out
-    _emit_columns(args, ["x", "y"], cols)
-    assert capsys.readouterr().out == by_rows
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v if isinstance(v, str) else "%.17g" % v
 
 
 def _row_text(args, header, columns, payload):
-    """The row-at-a-time text: a %.17g template per CSV row, or json.dumps
-    of the whole payload."""
-    rows = list(zip(*(np.asarray(c, dtype=float).ravel().tolist() for c in columns)))
+    """The row-at-a-time text: %.17g per float CSV cell, true/false per
+    boolean and the raw text per label, or json.dumps of the whole payload.
+    A list column is taken cell by cell, an array column as floats."""
+    rows = list(zip(*(c if isinstance(c, list) else np.ravel(c).astype(float).tolist()
+                      for c in columns)))
     if args.json:
         doc = {"schema": SCHEMA, "command": args.command, "columns": list(header),
                "rows": rows, **(payload or {})}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    template = ",".join(["%.17g"] * len(header))
-    return "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
+    return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]) + "\n"
 
 
 @pytest.mark.parametrize("as_json", [False, True])
@@ -385,7 +382,27 @@ def test_column_writer_matches_row_text(as_json, command, header, payload, capsy
         values[1] = np.repeat([0.1, -0.0, 2.0, np.nan], values[1].size // 4).reshape(shape)
     columns = _node_columns(grid) + list(values)
     args = argparse.Namespace(json=as_json, out=None, command=command)
-    _emit_columns(args, header, columns, payload)
+    _emit(args, header, columns, payload)
+    assert capsys.readouterr().out == _row_text(args, header, columns, payload)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command,header,columns,payload", [
+    ("validate", ["cond3_max", "degenerate", "passed", "tol_cond3"],
+     [[np.float64(9.1e-13)], [False], [True], [1e-10]], None),
+    ("adm", ["r", "adm_integral"],
+     [[*np.array([10.0, 20.0, 40.0]), "extrapolated"],
+      [*np.array([0.5, -0.0, np.nan]), np.inf]],
+     {"mass": 0.49, "diverging": True}),
+    ("validate", ["h_n_max", "lorentzian_ok"], [[np.nan, 5e-324], [True, False]], None),
+])
+def test_writer_matches_row_text_on_mixed_cells(as_json, command, header, columns, payload,
+                                                capsys):
+    """Short tables whose cells mix floats with booleans (validate) or with
+    a label (adm's extrapolated row): each cell takes its own text, and the
+    bytes are still the row-wise text."""
+    args = argparse.Namespace(json=as_json, out=None, command=command)
+    _emit(args, header, columns, payload)
     assert capsys.readouterr().out == _row_text(args, header, columns, payload)
 
 

@@ -264,10 +264,13 @@ def test_parser_total_on_garbage(source):
 
 
 @pytest.mark.parametrize("source, offset", [
-    ("4^512", 1), ("10^400", 2), ("exp(1000)", 0), ("log(0)", 0), ("sqrt(0-1)", 0)])
+    ("4^512", 1), ("10^400", 2), ("exp(1000)", 0), ("log(0)", 0), ("sqrt(0-1)", 0),
+    ("1e400^2", 5), ("exp(1e400)", 0), ("(0-2)^1e400", 5), ("r^(1e400-1e400)", 1)])
 def test_unfoldable_constant_is_a_syntax_error(source, offset):
-    """Constant folding that overflows or leaves the domain is reported at
-    the operator or function name, never as OverflowError/ValueError."""
+    """Constant folding that overflows, leaves the domain or starts from a
+    literal that is already inf is reported at the operator or function
+    name, never as OverflowError/ValueError and never folded to inf; so is
+    an exponent that is not finite."""
     with pytest.raises(ExprSyntaxError) as info:
         parse(source)
     assert info.value.offset == offset

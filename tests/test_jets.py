@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from imcvf import chart, expr
-from imcvf.chart import FIRST_JETS, BlockMetric, component_jets
+from imcvf.chart import FIRST_JETS, SECOND_JETS, BlockMetric, component_jets
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
@@ -224,11 +224,11 @@ def test_assembled_form_on_compact_jets_is_bitwise(kind, size):
     full = {k: np.array(v) for k, v in fd.items()}
     assert any(0 in v.strides for v in fd.values())
     assert not any(0 in v.strides for v in full.values())
-    closed = assembled_form(g, grid, fd)
-    _same(closed, assembled_form(g, grid, full), size)
+    closed = assembled_form(grid, fd)
+    _same(closed, assembled_form(grid, full), size)
     _same(closed, _one_pass_assembled_form(grid, full), size)
     picard = {**fd, "d_th_th": 0.0, "d_th_ph": 0.0, "d_ph_ph": 0.0}
-    _same(assembled_form(g, grid, picard), _one_pass_assembled_form(grid, picard), size)
+    _same(assembled_form(grid, picard), _one_pass_assembled_form(grid, picard), size)
 
 
 def test_d_free_stage_keeps_separable_factors_compact():
@@ -299,3 +299,35 @@ def test_evaluate_sequence_shares_one_memo(monkeypatch):
     assert len(visits) == n_one + 1              # the second root is one memo hit
     assert np.array_equal(two[0], one[0]) and two[1] is two[0]
 
+
+# ---------------------------------------------------------------------------
+# one numeric path: a point is a grid of one node
+# ---------------------------------------------------------------------------
+
+def _point_and_node(exprs, point):
+    """The expressions at a point (scalar env) and on the same point as a
+    grid of one node (1-element array env), as float64 arrays."""
+    at_point = evaluate(exprs, point)
+    on_node = evaluate(exprs, {k: np.array([v]) for k, v in point.items()})
+    return (np.array(at_point, dtype=float),
+            np.array([np.broadcast_to(v, (1,))[0] for v in on_node], dtype=float))
+
+
+def test_point_evaluation_equals_one_node_grid_bitwise(seed_charts):
+    """Every jet the curvature uses, at random points of the twelve seeds:
+    a scalar env takes the same numpy functions as an array env, so the
+    values agree bit for bit (signed zeros and nan payloads included)."""
+    rng = np.random.default_rng(5)
+    keys = FIRST_JETS + SECOND_JETS
+    for _, _, g in seed_charts:
+        exprs = [g.deriv(*k.split("_")) for k in keys]
+        for t, r, th, ph in rng.uniform([-1.0, 1.5, 0.1, 0.0], [1.0, 8.0, 3.0, 6.28], (10, 4)):
+            point, node = _point_and_node(exprs, {"t": t, "r": r, "th": th, "ph": ph})
+            assert point.tobytes() == node.tobytes()
+
+
+@pytest.mark.parametrize("source, r", [("exp(r)", 1000.0), ("r^2", 1e200)])
+def test_overflow_at_a_point_is_inf_as_on_a_grid(source, r):
+    with np.errstate(over="ignore"):
+        point, node = _point_and_node([parse(source)], {"r": r})
+    assert point.tobytes() == node.tobytes() and point[0] == np.inf
