@@ -38,8 +38,9 @@ class ConformalMetric3:
         return np.asarray(evaluate(diff(self.u3, "r"),
                                    {"r": np.asarray(r, dtype=float)}))
 
-    def asymptotically_flat(self, r_check: float = 1e6, tol: float = 1e-3) -> bool:
-        return abs(float(self.factor(r_check)) - 1.0) <= tol
+    def asymptotically_flat(self) -> bool:
+        """Whether u(1e6) is within 1e-3 of 1."""
+        return abs(float(self.factor(1e6)) - 1.0) <= 1e-3
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,13 @@ def _extrapolate(radii, values):
     return float(coef[0])
 
 
-def adm_mass(g3: ConformalMetric3, radii, n_theta: int = 16, n_phi: int = 32) -> AdmResult:
+def _sphere_flux(r, value):
+    """Quadrature over the Euclidean r-sphere (16 x 32 nodes) of a value
+    constant on it."""
+    return SphereGrid(0.0, float(r), 16, 32).integrate(np.full((16, 32), value) * r**2)
+
+
+def adm_mass(g3: ConformalMetric3, radii) -> AdmResult:
     """ADM surface integral at each radius plus the extrapolated limit.
 
     For g_ij = u^4 delta_ij the Cartesian derivatives reduce by the chain
@@ -70,14 +77,8 @@ def adm_mass(g3: ConformalMetric3, radii, n_theta: int = 16, n_phi: int = 32) ->
     Euclidean area element and divided by 16 pi.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    values = []
-    for r in radii:
-        grid = SphereGrid(0.0, float(r), n_theta, n_phi)
-        u = g3.factor(r)
-        du = g3.dfactor(r)
-        integrand = np.full((n_theta, n_phi), -8.0 * u**3 * du)
-        values.append(grid.integrate(integrand * r**2) / (16.0 * np.pi))
-    values = np.asarray(values)
+    values = np.asarray([_sphere_flux(r, -8.0 * g3.factor(r) ** 3 * g3.dfactor(r))
+                         / (16.0 * np.pi) for r in radii])
     growth = np.abs(values[1:]) - np.abs(values[:-1])
     diverging = bool(values.size >= 3 and np.all(growth > 0)
                      and np.abs(values[-1]) > 2.0 * np.abs(values[0]))
@@ -85,18 +86,13 @@ def adm_mass(g3: ConformalMetric3, radii, n_theta: int = 16, n_phi: int = 32) ->
                      mass=_extrapolate(radii, values), diverging=diverging)
 
 
-def adm_conformal_delta(u3: FieldExpr, radii, n_theta: int = 16, n_phi: int = 32) -> float:
+def adm_conformal_delta(u3: FieldExpr, radii) -> float:
     """Mass shift of the conformal transformation: the limit of
     -(1/2 pi) times the flux of du/dr through large coordinate spheres."""
     g3 = ConformalMetric3(u3)
     radii = np.sort(np.asarray(radii, dtype=float))
-    values = []
-    for r in radii:
-        grid = SphereGrid(0.0, float(r), n_theta, n_phi)
-        du = g3.dfactor(r)
-        flux = grid.integrate(np.full((n_theta, n_phi), du) * r**2)
-        values.append(-flux / (2.0 * np.pi))
-    return _extrapolate(radii, values)
+    return _extrapolate(radii, [-_sphere_flux(r, g3.dfactor(r)) / (2.0 * np.pi)
+                                for r in radii])
 
 
 def conformal_sphere_mean_curvature(u3: FieldExpr, r: float) -> float:

@@ -11,16 +11,15 @@ the trace-formula mean curvature as independent residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import (BlockMetric, ChartFile, DEFAULT_THETA_MIN, _as_expr, component_jets,
-                    cross_terms)
+from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, diff, evaluate, parse, var, call
-from .sphere import mean_curvature_values, star_values, surface_fields
+from .sphere import _trace_mean_curvature, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
            "ValidationSpec", "validate_chart", "imcvf_flow_param",
@@ -50,15 +49,13 @@ def solve_d(a, b, c, e, f, u) -> FieldExpr:
     return -(u**2 / (4.0 * r**3 * sth**2)) * bracket
 
 
-def complete_chart(*, a, c, e, f, u, v,
-                   theta_min: float = DEFAULT_THETA_MIN) -> BlockMetric:
+def complete_chart(*, a, c, e, f, u, v) -> BlockMetric:
     """Build a full chart from the six free functions: b is derived from the
     area constraint (exactly), d from solve_d."""
     a, c, e, f, u, v = (_as_expr(x) for x in (a, c, e, f, u, v))
     b = (parse("r^4*sin(th)^2") + c * c) / a
     d = solve_d(a, b, c, e, f, u)
-    return BlockMetric(v=v, d=d, e=e, f=f, u=u, a=a, b=b, c=c,
-                       theta_min=theta_min)
+    return BlockMetric(v=v, d=d, e=e, f=f, u=u, a=a, b=b, c=c)
 
 
 def complete_chart_file(cf: ChartFile) -> BlockMetric:
@@ -75,23 +72,14 @@ def complete_chart_file(cf: ChartFile) -> BlockMetric:
 
 @dataclass
 class ValidationSpec:
-    """Sampling plan and tolerances for chart validation."""
+    """Time slice, radii and tolerances for chart validation.  No radii
+    means eight in geometric steps from 1 to 10; each sphere is sampled on
+    16 theta by 8 phi nodes, and |H_n| is held to 1e-8."""
 
     t: float = 0.0
     r_values: tuple = ()
-    n_theta: int = 16
-    n_phi: int = 8
-    n_r: int = 8
-    r_min: float = 1.0
-    r_max: float = 10.0
     tol_cond3: float = 1e-10
     tol_cond4: float = 1e-8
-    tol_h_n: float = 1e-8
-
-    def radii(self):
-        if self.r_values:
-            return np.asarray(self.r_values, dtype=float)
-        return np.geomspace(self.r_min, self.r_max, self.n_r)
 
 
 @dataclass
@@ -101,6 +89,7 @@ class ChartReport:
     Conditions (1) and (2) are identically zero by the block layout and
     recorded as such; (3) is the area-form constraint, (4) the tangency
     obstruction, cross-checked by the trace-formula normal component.
+    tolerances holds the bounds passed applies to cond3, cond4 and h_n.
     degenerate marks a chart whose sphere metric has ab - c^2 <= 0 at some
     sampled node; the residuals that need the normal frame are then NaN."""
 
@@ -111,15 +100,15 @@ class ChartReport:
     h_n_max: float
     h_r_err_max: float
     lorentzian_ok: bool
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict
     degenerate: bool = False
 
     @property
     def passed(self) -> bool:
         return (not self.degenerate and self.lorentzian_ok
-                and self.cond3_max <= self.tolerances.get("cond3", 1e-10)
-                and self.cond4_max <= self.tolerances.get("cond4", 1e-8)
-                and self.h_n_max <= self.tolerances.get("h_n", 1e-8))
+                and self.cond3_max <= self.tolerances["cond3"]
+                and self.cond4_max <= self.tolerances["cond4"]
+                and self.h_n_max <= self.tolerances["h_n"])
 
     def as_dict(self) -> dict:
         return {"cond1_max": self.cond1_max, "cond2_max": self.cond2_max,
@@ -135,15 +124,15 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None) -> ChartR
     Returns a report; nothing is raised on failure, the report carries it.
     """
     spec = spec or ValidationSpec()
-    radii = spec.radii()
-    theta = np.linspace(g.theta_min, math.pi - g.theta_min, spec.n_theta)
-    phi = np.linspace(0.0, 2 * math.pi, spec.n_phi, endpoint=False)
+    radii = np.asarray(spec.r_values or np.geomspace(1.0, 10.0, 8), dtype=float)
+    theta = np.linspace(g.theta_min, math.pi - g.theta_min, 16)
+    phi = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
     # separable sample grid: radii x theta x phi as (R,1,1), (1,n,1), (1,1,m)
     rr = radii[:, None, None]
     env = {"t": np.full((1, 1, 1), spec.t), "r": rr, "th": theta[None, :, None],
            "ph": phi[None, None, :]}
     r4s2 = rr**4 * np.sin(env["th"]) ** 2
-    tolerances = {"cond3": spec.tol_cond3, "cond4": spec.tol_cond4, "h_n": spec.tol_h_n}
+    tolerances = {"cond3": spec.tol_cond3, "cond4": spec.tol_cond4, "h_n": 1e-8}
 
     try:
         fields = surface_fields(g, env)
@@ -157,7 +146,7 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None) -> ChartR
     cond3 = np.max(np.abs(fields["W"] - r4s2))
     star = star_values(g, env, fields=fields)
     cond4 = float(np.max(np.abs(star)))
-    h_r, h_n, _ = mean_curvature_values(g, env, method="trace", fields=fields)
+    h_r, h_n = _trace_mean_curvature(fields)
     h_n_max = float(np.max(np.abs(h_n)))
     h_r_err = float(np.max(np.abs(h_r - (-2.0 / (rr * fields["u"])))))
     lorentzian = bool(np.all(fields["u"] > 0) and np.all(fields["v"] > 0)
@@ -199,13 +188,13 @@ class MonotonicityReport:
 
 
 def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
-                                 n: int = 64, fd_step: float = 1e-4) -> MonotonicityReport:
+                                 n: int = 64) -> MonotonicityReport:
     """Hawking mass along the radial flow of the u, v chart.
 
     Samples m_H = (r/2)(1 - 1/u^2), its derivative in the flow parameter
-    (centered difference, r^2 = e^s), and G_tt; verifies the pointwise
-    identity  dm_H/ds (exact) = (r/2)(r^2/(2 v^2)) G_tt  and flags any
-    sample with G_tt >= 0 but decreasing mass.
+    (centered difference of step 1e-4 in s, r^2 = e^s), and G_tt; verifies
+    the pointwise identity  dm_H/ds (exact) = (r/2)(r^2/(2 v^2)) G_tt  and
+    flags any sample with G_tt >= 0 but decreasing mass.
     """
     u, v = _as_expr(u), _as_expr(v)
     radii = np.linspace(r_range[0], r_range[1], n)
@@ -216,6 +205,7 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
 
     m_h = m_h_at(radii)
     s = 2.0 * np.log(radii)
+    fd_step = 1e-4
     r_up = np.exp((s + fd_step) / 2.0)
     r_dn = np.exp((s - fd_step) / 2.0)
     dmh_ds = (m_h_at(r_up) - m_h_at(r_dn)) / (2.0 * fd_step)

@@ -97,10 +97,9 @@ class SphericalMetric:
         self.u = _as_expr(u)
         self.v = _as_expr(v)
 
-    def block(self, theta_min: float = DEFAULT_THETA_MIN) -> BlockMetric:
+    def block(self) -> BlockMetric:
         return BlockMetric(v=self.v, d=0.0, e=0.0, f=0.0, u=self.u,
-                           a=parse("r^2"), b=parse("r^2*sin(th)^2"), c=0.0,
-                           theta_min=theta_min)
+                           a=parse("r^2"), b=parse("r^2*sin(th)^2"), c=0.0)
 
 
 def _as_expr(x) -> FieldExpr:

@@ -170,15 +170,8 @@ def _load_metric(path) -> BlockMetric:
 
 def cmd_validate(args) -> int:
     g = _load_metric(args.chart)
-    spec = builder.ValidationSpec()
-    if args.r_values:
-        spec.r_values = tuple(_floats(args.r_values))
-    if args.t is not None:
-        spec.t = args.t
-    if args.tol_cond3:
-        spec.tol_cond3 = args.tol_cond3
-    if args.tol_cond4:
-        spec.tol_cond4 = args.tol_cond4
+    spec = builder.ValidationSpec(t=args.t, r_values=tuple(_floats(args.r_values)),
+                                  tol_cond3=args.tol_cond3, tol_cond4=args.tol_cond4)
     report = builder.validate_chart(g, spec)
     items = sorted(report.as_dict().items())
     _emit(args, [k for k, _ in items], [[v] for _, v in items])
@@ -327,10 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the four chart conditions")
     common(p, grid=False)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--r-values", help="comma-separated radii")
-    p.add_argument("--tol-cond3", type=float)
-    p.add_argument("--tol-cond4", type=float)
+    spec = builder.ValidationSpec
+    p.add_argument("--t", type=float, default=spec.t)
+    p.add_argument("--r-values", default="", help="comma-separated radii")
+    p.add_argument("--tol-cond3", type=float, default=spec.tol_cond3)
+    p.add_argument("--tol-cond4", type=float, default=spec.tol_cond4)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="solve for the d component")

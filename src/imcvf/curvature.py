@@ -36,7 +36,6 @@ class ConnectionCoefficients:
     """Gamma^k_ij at one point, stored as gamma[k, i, j]."""
 
     gamma: np.ndarray
-    point: CoordinatePoint
 
     def __getitem__(self, kij):
         k, i, j = (_IDX.get(x, x) for x in kij)
@@ -50,7 +49,6 @@ class CurvaturePack:
     ricci: np.ndarray
     scalar: float
     einstein: np.ndarray
-    point: CoordinatePoint
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def christoffel_values(g: BlockMetric, env) -> np.ndarray:
 
 def christoffel(g: BlockMetric, p: CoordinatePoint) -> ConnectionCoefficients:
     """Connection coefficients at a point, symmetric in the lower indices."""
-    return ConnectionCoefficients(christoffel_values(g, p.env()), p)
+    return ConnectionCoefficients(christoffel_values(g, p.env()))
 
 
 def curvature_values(g: BlockMetric, env) -> dict:
@@ -176,7 +174,7 @@ def curvature_values(g: BlockMetric, env) -> dict:
 def curvature_pack(g: BlockMetric, p: CoordinatePoint) -> CurvaturePack:
     out = curvature_values(g, p.env())
     return CurvaturePack(ricci=out["ricci"], scalar=float(out["scalar"]),
-                         einstein=out["einstein"], point=p)
+                         einstein=out["einstein"])
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,6 @@ class FieldExpr:
     def __pow__(self, expo):
         return pow_(self, expo)
 
-    def __call__(self, **coords):
-        return evaluate(self, coords)
-
-    def diff(self, v: str) -> "FieldExpr":
-        return diff(self, v)
-
     def __repr__(self):
         return f"FieldExpr({to_source(self)!r})"
 
@@ -259,10 +253,10 @@ def neg(a):
 
 
 def pow_(base, expo):
-    if isinstance(expo, FieldExpr):
-        if not isinstance(expo, Lit):
-            raise ValueError("exponent must be a numeric constant")
+    if isinstance(expo, Lit):
         expo = expo.value
+    if isinstance(expo, FieldExpr) or not math.isfinite(expo):
+        raise ValueError("exponent must be a finite numeric constant")
     expo = float(expo)
     if expo == 0.0:
         return ONE
@@ -321,6 +315,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.params = params or {}
+        self.huge = []      # offsets of number tokens beyond floating-point range
 
     def peek(self):
         return self.tokens[self.i]
@@ -379,6 +374,8 @@ class _Parser:
     def parse_base(self):
         kind, value, pos = self.take()
         if kind == "num":
+            if not math.isfinite(float(value)):
+                self.huge.append((pos, value))
             return Lit(float(value))
         if kind == "op" and value == "(":
             node = self.parse_expr()
@@ -419,13 +416,19 @@ def parse(source: str, params=None) -> FieldExpr:
     Raises ExprSyntaxError (with byte offset and the expected-token set) on
     malformed input and on constant subexpressions that cannot be folded
     to a finite number (``4^512``, ``log(0)``; the offset is that of the
-    operator or function name), UnknownIdentifierError on unresolved names.
+    operator or function name) and on a number beyond floating-point range
+    that no such operator reports (``1e400*r``; the offset is the number's),
+    UnknownIdentifierError on unresolved names.
     """
     parser = _Parser(_tokenize(source), params)
     node = parser.parse_expr()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {value!r}", pos, expected={"end of input"})
+    if parser.huge:
+        pos, value = parser.huge[0]
+        raise ExprSyntaxError(f"number {value!r} is beyond floating-point range", pos,
+                              expected={"finite number"})
     return node
 
 

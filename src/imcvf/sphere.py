@@ -66,7 +66,6 @@ class SphereFrame:
 
     g_s: np.ndarray          # 2x2 induced metric [[a, c], [c, b]]
     g_s_inv: np.ndarray
-    det_gs: float
     n: np.ndarray            # un-normalized timelike normal, components (t,r,th,ph)
     nn: float                # <n, n> < 0
     e_r: np.ndarray          # (1/u) d_r
@@ -85,7 +84,7 @@ def sphere_frame(g: BlockMetric, node: CoordinatePoint) -> SphereFrame:
     nn = float(f["nn"])
     e_r = np.array([0.0, 1.0 / float(f["u"]), 0.0, 0.0])
     e_n = n / np.sqrt(-nn)
-    return SphereFrame(g_s=g_s, g_s_inv=g_s_inv, det_gs=w, n=n, nn=nn,
+    return SphereFrame(g_s=g_s, g_s_inv=g_s_inv, n=n, nn=nn,
                        e_r=e_r, e_n=e_n)
 
 
@@ -162,29 +161,29 @@ def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
     method 'closed' uses the radial closed form -2/(r u) (valid when
     ab - c^2 = r^4 sin^2 th) and the star formula for H_n; method 'trace'
     contracts the second fundamental form with generic Christoffels and is
-    the independent oracle; 'auto' picks 'closed' only when the area
-    constraint holds on the given nodes.
+    the independent oracle.
     """
     f = fields if fields is not None else surface_fields(g, env)
     star = star_values(g, env, fields=f)
-    if method == "auto":
-        r4s2 = (np.asarray(env["r"], dtype=float) ** 4
-                * np.sin(np.asarray(env["th"], dtype=float)) ** 2)
-        ok = np.max(np.abs(f["W"] - r4s2) / r4s2) <= 1e-10
-        method = "closed" if ok else "trace"
-    if method == "closed":
-        h_r = -2.0 / (np.asarray(env["r"], dtype=float) * f["u"])
-        h_n = (1.0 / f["u"]) * np.sqrt(-f["det"]) / f["W"] ** 1.5 * star
-        return h_r, h_n, star
-    if method != "trace":
+    if method == "trace":
+        return (*_trace_mean_curvature(f), star)
+    if method != "closed":
         raise ValueError(f"unknown method {method!r}")
+    h_r = -2.0 / (np.asarray(env["r"], dtype=float) * f["u"])
+    h_n = (1.0 / f["u"]) * np.sqrt(-f["det"]) / f["W"] ** 1.5 * star
+    return h_r, h_n, star
+
+
+def _trace_mean_curvature(f) -> tuple:
+    """(H_r, H_n) by the generic trace formula from the surface_fields dict
+    f; it forms no star, so the closed form it checks stays out of it."""
     gt, gr = _tangent_christoffel(f)
     # <nabla_i d_j, e_r> = (1/u)(Gamma^t_ij d + Gamma^r_ij u^2)
     s_r = gs_trace(f, *(t * f["d"] + r * f["u"] ** 2
                         for t, r in zip(gt, gr))) / f["W"] / f["u"]
     # <nabla_i d_j, e_n> = Gamma^t_ij <d_t, n>/||n|| = -Gamma^t_ij ||n||
     s_n = gs_trace(f, *gt) / f["W"] * (-f["norm_n"])
-    return s_r, -s_n, star
+    return s_r, -s_n
 
 
 def _tangent_christoffel(f) -> tuple:
@@ -204,9 +203,15 @@ def _tangent_christoffel(f) -> tuple:
     return tuple(tuple(raise_sum(row, p) for p in lowered) for row in ginv)
 
 
-def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint,
-                          method: str = "auto") -> MeanCurvatureDecomp:
-    h_r, h_n, star = mean_curvature_values(g, node.env(), method=method)
+def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint) -> MeanCurvatureDecomp:
+    """H at a node: the closed form where the area constraint
+    ab - c^2 = r^4 sin^2 th holds there (to 1e-10 relative), the trace
+    formula otherwise."""
+    env = node.env()
+    f = surface_fields(g, env)
+    r4s2 = node.r ** 4 * np.sin(node.th) ** 2
+    closed = abs(f["W"] - r4s2) / r4s2 <= 1e-10
+    h_r, h_n, star = mean_curvature_values(g, env, "closed" if closed else "trace", fields=f)
     return MeanCurvatureDecomp(H_r=float(h_r), H_n=float(h_n), star=float(star))
 
 
@@ -234,11 +239,11 @@ def generalized_flow_radial_residual(m: MeanCurvatureDecomp, beta: float) -> flo
 # Hawking mass and surface integrals
 # ---------------------------------------------------------------------------
 
-def hawking_mass(g: BlockMetric, grid: SphereGrid, method: str = "trace") -> float:
-    """sqrt(|S|/16 pi) (1 - (1/16 pi) integral of <H,H> dA) by quadrature."""
-    env = grid.env()
-    fields = surface_fields(g, env)
-    h_r, h_n, _ = mean_curvature_values(g, env, method=method, fields=fields)
+def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
+    """sqrt(|S|/16 pi) (1 - (1/16 pi) integral of <H,H> dA) by quadrature,
+    with H from the trace formula."""
+    fields = surface_fields(g, grid.env())
+    h_r, h_n = _trace_mean_curvature(fields)
     hh = h_r**2 - h_n**2
     sqrt_gs = np.sqrt(fields["W"])
     area = grid.integrate_area(np.ones_like(hh), sqrt_gs)
@@ -265,9 +270,7 @@ def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.nd
 def first_variation_area_check(g: BlockMetric, grid: SphereGrid) -> float:
     """Max residual of 2 H_{e_r} (ab - c^2) - e_r(ab - c^2) over the grid,
     where H_{e_r} = -<H, e_r> from the trace formula."""
-    env = grid.env()
-    f = surface_fields(g, env)
-    h_r, _, _ = mean_curvature_values(g, env, method="trace", fields=f)
-    h_er = -h_r
+    f = surface_fields(g, grid.env())
+    h_er = -_trace_mean_curvature(f)[0]
     e_r_w = f["W_r"] / f["u"]
     return float(np.max(np.abs(2.0 * h_er * f["W"] - e_r_w)))

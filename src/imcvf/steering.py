@@ -21,7 +21,7 @@ import numpy as np
 from .chart import BlockMetric, cross_terms, det_from_components, field_jets
 from .errors import NotAreaExpandingError
 from .expr import COORDS, call, diff
-from .sphere import gs_trace, mean_curvature_values
+from .sphere import _trace_mean_curvature, gs_trace, surface_fields
 
 __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
            "tangentiality_residual", "minimal_surface_lemma_check",
@@ -34,7 +34,7 @@ class FrameData:
 
     The commutator coefficients are named C_<out>_<i><j> for [alpha_i,
     alpha_j] = C^out_ij alpha_out; the radial ones C^th_rth and C^ph_rph
-    vanish identically in this realization and are recorded as zeros.
+    vanish identically in this realization and are not stored.
     """
 
     a: np.ndarray
@@ -53,8 +53,6 @@ class FrameData:
     er_a: np.ndarray
     er_b: np.ndarray
     er_c: np.ndarray
-    C_th_rth: float = 0.0
-    C_ph_rph: float = 0.0
 
     @property
     def area_expanding(self) -> bool:
@@ -163,5 +161,5 @@ def steered_normal_component(fd: FrameData, q):
 def trace_h_er(g: BlockMetric, env, fields=None):
     """H_{e_r} = -<H, e_r> from the generic trace formula (for the lemma
     check against frame data)."""
-    h_r, _, _ = mean_curvature_values(g, env, method="trace", fields=fields)
-    return -h_r
+    f = fields if fields is not None else surface_fields(g, env)
+    return -_trace_mean_curvature(f)[0]

@@ -27,7 +27,7 @@ from .chart import BlockMetric, compact_base, det_from_components
 from .errors import CompatibilityError, ConvergenceError, \
     NonSpacelikeMeanCurvatureError
 from .grid import SphereGrid
-from .sphere import gs_laplacian_coefficients, gs_trace, mean_curvature_values, \
+from .sphere import _trace_mean_curvature, gs_laplacian_coefficients, gs_trace, \
     surface_fields
 
 __all__ = ["ConnectionOneForm", "HyperbolicAngle", "connection_one_form",
@@ -39,12 +39,11 @@ __all__ = ["ConnectionOneForm", "HyperbolicAngle", "connection_one_form",
 
 @dataclass(frozen=True)
 class ConnectionOneForm:
-    """Components (alpha_th, alpha_ph) on the grid, for the named unit
-    spacelike normal (e_r unless rotated)."""
+    """Components (alpha_th, alpha_ph) on the grid of the one-form of a
+    unit spacelike normal (e_r, or e_r rotated)."""
 
     alpha_th: np.ndarray
     alpha_ph: np.ndarray
-    normal: str = "e_r"
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,12 @@ def one_form_energy(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
 
 
 def rotate_one_form(grid: SphereGrid, alpha: ConnectionOneForm,
-                    chi: np.ndarray, normal="rotated") -> ConnectionOneForm:
+                    chi: np.ndarray) -> ConnectionOneForm:
     """One-form after a hyperbolic rotation of the normal by angle chi:
     alpha - d(chi)."""
     chi_th, chi_ph = grid.gradient(chi)
     return ConnectionOneForm(alpha_th=alpha.alpha_th - chi_th,
-                             alpha_ph=alpha.alpha_ph - chi_ph, normal=normal)
+                             alpha_ph=alpha.alpha_ph - chi_ph)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,9 @@ def _poisson_solve(grid, fields, rhs, tol, floor_tol=None):
 
 
 def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
-                   tol: float = 1e-7, fields=None) -> HyperbolicAngle:
-    """Rotation angle solving  Lap_{g_S}(chi) = div(alpha), mean zero.
+                   fields=None) -> HyperbolicAngle:
+    """Rotation angle solving  Lap_{g_S}(chi) = div(alpha), mean zero, to a
+    sup-norm residual of 1e-7.
 
     Solvability requires the divergence to integrate to zero; violations
     beyond 1e-6 * |alpha| raise CompatibilityError.  After the rotation the
@@ -199,7 +199,7 @@ def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
     if abs(integral) > 1e-6 * max(scale, 1e-12):
         raise CompatibilityError(
             f"div(alpha) integrates to {integral:.3e}, not compatible")
-    x, rnorm, iters = _poisson_solve(grid, f, div, tol)
+    x, rnorm, iters = _poisson_solve(grid, f, div, 1e-7)
     return HyperbolicAngle(theta_gauge=x, residual_inf=rnorm, iterations=iters)
 
 
@@ -207,24 +207,20 @@ def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
 # time-flat predicate
 # ---------------------------------------------------------------------------
 
-def is_time_flat(g: BlockMetric, grid: SphereGrid, alpha_h=None,
-                 tol: float = 1e-7):
+def is_time_flat(g: BlockMetric, grid: SphereGrid, tol: float = 1e-7):
     """Whether div of the mean-curvature one-form vanishes (sup-norm test).
 
-    alpha_h is the one-form of nu_H = -H/|H|; when omitted it is computed
-    from the chart by hyperbolically rotating the e_r one-form by
-    artanh(H_n / H_r).  Requires a spacelike mean curvature vector.
+    The one-form of nu_H = -H/|H| is the e_r one-form hyperbolically
+    rotated by artanh(H_n / H_r), with H from the trace formula.  Requires
+    a spacelike mean curvature vector.
     """
-    env = grid.env()
-    f = surface_fields(g, env)
-    if alpha_h is None:
-        h_r, h_n, _ = mean_curvature_values(g, env, method="trace", fields=f)
-        if np.any(np.abs(h_r) <= np.abs(h_n)):
-            raise NonSpacelikeMeanCurvatureError(
-                "mean curvature vector is not spacelike on the sphere")
-        chi = np.arctanh(h_n / h_r)
-        alpha_h = rotate_one_form(grid, connection_one_form(g, grid, fields=f),
-                                  chi, normal="nu_H")
+    f = surface_fields(g, grid.env())
+    h_r, h_n = _trace_mean_curvature(f)
+    if np.any(np.abs(h_r) <= np.abs(h_n)):
+        raise NonSpacelikeMeanCurvatureError(
+            "mean curvature vector is not spacelike on the sphere")
+    alpha_h = rotate_one_form(grid, connection_one_form(g, grid, fields=f),
+                              np.arctanh(h_n / h_r))
     div, _ = divergence_alpha(g, grid, alpha_h, fields=f)
     sup = float(np.max(np.abs(div)))
     return sup <= tol, sup
@@ -413,10 +409,10 @@ class StraightOutSolution:
     poisson_history: list = field(default_factory=list)
 
 
-def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
-                         tol: float = 1e-8, max_iter: int = 200,
+def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, max_iter: int = 200,
                          compat_tol: float = 1e-6) -> StraightOutSolution:
-    """Picard iteration  Lap(d_{k+1}) = -G(d_k, d_k') with G = F/|g_S|.
+    """Picard iteration  Lap(d_{k+1}) = -G(d_k, d_k') with G = F/|g_S|,
+    from d = 0 until an update is at most 1e-8 in sup norm.
 
     The chart's own d component is ignored; iterates live on the grid with
     spectral tangential derivatives and the mean-zero gauge.  A solvability
@@ -439,7 +435,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
                   - (d_free["coef_th"] * fd["d_th"] + d_free["coef_ph"] * fd["d_ph"]))
         return f_only / f["W"]
 
-    d = np.zeros((grid.n_theta, grid.n_phi)) if d0 is None else np.array(d0, dtype=float)
+    d = np.zeros((grid.n_theta, grid.n_phi))
     sol = StraightOutSolution(d=d, converged=False, compatibility_failed=False,
                               iterations=0)
     prev_update = np.inf
@@ -470,7 +466,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, d0=None,
         prev_update = update
         d = new_d
         sol.iterations = k + 1
-        if update <= tol:
+        if update <= 1e-8:
             fd = _grid_d_data(grid, f, d)
             big_g = big_g_of(fd)
             residual = (_laplace_full(grid, f, d, grad=(fd["d_th"], fd["d_ph"])) + big_g

@@ -4,8 +4,9 @@
 
 Each NAME is a key of GOLDEN in tests/test_cli.py (for example
 ``straightout``).  Only the named files tests/data/ef_16x32_NAME.csv are
-written, each by the argv that test_grid_output_matches_golden_bytes runs,
-on the chart its fixture builds.  For each file it prints how many cells
+written, each by the argv that test_grid_output_matches_golden_bytes runs
+(golden_argv), on the chart its fixture builds; commands that read no
+chart (adm) are not given one.  For each file it prints how many cells
 changed and the largest shift in ulps of the column maximum (|max| of the
 column's old values); it only reports and never refuses to write.
 """
@@ -21,7 +22,7 @@ TESTS = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
 
 from imcvf.cli import main  # noqa: E402
-from test_cli import DATA, GOLDEN, write_ef_chart  # noqa: E402
+from test_cli import DATA, GOLDEN, golden_argv, write_ef_chart  # noqa: E402
 
 
 def _read(path):
@@ -66,11 +67,10 @@ def regenerate(names) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         chart = write_ef_chart(tmp)
         for name in names:
-            command, *rest = GOLDEN[name]
             path = os.path.join(DATA, f"ef_16x32_{name}.csv")
             old = _read(path)
-            if main([command, "--chart", chart, *rest, "--out", path]) != 0:
-                raise SystemExit(f"{name}: {command} failed")
+            if main(golden_argv(name, chart, path)) != 0:
+                raise SystemExit(f"{name}: {GOLDEN[name][0]} failed")
             print(f"wrote {os.path.relpath(path)}: {shift_report(old, _read(path))}")
 
 

@@ -316,7 +316,19 @@ GOLDEN = {
     "validate": ["validate"],
     "curvature": ["curvature", "--points", "0,2,1,0.5;0,3.5,0.7,2;0,6,2.2,4.5"],
     "flowscan": ["flowscan", "--r-range", "1.5:10:16"],
+    "adm": ["adm", "--factor", "1+1/(2*r)", "--radii", "10,20,40,80"],
 }
+
+# golden commands that read no chart file
+CHARTLESS = {"adm"}
+
+
+def golden_argv(name, chart, out) -> list:
+    """The argv that writes golden NAME to out; --chart only for the
+    commands that take one."""
+    command, *rest = GOLDEN[name]
+    return [command, *([] if command in CHARTLESS else ["--chart", chart]), *rest,
+            "--out", out]
 
 
 def write_ef_chart(directory) -> str:
@@ -337,11 +349,21 @@ def ef_chart(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
-    command, *rest = GOLDEN[name]
     out = tmp_path / "out.csv"
-    assert main([command, "--chart", ef_chart, *rest, "--out", str(out)]) == 0
+    assert main(golden_argv(name, ef_chart, str(out))) == 0
     with open(os.path.join(DATA, f"ef_16x32_{name}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_validate_zero_tolerance_is_kept(ef_chart, capsys):
+    """--tol-cond4 0 is a tolerance like any other: the ef chart's rounding
+    level cond4 then fails it."""
+    assert main(["validate", "--chart", ef_chart, "--json", "--tol-cond4", "0",
+                 "--tol-cond3", "1e-6"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    row = dict(zip(payload["columns"], payload["rows"][0]))
+    assert row["tol_cond4"] == 0.0 and row["tol_cond3"] == 1e-6
+    assert 0.0 < row["cond4_max"] < 1e-12 and not row["passed"]
 
 
 def _csv_cell(v) -> str:

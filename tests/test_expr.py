@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imcvf.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from imcvf.expr import COORDS, diff, evaluate, parse, to_source
+from imcvf.expr import COORDS, diff, evaluate, lit, parse, to_source, var
 
 
 def ev(src, **coords):
@@ -217,6 +217,8 @@ _SOURCES = [
     "exp(t)*log(r)/sqrt(1+th^2)",
     "tan(th/4)",
     "2^3^2",
+    "1.7976931348623157e308*sin(th)/r",
+    "5e-324*r",
     "a" .replace("a", "t-r-th"),
 ]
 
@@ -265,12 +267,15 @@ def test_parser_total_on_garbage(source):
 
 @pytest.mark.parametrize("source, offset", [
     ("4^512", 1), ("10^400", 2), ("exp(1000)", 0), ("log(0)", 0), ("sqrt(0-1)", 0),
-    ("1e400^2", 5), ("exp(1e400)", 0), ("(0-2)^1e400", 5), ("r^(1e400-1e400)", 1)])
+    ("1e400^2", 5), ("exp(1e400)", 0), ("(0-2)^1e400", 5), ("r^(1e400-1e400)", 1),
+    ("1e400*r", 0), ("r + 2e999", 4), ("1/1e400", 2), ("sin(th)*1e400^0", 8)])
 def test_unfoldable_constant_is_a_syntax_error(source, offset):
     """Constant folding that overflows, leaves the domain or starts from a
     literal that is already inf is reported at the operator or function
     name, never as OverflowError/ValueError and never folded to inf; so is
-    an exponent that is not finite."""
+    an exponent that is not finite.  A literal beyond floating-point range
+    that no such operator reports is an error at its own offset, never an
+    inf that to_source would print as the unknown identifier inf."""
     with pytest.raises(ExprSyntaxError) as info:
         parse(source)
     assert info.value.offset == offset
@@ -294,3 +299,12 @@ def test_literal_zero_division_is_an_evaluation_error():
     e2 = parse("(1-1)^(-2)")
     with pytest.raises(EvalDomainError):
         evaluate(e2, {})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lit(-2.0) ** float("inf"),
+    lambda: evaluate(var("r") ** float("inf"), {"r": 2.0}),
+    lambda: var("r") ** float("nan")])
+def test_pow_rejects_non_finite_exponent(build):
+    with pytest.raises(ValueError, match="finite numeric constant"):
+        build()

@@ -175,7 +175,7 @@ def test_auto_method_falls_back_without_area_constraint():
     g = BlockMetric(v="1", d="0", e="0", f="0", u="1",
                     a="r^3", b="r^2*sin(th)^2", c="0")
     node = CoordinatePoint(0.0, 2.0, 1.0, 0.0)
-    mc = mean_curvature_vector(g, node)     # method="auto"
+    mc = mean_curvature_vector(g, node)
     hr_t, _, _ = mean_curvature_values(g, node.env(), method="trace")
     assert mc.H_r == pytest.approx(float(hr_t), rel=1e-12)
     # a ~ r^3 makes the theta leg contribute -1.5/r: H_r = -2.5/r here
@@ -385,3 +385,49 @@ def test_trace_oracle_fails_when_area_constraint_is_broken():
     assert np.max(np.abs(hr_t - hr_c)) > 1e-3
     rep = validate_chart(g)
     assert rep.h_r_err_max > 1e-3 and not rep.passed
+
+
+def _replace_star_values(monkeypatch, replacement):
+    """Put replacement in place of star_values in every imcvf module that
+    holds it, so a call through any import of it is seen."""
+    import sys
+
+    original = star_values
+    for name, module in list(sys.modules.items()):
+        if name.startswith("imcvf") and getattr(module, "star_values", None) is original:
+            monkeypatch.setattr(module, "star_values", replacement)
+
+
+def test_trace_route_forms_no_star(monkeypatch):
+    """Hawking mass, the first-variation check, the time-flat predicate and
+    the steering lemma's H_{e_r} take H from the trace formula alone; none
+    of them computes the closed-form star it is checked against."""
+    from imcvf.steering import trace_h_er
+    from imcvf.straightout import is_time_flat
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the trace route computed star_values")
+
+    g = SphericalMetric("1+1/r", "1").block()
+    grid = SphereGrid(0.0, 2.0, 16, 32)
+    _replace_star_values(monkeypatch, fail)
+    assert hawking_mass(g, grid) == pytest.approx(0.5 * 2.0 * (1.0 - 1.0 / 1.5**2), abs=1e-10)
+    assert first_variation_area_check(g, grid) <= 1e-10
+    assert is_time_flat(g, grid)[0]
+    assert np.allclose(trace_h_er(g, grid.env()), 2.0 / (2.0 * 1.5))
+
+
+def test_validate_chart_forms_star_once(monkeypatch, seed_charts):
+    from imcvf.builder import validate_chart
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return star_values(*args, **kwargs)
+
+    _replace_star_values(monkeypatch, counted)
+    for _, _, g in seed_charts[:3]:
+        before = len(calls)
+        assert validate_chart(g).passed
+        assert len(calls) - before == 1
