@@ -26,19 +26,16 @@ from .chart import (
     ChartFile,
     CoordinatePoint,
     SphericalMetric,
-    det_metric,
-    inverse_metric,
+    det_values,
+    inverse_values,
     load_chart,
-    metric_at,
+    metric_values,
     save_chart,
 )
 from .curvature import (
-    ConnectionCoefficients,
-    CurvaturePack,
-    christoffel,
+    christoffel_values,
     conformal_scalar,
-    curvature_pack,
-    scalar_curvature_spherical,
+    curvature_values,
     spherical_oracle,
 )
 from .errors import (
@@ -67,7 +64,7 @@ from .sphere import (
     mean_curvature_vector,
     sphere_frame,
     sphere_laplacian,
-    star_term,
+    star_values,
 )
 from .steering import (
     FrameData,

@@ -89,7 +89,8 @@ class ChartReport:
     Conditions (1) and (2) are identically zero by the block layout and
     recorded as such; (3) is the area-form constraint, (4) the tangency
     obstruction, cross-checked by the trace-formula normal component.
-    tolerances holds the bounds passed applies to cond3, cond4 and h_n.
+    tolerances holds the bounds on cond3_max, cond4_max and h_n_max that
+    passed compares them with.
     degenerate marks a chart whose sphere metric has ab - c^2 <= 0 at some
     sampled node; the residuals that need the normal frame are then NaN."""
 

@@ -37,7 +37,7 @@ DEFAULT_THETA_MIN = 1e-3
 
 __all__ = ["T", "R", "TH", "PH", "COMPONENTS", "FIRST_JETS", "SECOND_JETS",
            "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets",
-           "component_jets", "metric_at", "det_metric", "inverse_metric",
+           "component_jets", "metric_values", "det_values", "inverse_values",
            "load_chart", "save_chart", "ChartFile", "DEFAULT_THETA_MIN"]
 
 
@@ -60,6 +60,9 @@ class CoordinatePoint:
         object.__setattr__(self, "ph", float(self.ph) % (2.0 * np.pi))
 
     def env(self) -> dict:
+        """The point as an env of scalars: every function of an env
+        (metric_values, christoffel_values, star_values, ...) evaluates it
+        as a one-node grid, with broadcast shape ()."""
         return {"t": self.t, "r": self.r, "th": self.th, "ph": self.ph}
 
 
@@ -171,6 +174,7 @@ def metric_from_components(c: Mapping, shape) -> np.ndarray:
 
 
 def det_values(g: BlockMetric, env: Mapping) -> np.ndarray:
+    """Closed-form determinant with shape env_broadcast."""
     c = component_jets(g, env, COMPONENTS)
     return det_from_components(c, cross_terms(c)[0])
 
@@ -192,7 +196,8 @@ def det_from_components(c: Mapping, w):
 
 
 def inverse_values(g: BlockMetric, env: Mapping) -> np.ndarray:
-    """Closed-form inverse metric, shape env_broadcast + (4, 4)."""
+    """Closed-form inverse metric, shape env_broadcast + (4, 4); raises
+    SingularMetricError where |det| < 1e-14."""
     return inverse_from_components(component_jets(g, env, COMPONENTS), env_shape(env))
 
 
@@ -236,22 +241,6 @@ def inverse_from_components(c: Mapping, shape) -> np.ndarray:
             inv[..., i, j] = cof(i, j)
     inv /= det[..., None, None]
     return inv
-
-
-def metric_at(g: BlockMetric, p: CoordinatePoint) -> np.ndarray:
-    """4x4 symmetric metric matrix at a point."""
-    return metric_values(g, p.env())
-
-
-def det_metric(g: BlockMetric, p: CoordinatePoint) -> float:
-    """Closed-form determinant at a point."""
-    return float(det_values(g, p.env()))
-
-
-def inverse_metric(g: BlockMetric, p: CoordinatePoint) -> np.ndarray:
-    """Closed-form inverse at a point; raises SingularMetricError when
-    |det| < 1e-14."""
-    return inverse_values(g, p.env())
 
 
 # ---------------------------------------------------------------------------

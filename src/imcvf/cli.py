@@ -22,7 +22,7 @@ import numpy as np
 from . import builder
 from .asymptotics import ConformalMetric3, adm_mass
 from .chart import BlockMetric, CoordinatePoint, compact_base, load_chart, save_chart
-from .curvature import curvature_pack
+from .curvature import curvature_values
 from .errors import CompatibilityError, ConvergenceError, ExprSyntaxError, ImcvfError
 from .expr import parse
 from .grid import SphereGrid
@@ -201,9 +201,9 @@ def cmd_curvature(args) -> int:
         vals = _floats(spec)
         if len(vals) != 4:
             raise ImcvfError(f"bad point {spec!r}, expected 't,r,th,ph'")
-        pack = curvature_pack(g, CoordinatePoint(*vals))
-        rows.append(vals + [pack.scalar] + [getattr(pack, attr)[i, j]
-                                            for _, attr in comps for i, j in idx])
+        out = curvature_values(g, CoordinatePoint(*vals).env())
+        rows.append(vals + [out["scalar"]] + [out[key][i, j]
+                                              for _, key in comps for i, j in idx])
     _emit(args, header, list(np.array(rows, dtype=float).T))
     return 0
 

@@ -16,39 +16,14 @@ together with the conformal scalar-curvature transformation laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chart import FIRST_JETS, PH, R, SECOND_JETS, T, TH, BlockMetric, CoordinatePoint, \
-    component_jets, env_shape, field_jets, inverse_from_components, metric_from_components
+from .chart import FIRST_JETS, PH, R, SECOND_JETS, T, TH, BlockMetric, component_jets, \
+    env_shape, field_jets, inverse_from_components, metric_from_components
 from .expr import COORDS, FieldExpr, diff
 
-__all__ = ["ConnectionCoefficients", "CurvaturePack", "christoffel",
-           "christoffel_values", "curvature_pack", "curvature_values",
-           "spherical_oracle", "scalar_curvature_spherical", "conformal_scalar"]
-
-_IDX = {"t": T, "r": R, "th": TH, "ph": PH}
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Gamma^k_ij at one point, stored as gamma[k, i, j]."""
-
-    gamma: np.ndarray
-
-    def __getitem__(self, kij):
-        k, i, j = (_IDX.get(x, x) for x in kij)
-        return self.gamma[..., k, i, j]
-
-
-@dataclass(frozen=True)
-class CurvaturePack:
-    """Ricci tensor, scalar curvature and Einstein tensor at one point."""
-
-    ricci: np.ndarray
-    scalar: float
-    einstein: np.ndarray
+__all__ = ["christoffel_values", "curvature_values", "spherical_oracle",
+           "conformal_scalar"]
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +114,6 @@ def christoffel_values(g: BlockMetric, env) -> np.ndarray:
                         _lowered_christoffel(_metric_first_partials(jets, shape)))
 
 
-def christoffel(g: BlockMetric, p: CoordinatePoint) -> ConnectionCoefficients:
-    """Connection coefficients at a point, symmetric in the lower indices."""
-    return ConnectionCoefficients(christoffel_values(g, p.env()))
-
-
 def curvature_values(g: BlockMetric, env) -> dict:
     """Ricci, scalar and Einstein curvature on an env grid."""
     jets = component_jets(g, env, FIRST_JETS + SECOND_JETS)
@@ -169,12 +139,6 @@ def curvature_values(g: BlockMetric, env) -> dict:
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     einstein = ric - 0.5 * scal[..., None, None] * gmat
     return {"ricci": ric, "scalar": scal, "einstein": einstein, "gamma": gamma}
-
-
-def curvature_pack(g: BlockMetric, p: CoordinatePoint) -> CurvaturePack:
-    out = curvature_values(g, p.env())
-    return CurvaturePack(ricci=out["ricci"], scalar=float(out["scalar"]),
-                         einstein=out["einstein"])
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +194,6 @@ def spherical_oracle(u: FieldExpr, v: FieldExpr, env) -> dict:
         "Gamma_th_rth": 1.0 / r, "Gamma_th_phph": -sth * cth,
         "Gamma_ph_rph": 1.0 / r, "Gamma_ph_thph": cth / sth,
     }
-
-
-def scalar_curvature_spherical(u: FieldExpr, v: FieldExpr,
-                               p: CoordinatePoint) -> float:
-    """Seven-term closed-form scalar curvature of the u, v chart."""
-    return float(spherical_oracle(u, v, p.env())["R"])
 
 
 def conformal_scalar(scalar: float, u_val: float, lap_u: float, n: int) -> float:

@@ -77,10 +77,10 @@ class FieldExpr:
         return pow_(self, expo)
 
     def __repr__(self):
-        return f"FieldExpr({to_source(self)!r})"
+        return f"FieldExpr({_src(self, repr)!r})"
 
     def __str__(self):
-        return to_source(self)
+        return _src(self, repr)
 
 
 class Lit(FieldExpr):
@@ -335,22 +335,20 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.parse_term()
-                node = add(node, rhs) if value == "+" else sub(node, rhs)
+                node = _fold(value, node, self.parse_term(), pos)
             else:
                 return node
 
     def parse_term(self):
         node = self.parse_factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                rhs = self.parse_factor()
-                node = mul(node, rhs) if value == "*" else div(node, rhs)
+                node = _fold(value, node, self.parse_factor(), pos)
             else:
                 return node
 
@@ -409,16 +407,30 @@ def _finite(node, pos, what, expected):
     return node
 
 
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+
+
+def _fold(op, a, b, pos):
+    """a op b.  Two finite constants that fold to inf or nan are an
+    ExprSyntaxError at pos, the operator's offset; an operand that is
+    already inf is a number beyond range, reported where it stands."""
+    node = _BINARY[op](a, b)
+    if all(isinstance(x, Lit) and math.isfinite(x.value) for x in (a, b)):
+        return _finite(node, pos, f"constant {a.value!r} {op} {b.value!r}",
+                       "finite constant")
+    return node
+
+
 def parse(source: str, params=None) -> FieldExpr:
     """Parse expression text into a FieldExpr.
 
     ``params`` maps parameter names to numbers substituted at parse time.
     Raises ExprSyntaxError (with byte offset and the expected-token set) on
     malformed input and on constant subexpressions that cannot be folded
-    to a finite number (``4^512``, ``log(0)``; the offset is that of the
-    operator or function name) and on a number beyond floating-point range
-    that no such operator reports (``1e400*r``; the offset is the number's),
-    UnknownIdentifierError on unresolved names.
+    to a finite number (``4^512``, ``1e308*10``, ``log(0)``; the offset is
+    that of the operator or function name) and on a number beyond
+    floating-point range that no such operator reports (``1e400*r``; the
+    offset is the number's), UnknownIdentifierError on unresolved names.
     """
     parser = _Parser(_tokenize(source), params)
     node = parser.parse_expr()
@@ -610,45 +622,50 @@ def _d(e, v):
 # printing
 # ---------------------------------------------------------------------------
 
-def _fmt_float(value: float) -> str:
+def to_source(expr: FieldExpr) -> str:
+    """Render to text that reparses to an equivalent expression.  Raises
+    ValueError on a literal that is inf or nan, which has no such text;
+    str and repr print it as inf or nan."""
+    return _src(expr, _source_float)
+
+
+def _source_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"literal {value!r} has no text that parses")
     return repr(value)
 
 
-def to_source(expr: FieldExpr) -> str:
-    """Render to text that reparses to an equivalent expression."""
-    return _src(expr)
-
-
-def _paren(child, need):
-    s = _src(child)
+def _paren(child, need, fmt):
+    s = _src(child, fmt)
     return f"({s})" if child.prec < need else s
 
 
-def _src(e):
+def _src(e, fmt):
+    """The text of e, with fmt printing each float."""
     t = type(e)
     if t is Lit:
         if e.value < 0:
-            return f"(-{_fmt_float(-e.value)})"
-        return _fmt_float(e.value)
+            return f"(-{fmt(-e.value)})"
+        return fmt(e.value)
     if t is Var:
         return e.name
     if t is Add:
-        return f"{_paren(e.left, 1)} + {_paren(e.right, 1)}"
+        return f"{_paren(e.left, 1, fmt)} + {_paren(e.right, 1, fmt)}"
     if t is Sub:
-        return f"{_paren(e.left, 1)} - {_paren(e.right, 2)}"
+        return f"{_paren(e.left, 1, fmt)} - {_paren(e.right, 2, fmt)}"
     if t is Mul:
-        return f"{_paren(e.left, 2)}*{_paren(e.right, 3)}"
+        return f"{_paren(e.left, 2, fmt)}*{_paren(e.right, 3, fmt)}"
     if t is Div:
-        return f"{_paren(e.left, 2)}/{_paren(e.right, 3)}"
+        return f"{_paren(e.left, 2, fmt)}/{_paren(e.right, 3, fmt)}"
     if t is Neg:
-        return f"-{_paren(e.arg, 3)}"
+        return f"-{_paren(e.arg, 3, fmt)}"
     if t is Pow:
-        base = _src(e.base)
+        base = _src(e.base, fmt)
         if e.base.prec < 5:
             base = f"({base})"
         k = e.expo
-        ks = _fmt_float(k) if k >= 0 else f"(-{_fmt_float(-k)})"
+        ks = fmt(k) if k >= 0 else f"(-{fmt(-k)})"
         return f"{base}^{ks}"
     if t is Call:
-        return f"{e.fn}({_src(e.arg)})"
+        return f"{e.fn}({_src(e.arg, fmt)})"
     raise TypeError(f"not a FieldExpr node: {e!r}")  # pragma: no cover

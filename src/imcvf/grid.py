@@ -121,6 +121,8 @@ class SphereGrid:
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
         if n_theta < 4 or n_phi < 4:
             raise GridTooCoarseError("need at least 4x4 nodes")
+        if not r > 0:
+            raise ValueError(f"r must be positive, got {r}")
         self.t = float(t)
         self.r = float(r)
         self.n_theta = int(n_theta)

@@ -20,7 +20,7 @@ from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatur
 from .grid import SphereGrid
 
 __all__ = ["SphereFrame", "MeanCurvatureDecomp", "surface_fields", "sphere_frame",
-           "star_term", "star_values", "mean_curvature_vector",
+           "star_values", "mean_curvature_vector",
            "mean_curvature_values", "inverse_mean_curvature_vector",
            "hawking_mass", "sphere_laplacian", "first_variation_area_check"]
 
@@ -121,10 +121,6 @@ def star_values(g: BlockMetric, env, fields=None) -> np.ndarray:
     num = (u2 * f["W"] * b1 + f["d"] * f["W"] * f["W_r"]
            + u2 * f["cf_be"] * b2 + u2 * f["ce_af"] * b3)
     return num / (2.0 * f["det"])
-
-
-def star_term(g: BlockMetric, node: CoordinatePoint) -> float:
-    return float(star_values(g, node.env()))
 
 
 def star_from_christoffel(g: BlockMetric, env) -> np.ndarray:

@@ -12,8 +12,8 @@ import pytest
 from imcvf.asymptotics import ConformalMetric3, adm_mass, \
     conformal_sphere_mean_curvature, hawking_to_adm_convergence
 from imcvf.builder import monotonicity_check_spherical
-from imcvf.chart import BlockMetric, SphericalMetric, det_metric, \
-    inverse_metric, metric_at
+from imcvf.chart import BlockMetric, SphericalMetric, det_values, \
+    inverse_values, metric_values
 from imcvf.curvature import curvature_values, spherical_oracle
 from imcvf.errors import NotAreaExpandingError
 from imcvf.expr import diff, evaluate, parse, to_source
@@ -272,9 +272,9 @@ def test_criterion_9_property_bundle():
     for _ in range(25):
         g = random_block_metric(rng)
         p = random_point(rng)
-        m = metric_at(g, p)
-        assert det_metric(g, p) == pytest.approx(cofactor_det(m), rel=1e-10)
-        np.testing.assert_allclose(metric_at(g, p) @ inverse_metric(g, p),
+        m = metric_values(g, p.env())
+        assert det_values(g, p.env()) == pytest.approx(cofactor_det(m), rel=1e-10)
+        np.testing.assert_allclose(metric_values(g, p.env()) @ inverse_values(g, p.env()),
                                    np.eye(4), atol=1e-10)
 
     # <n, n> closed form vs the quadratic form

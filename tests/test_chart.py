@@ -10,14 +10,14 @@ from imcvf.chart import (
     BlockMetric,
     CoordinatePoint,
     SphericalMetric,
-    det_metric,
-    inverse_metric,
+    det_values,
+    inverse_values,
     load_chart,
-    metric_at,
+    metric_values,
     save_chart,
 )
 from imcvf.errors import SingularMetricError
-from imcvf.expr import parse
+from imcvf.expr import lit, parse
 
 
 def minkowski():
@@ -82,13 +82,13 @@ def test_point_phi_normalized():
 
 def test_minkowski_matrix():
     p = CoordinatePoint(0.0, 2.0, math.pi / 2, 0.0)
-    m = metric_at(minkowski(), p)
+    m = metric_values(minkowski(), p.env())
     np.testing.assert_allclose(m, np.diag([-1.0, 1.0, 4.0, 4.0]), atol=1e-15)
 
 
 def test_schwarzschild_areal_components():
     p = CoordinatePoint(0.0, 4.0, math.pi / 2, 0.0)
-    m = metric_at(schwarzschild_areal(1.0), p)
+    m = metric_values(schwarzschild_areal(1.0), p.env())
     assert m[0, 0] == pytest.approx(-0.5)
     assert m[1, 1] == pytest.approx(2.0)
 
@@ -96,14 +96,14 @@ def test_schwarzschild_areal_components():
 def test_off_block_zeros():
     g = BlockMetric(v="1", d="0.3", e="0", f="0", u="1", a="r^2",
                     b="r^2*sin(th)^2", c="0")
-    m = metric_at(g, CoordinatePoint(0.0, 2.0, 1.0, 1.0))
+    m = metric_values(g, CoordinatePoint(0.0, 2.0, 1.0, 1.0).env())
     assert m[1, 2] == 0.0 and m[1, 3] == 0.0
     assert m[0, 1] == pytest.approx(0.3)
 
 
 def test_det_minkowski():
     p = CoordinatePoint(0.0, 1.0, math.pi / 2, 0.0)
-    assert det_metric(minkowski(), p) == pytest.approx(-1.0)
+    assert det_values(minkowski(), p.env()) == pytest.approx(-1.0)
 
 
 def test_det_spherical_closed_form():
@@ -111,13 +111,13 @@ def test_det_spherical_closed_form():
     p = CoordinatePoint(0.0, 2.0, 0.9, 0.3)
     u, v, r = 1.5, 2.0, 2.0
     expected = -(u * v) ** 2 * r**4 * math.sin(0.9) ** 2
-    assert det_metric(g, p) == pytest.approx(expected, rel=1e-12)
+    assert det_values(g, p.env()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_det_block_diagonal():
     g = BlockMetric(v="2", d="0", e="0", f="0", u="3", a="5", b="7", c="0")
     p = CoordinatePoint(0.0, 1.0, 1.0, 1.0)
-    assert det_metric(g, p) == pytest.approx(-4.0 * 9.0 * 35.0)
+    assert det_values(g, p.env()) == pytest.approx(-4.0 * 9.0 * 35.0)
 
 
 def test_det_against_cofactor_expansion():
@@ -126,15 +126,15 @@ def test_det_against_cofactor_expansion():
     for _ in range(100):
         g = random_block_metric(rng)
         p = random_point(rng)
-        m = metric_at(g, p)
+        m = metric_values(g, p.env())
         ref = cofactor_det(m)
-        worst = max(worst, abs(det_metric(g, p) - ref) / abs(ref))
+        worst = max(worst, abs(det_values(g, p.env()) - ref) / abs(ref))
     assert worst <= 1e-10
 
 
 def test_inverse_minkowski():
     p = CoordinatePoint(0.0, 2.0, math.pi / 3, 0.0)
-    inv = inverse_metric(minkowski(), p)
+    inv = inverse_values(minkowski(), p.env())
     r2 = 4.0
     expected = np.diag([-1.0, 1.0, 1.0 / r2, 1.0 / (r2 * math.sin(math.pi / 3) ** 2)])
     np.testing.assert_allclose(inv, expected, atol=1e-14)
@@ -145,8 +145,8 @@ def test_inverse_tr_entry_with_d():
                     b="r^2*sin(th)^2", c="0")
     p = CoordinatePoint(0.0, 2.0, 1.1, 0.4)
     w = p.r**4 * math.sin(p.th) ** 2
-    det = det_metric(g, p)
-    inv = inverse_metric(g, p)
+    det = det_values(g, p.env())
+    inv = inverse_values(g, p.env())
     assert inv[0, 1] == pytest.approx(-0.2 * w / det, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ def test_inverse_against_identity():
     for _ in range(100):
         g = random_block_metric(rng)
         p = random_point(rng)
-        m = metric_at(g, p)
-        inv = inverse_metric(g, p)
+        m = metric_values(g, p.env())
+        inv = inverse_values(g, p.env())
         np.testing.assert_allclose(m @ inv, np.eye(4), atol=1e-10)
         np.testing.assert_allclose(inv, np.linalg.inv(m), atol=1e-9)
 
@@ -166,7 +166,7 @@ def test_signature():
     for _ in range(50):
         g = random_block_metric(rng)
         p = random_point(rng)
-        ev = np.linalg.eigvalsh(metric_at(g, p))
+        ev = np.linalg.eigvalsh(metric_values(g, p.env()))
         assert ev[0] < 0 and np.all(ev[1:] > 0)
 
 
@@ -174,13 +174,13 @@ def test_singular_metric_raises():
     g = BlockMetric(v="t", d="0", e="0", f="0", u="1", a="r^2",
                     b="r^2*sin(th)^2", c="0")
     with pytest.raises(SingularMetricError):
-        inverse_metric(g, CoordinatePoint(0.0, 1.0, 1.0, 0.0))
+        inverse_values(g, CoordinatePoint(0.0, 1.0, 1.0, 0.0).env())
 
 
 def test_spherical_layout_constraint():
     g = SphericalMetric("1+1/r", "1").block()
     p = CoordinatePoint(0.0, 3.0, 0.7, 0.2)
-    m = metric_at(g, p)
+    m = metric_values(g, p.env())
     w = m[2, 2] * m[3, 3] - m[2, 3] ** 2
     assert w == pytest.approx(p.r**4 * math.sin(p.th) ** 2, rel=1e-12)
 
@@ -197,12 +197,24 @@ def test_chart_roundtrip(tmp_path):
     cf = load_chart(str(path))
     g = cf.metric()
     p = CoordinatePoint(0.0, 4.0, math.pi / 2, 0.0)
-    assert metric_at(g, p)[1, 1] == pytest.approx(2.0)
+    assert metric_values(g, p.env())[1, 1] == pytest.approx(2.0)
 
     out = tmp_path / "saved.json"
     save_chart(g, out)
     g2 = load_chart(str(out)).metric()
-    np.testing.assert_allclose(metric_at(g2, p), metric_at(g, p), rtol=1e-14)
+    np.testing.assert_allclose(metric_values(g2, p.env()), metric_values(g, p.env()),
+                               rtol=1e-14)
+
+
+def test_save_chart_refuses_an_unparseable_literal(tmp_path):
+    """A component folded to inf through the Python API has no chart text;
+    save_chart raises before it opens the file."""
+    g = BlockMetric(v="1", d=lit(1e308) * 10 * parse("r"), e="0", f="0", u="1",
+                    a="r^2", b="r^2*sin(th)^2", c="0")
+    out = tmp_path / "saved.json"
+    with pytest.raises(ValueError):
+        save_chart(g, out)
+    assert not out.exists()
 
 
 def test_chart_missing_d_requires_solve_flag(tmp_path):

@@ -279,6 +279,12 @@ def test_validate_degenerate_chart_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_hawking_at_negative_radius_exits_1(minkowski_chart, capsys):
+    assert main(["hawking", "--chart", minkowski_chart, "--grid", "8,16", "--r", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unfoldable_constant_factor_exits_1_without_traceback(capsys):
     assert main(["adm", "--factor", "4^512", "--radii", "10,20,40"]) == 1
     err = capsys.readouterr().err

@@ -268,7 +268,8 @@ def test_parser_total_on_garbage(source):
 @pytest.mark.parametrize("source, offset", [
     ("4^512", 1), ("10^400", 2), ("exp(1000)", 0), ("log(0)", 0), ("sqrt(0-1)", 0),
     ("1e400^2", 5), ("exp(1e400)", 0), ("(0-2)^1e400", 5), ("r^(1e400-1e400)", 1),
-    ("1e400*r", 0), ("r + 2e999", 4), ("1/1e400", 2), ("sin(th)*1e400^0", 8)])
+    ("1e400*r", 0), ("r + 2e999", 4), ("1/1e400", 2), ("sin(th)*1e400^0", 8),
+    ("1e308*10*r", 5), ("1e308+1e308+r", 5), ("1e308/1e-10*r", 5), ("-1e308-1e308+r", 6)])
 def test_unfoldable_constant_is_a_syntax_error(source, offset):
     """Constant folding that overflows, leaves the domain or starts from a
     literal that is already inf is reported at the operator or function
@@ -279,6 +280,17 @@ def test_unfoldable_constant_is_a_syntax_error(source, offset):
     with pytest.raises(ExprSyntaxError) as info:
         parse(source)
     assert info.value.offset == offset
+
+
+def test_to_source_refuses_a_non_finite_literal():
+    """The Python API can fold an inf literal; to_source has no text for it
+    that parses, so it raises, while str and repr still show it."""
+    e = lit(1e308) * 10 * var("r")
+    with pytest.raises(ValueError):
+        to_source(e)
+    with pytest.raises(ValueError):
+        to_source(lit(float("nan")))
+    assert str(e) == "inf*r"
 
 
 @pytest.mark.parametrize("source, derivative", [

@@ -35,6 +35,12 @@ def scalar_loop_tables(lmax, x):
     return tables, dtables
 
 
+@pytest.mark.parametrize("r", [0.0, -3.0, float("nan")])
+def test_grid_rejects_a_radius_that_is_not_positive(r):
+    with pytest.raises(ValueError, match="r must be positive"):
+        SphereGrid(0.0, r)
+
+
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_vectorised_tables_equal_scalar_loop(n):
     x, _ = grid_mod._gauss_nodes(n)

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from imcvf import chart, expr
-from imcvf.chart import FIRST_JETS, SECOND_JETS, BlockMetric, component_jets
+from imcvf.chart import (FIRST_JETS, SECOND_JETS, BlockMetric, CoordinatePoint, component_jets,
+                         det_values, inverse_values, metric_values)
+from imcvf.curvature import christoffel_values, curvature_values
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
 from imcvf.sphere import (gs_laplacian_coefficients, gs_trace, hawking_mass,
-                          mean_curvature_values, surface_fields)
+                          mean_curvature_values, star_values, surface_fields)
 from imcvf.steering import frame_data, steering_parameter
 from imcvf.straightout import (_ASSEMBLED_JETS, _D_SECOND_JETS, _assembled_d_free,
                                _grid_d_data, assembled_form, solve_straight_out_d,
@@ -324,6 +326,26 @@ def test_point_evaluation_equals_one_node_grid_bitwise(seed_charts):
         for t, r, th, ph in rng.uniform([-1.0, 1.5, 0.1, 0.0], [1.0, 8.0, 3.0, 6.28], (10, 4)):
             point, node = _point_and_node(exprs, {"t": t, "r": r, "th": th, "ph": ph})
             assert point.tobytes() == node.tobytes()
+
+
+@pytest.mark.parametrize("quantity", [metric_values, det_values, inverse_values,
+                                      christoffel_values, curvature_values, star_values])
+def test_point_quantity_equals_one_node_grid_bitwise(seed_charts, quantity):
+    """Each quantity at CoordinatePoint.env() is, bit for bit, its value on
+    a grid of that one node (every key of a dict result), so a point needs
+    no function of its own."""
+    rng = np.random.default_rng(11)
+    for _, _, g in seed_charts:
+        for t, r, th, ph in rng.uniform([-1.0, 1.5, 0.1, 0.0], [1.0, 8.0, 3.0, 6.28], (5, 4)):
+            point = CoordinatePoint(t, r, th, ph).env()
+            at_point = quantity(g, point)
+            on_node = quantity(g, {k: np.array([v]) for k, v in point.items()})
+            if not isinstance(at_point, dict):
+                at_point, on_node = {"": at_point}, {"": on_node}
+            assert at_point.keys() == on_node.keys()
+            for key, value in at_point.items():
+                assert np.shape(value) == on_node[key].shape[1:], key
+                assert np.asarray(value).tobytes() == on_node[key][0].tobytes(), key
 
 
 @pytest.mark.parametrize("source, r", [("exp(r)", 1000.0), ("r^2", 1e200)])
