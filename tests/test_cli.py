@@ -309,15 +309,19 @@ def test_json_booleans_are_true_false(minkowski_chart, capsys):
 
 
 # Golden outputs on the ef seed (eps = 0.1) at 16x32, written by the code
-# before the separable env and the single jet evaluator; the grid commands
-# must keep reproducing them byte for byte.
+# before the separable env and the single jet evaluator (the .json ones by
+# the writer that formatted every cell on its own); the grid commands must
+# keep reproducing them byte for byte.  A name ending in .json is run with
+# --json and names its own file; any other name is a .csv.
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = {
     "meancurv_closed": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "closed"],
+    "meancurv_closed.json": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "closed"],
     "meancurv_trace": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "trace"],
     "steer": ["steer", "--grid", "16,32", "--r", "4.7"],
     "straightout": ["straightout", "--grid", "16,32", "--r", "4.7"],
     "straightout_solve": ["straightout", "--grid", "16,32", "--r", "4.7", "--solve"],
+    "straightout_solve.json": ["straightout", "--grid", "16,32", "--r", "4.7", "--solve"],
     "hawking": ["hawking", "--grid", "16,32", "--r", "2,3.5,5,8"],
     "validate": ["validate"],
     "curvature": ["curvature", "--points", "0,2,1,0.5;0,3.5,0.7,2;0,6,2.2,4.5"],
@@ -329,12 +333,18 @@ GOLDEN = {
 CHARTLESS = {"adm"}
 
 
+def golden_path(name) -> str:
+    """The file of golden NAME: tests/data/ef_16x32_NAME, with .csv unless
+    NAME carries the .json extension."""
+    return os.path.join(DATA, f"ef_16x32_{name}" + ("" if name.endswith(".json") else ".csv"))
+
+
 def golden_argv(name, chart, out) -> list:
     """The argv that writes golden NAME to out; --chart only for the
-    commands that take one."""
+    commands that take one, --json for the .json goldens."""
     command, *rest = GOLDEN[name]
     return [command, *([] if command in CHARTLESS else ["--chart", chart]), *rest,
-            "--out", out]
+            *(["--json"] if name.endswith(".json") else []), "--out", out]
 
 
 def write_ef_chart(directory) -> str:
@@ -355,9 +365,9 @@ def ef_chart(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
-    out = tmp_path / "out.csv"
+    out = tmp_path / "out"
     assert main(golden_argv(name, ef_chart, str(out))) == 0
-    with open(os.path.join(DATA, f"ef_16x32_{name}.csv"), "rb") as fh:
+    with open(golden_path(name), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 
