@@ -53,11 +53,16 @@ class AdmResult:
 
 def _extrapolate(radii, values):
     """Richardson step in 1/r: m(r) = m_inf + c/r + d/r^2 through the three
-    largest radii.  Eliminating both orders is needed for factors carrying
-    genuine 1/r^2 terms, whose two-term fit bias would approach 1e-2."""
-    r = np.asarray(radii, dtype=float)[-3:]
-    v = np.asarray(values, dtype=float)[-3:]
-    design = np.stack([np.ones_like(r), 1.0 / r, 1.0 / r**2], axis=1)
+    largest distinct radii.  Eliminating both orders is needed for factors
+    carrying genuine 1/r^2 terms, whose two-term fit bias would approach
+    1e-2.  With fewer distinct radii the fit keeps as many terms as there
+    are radii: two give m_inf + c/r, one its own value.  No radius at all
+    is a ValueError."""
+    r, first = np.unique(np.asarray(radii, dtype=float), return_index=True)
+    if not r.size:
+        raise ValueError("no radius to extrapolate the mass from")
+    r, v = r[-3:], np.asarray(values, dtype=float)[first][-3:]
+    design = np.stack([np.ones_like(r), 1.0 / r, 1.0 / r**2][:r.size], axis=1)
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     return float(coef[0])
 

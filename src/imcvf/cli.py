@@ -89,19 +89,18 @@ def _json_word(v) -> str:
 
 
 def _column_strings(column, fmt, word) -> list:
-    """Text of each cell of a column, in raveled order.  A float array
-    broadcast along an axis (stride 0, as the node columns are) is
-    formatted once per distinct entry and the strings are repeated.  A
-    list is a short column whose cells may also be booleans or labels
-    (str); those take word's text."""
+    """Text of each cell of a column, in raveled order.  A float array is
+    formatted once per distinct float64 bit pattern (so -0.0 and 0.0, and
+    each nan payload, keep their own text), and every cell holding it,
+    along a broadcast axis (stride 0, as the node columns are) or not,
+    shares that string.  A list is a short column whose cells may also be
+    booleans or labels (str); those take word's text."""
     if isinstance(column, list):
         return [word(v) if isinstance(v, (bool, str)) else fmt(np.asarray(v, float))[0]
                 for v in column]
     base = compact_base(column)
-    text = fmt(base)
-    if base.shape == np.shape(column):
-        return text
-    text = np.array(text, dtype=object).reshape(base.shape)
+    bits, inverse = np.unique(base.view(np.int64), return_inverse=True)
+    text = np.array(fmt(bits.view(np.float64)), dtype=object)[inverse.reshape(base.shape)]
     return np.broadcast_to(text, np.shape(column)).ravel().tolist()
 
 

@@ -391,7 +391,8 @@ class _Parser:
             if value == "pi":
                 return Lit(math.pi)
             if value in self.params:
-                return Lit(float(self.params[value]))
+                return _finite(Lit(float(self.params[value])), pos, f"parameter {value!r}",
+                               "finite parameter")
             raise UnknownIdentifierError(
                 f"unknown identifier {value!r}", pos,
                 expected=set(COORDS) | set(FUNCTIONS) | {"pi"} | set(self.params))
@@ -401,7 +402,8 @@ class _Parser:
 
 def _finite(node, pos, what, expected):
     """node, unless it is a constant folded to inf or nan: then an
-    ExprSyntaxError at pos, the offset of the operator or function name."""
+    ExprSyntaxError at pos, the offset of the operator, function name or
+    parameter name."""
     if isinstance(node, Lit) and not math.isfinite(node.value):
         raise ExprSyntaxError(f"{what} is not a finite number", pos, expected={expected})
     return node
@@ -426,9 +428,10 @@ def parse(source: str, params=None) -> FieldExpr:
 
     ``params`` maps parameter names to numbers substituted at parse time.
     Raises ExprSyntaxError (with byte offset and the expected-token set) on
-    malformed input and on constant subexpressions that cannot be folded
-    to a finite number (``4^512``, ``1e308*10``, ``log(0)``; the offset is
-    that of the operator or function name) and on a number beyond
+    malformed input, on a parameter used with an inf or nan value (the
+    offset is the name's), on constant subexpressions that cannot be
+    folded to a finite number (``4^512``, ``1e308*10``, ``log(0)``; the
+    offset is that of the operator or function name) and on a number beyond
     floating-point range that no such operator reports (``1e400*r``; the
     offset is the number's), UnknownIdentifierError on unresolved names.
     """

@@ -227,6 +227,38 @@ def test_usage_error_exit_1():
     assert main(["adm", "--factor", "1+q", "--radii", "10,20,40"]) == 1
 
 
+def _adm_json(radii, capsys):
+    assert main(["adm", "--factor", "1+1/r", "--radii", radii, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("radii", ["10", "10,10", "10,10,10"])
+def test_adm_one_distinct_radius_reports_its_value(radii, capsys):
+    """One distinct radius fits one term: the extrapolated mass is the
+    value tabulated there, whichever times the radius is given."""
+    payload = _adm_json(radii, capsys)
+    values = [v for _, v in payload["rows"]]
+    assert values == [values[0]] * len(values) and payload["mass"] == values[0]
+    assert values[0] == pytest.approx(2.662, abs=1e-12)   # -2 r^2 u^3 u' at r = 10
+
+
+@pytest.mark.parametrize("radii", ["10,20", "10,20,20", "20,10,10"])
+def test_adm_two_distinct_radii_fit_two_terms(radii, capsys):
+    """Two distinct radii fit m + c/r through them, duplicates or not."""
+    payload = _adm_json(radii, capsys)
+    (r1, v1), (r2, v2) = payload["rows"][0], payload["rows"][-2]
+    assert (r1, r2) == (10, 20)
+    assert payload["mass"] == pytest.approx((r2 * v2 - r1 * v1) / (r2 - r1), rel=1e-13)
+    assert payload["mass"] == _adm_json("10,20", capsys)["mass"]
+
+
+@pytest.mark.parametrize("radii", [",", ""])
+def test_adm_without_radii_exits_1(radii, capsys):
+    assert main(["adm", "--factor", "1+1/r", "--radii", radii]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_determinism(minkowski_chart, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for target in (a, b):
@@ -285,6 +317,18 @@ def test_hawking_at_negative_radius_exits_1(minkowski_chart, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_finite_chart_parameter_exits_1(tmp_path, capsys):
+    """A chart whose params hold Infinity does not load: its parse error
+    exits 1 instead of printing a nan mass."""
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, u="1+q/r", params={"q": float("inf")})))
+    assert "Infinity" in path.read_text()
+    assert main(["hawking", "--chart", str(path), "--grid", "8,16", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'q'" in captured.err
+    assert captured.out == ""
+
+
 def test_unfoldable_constant_factor_exits_1_without_traceback(capsys):
     assert main(["adm", "--factor", "4^512", "--radii", "10,20,40"]) == 1
     err = capsys.readouterr().err
@@ -310,8 +354,8 @@ def test_json_booleans_are_true_false(minkowski_chart, capsys):
 
 # Golden outputs on the ef seed (eps = 0.1) at 16x32, written by the code
 # before the separable env and the single jet evaluator (the .json ones by
-# the writer that formatted every cell on its own); the grid commands must
-# keep reproducing them byte for byte.  A name ending in .json is run with
+# the writer before it formatted each distinct value once); the grid
+# commands must keep reproducing them byte for byte.  A name ending in .json is run with
 # --json and names its own file; any other name is a .csv.
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = {
@@ -407,21 +451,53 @@ def _row_text(args, header, columns, payload):
     ("straightout", ["th", "ph", "d"], {"residual_inf": 3.1e-11, "iterations": 3}),
 ])
 def test_column_writer_matches_row_text(as_json, command, header, payload, capsys):
-    """Node columns formatted once per distinct node, value columns a
-    column at a time: byte for byte the row-wise text, special values,
-    subnormals and repeats included."""
+    """Node columns formatted once per distinct node, value columns once
+    per distinct value: byte for byte the row-wise text, special values,
+    subnormals and repeats included.  Three more value columns follow the
+    command's own: a constant one (H_r of a radial-u chart), a transposed
+    (non-contiguous) one and one broadcast along theta."""
     grid = SphereGrid(0.0, 2.0, 6, 8)
     shape = (grid.n_theta, grid.n_phi)
-    values = np.random.default_rng(9).normal(size=(len(header) - 2,) + shape)
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(len(header) - 2,) + shape)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 1 / 3, 1 / 3]
     values[0].flat[:len(special)] = special
     values[-1].flat[-len(special):] = special[::-1]
     if len(values) > 2:
         values[1] = np.repeat([0.1, -0.0, 2.0, np.nan], values[1].size // 4).reshape(shape)
-    columns = _node_columns(grid) + list(values)
+    transposed = rng.normal(size=shape[::-1])
+    transposed.flat[::5] = special[:len(transposed.flat[::5])]
+    phi_row = np.array([special[:grid.n_phi]])
+    header = [*header, "constant", "transposed", "broadcast"]
+    columns = _node_columns(grid) + list(values) + [
+        np.full(shape, -0.38786715231970426), transposed.T, np.broadcast_to(phi_row, shape)]
+    assert not columns[-2].flags.c_contiguous and columns[-1].strides[0] == 0
     args = argparse.Namespace(json=as_json, out=None, command=command)
     _emit(args, header, columns, payload)
     assert capsys.readouterr().out == _row_text(args, header, columns, payload)
+
+
+@pytest.mark.parametrize("fmt", [cli._csv_floats, cli._json_floats])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "broadcast"])
+def test_column_strings_formats_each_bit_pattern_once(fmt, layout):
+    """48 cells of 0.1, -0.0, 0.0 and nans of two payloads: fmt is handed
+    each distinct float64 bit pattern exactly once (-0.0 and 0.0 apart, one
+    per nan payload), and the text is fmt's, cell by cell."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
+    cells = np.resize(np.concatenate([[0.1, -0.0, 0.0], nans]), 48)
+    column = {"contiguous": cells.reshape(6, 8), "transposed": cells.reshape(8, 6).T,
+              "broadcast": np.broadcast_to(cells[:8], (6, 8))}[layout]
+    bits = np.ravel(column).view(np.int64).tolist()
+    assert len(set(bits)) == 5
+    seen = []
+
+    def counting(a):
+        seen.extend(a.view(np.int64).ravel().tolist())
+        return fmt(a)
+
+    text = cli._column_strings(column, counting, None)
+    assert sorted(seen) == sorted(set(bits))
+    assert text == [fmt(np.array([v]))[0] for v in np.ravel(column)]
 
 
 @pytest.mark.parametrize("as_json", [False, True])

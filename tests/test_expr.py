@@ -53,6 +53,17 @@ def test_params_substitution():
     assert evaluate(e, {"r": 1.5}) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_parameter_is_a_syntax_error(q):
+    """A parameter is substituted as a literal, so an inf or nan value is
+    reported at the parameter's name like any constant that is not finite,
+    never parsed into an inf literal; an unused one is not read."""
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("2*r + q*r", params={"q": q})
+    assert info.value.offset == 6
+    assert to_source(parse("2*r", params={"q": q})) == "2.0*r"
+
+
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("r^2*")
