@@ -369,6 +369,8 @@ GOLDEN = {
     "hawking": ["hawking", "--grid", "16,32", "--r", "2,3.5,5,8"],
     "validate": ["validate"],
     "curvature": ["curvature", "--points", "0,2,1,0.5;0,3.5,0.7,2;0,6,2.2,4.5"],
+    "curvature_wrap": ["curvature", "--points",
+                       "0,2,1,7.0;0,3.5,0.7,-1.0;0,6,2.2,4.5;0.3,4.7,1.4,0;0,9,2.9,6.2"],
     "flowscan": ["flowscan", "--r-range", "1.5:10:16"],
     "adm": ["adm", "--factor", "1+1/(2*r)", "--radii", "10,20,40,80"],
 }
