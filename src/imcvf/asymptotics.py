@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import FieldExpr, diff, evaluate
+from .chart import field_jets
+from .expr import FieldExpr, diff
 from .grid import SphereGrid
 
 __all__ = ["ConformalMetric3", "adm_mass", "adm_conformal_delta",
@@ -28,19 +29,18 @@ class ConformalMetric3:
 
     u3: FieldExpr
 
-    def factor(self, r):
-        val = np.asarray(evaluate(self.u3, {"r": np.asarray(r, dtype=float)}))
-        if np.any(val <= 0):
+    def jets(self, radii) -> tuple:
+        """u and du/dr at every radius, as arrays from one evaluate pass; a
+        factor that is not positive at any of them is a ValueError."""
+        jets = field_jets({"u": self.u3, "u_r": diff(self.u3, "r")},
+                          {"r": np.asarray(radii, dtype=float)})
+        if np.any(jets["u"] <= 0):
             raise ValueError("conformal factor must be positive")
-        return val
-
-    def dfactor(self, r):
-        return np.asarray(evaluate(diff(self.u3, "r"),
-                                   {"r": np.asarray(r, dtype=float)}))
+        return jets["u"], jets["u_r"]
 
     def asymptotically_flat(self) -> bool:
         """Whether u(1e6) is within 1e-3 of 1."""
-        return abs(float(self.factor(1e6)) - 1.0) <= 1e-3
+        return abs(float(self.jets([1e6])[0][0]) - 1.0) <= 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,9 @@ def adm_mass(g3: ConformalMetric3, radii) -> AdmResult:
     Euclidean area element and divided by 16 pi.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    values = np.asarray([_sphere_flux(r, -8.0 * g3.factor(r) ** 3 * g3.dfactor(r))
-                         / (16.0 * np.pi) for r in radii])
+    u, u_r = g3.jets(radii)
+    values = np.asarray([_sphere_flux(r, flux) / (16.0 * np.pi)
+                         for r, flux in zip(radii, -8.0 * u**3 * u_r)])
     growth = np.abs(values[1:]) - np.abs(values[:-1])
     diverging = bool(values.size >= 3 and np.all(growth > 0)
                      and np.abs(values[-1]) > 2.0 * np.abs(values[0]))
@@ -94,18 +95,21 @@ def adm_mass(g3: ConformalMetric3, radii) -> AdmResult:
 def adm_conformal_delta(u3: FieldExpr, radii) -> float:
     """Mass shift of the conformal transformation: the limit of
     -(1/2 pi) times the flux of du/dr through large coordinate spheres."""
-    g3 = ConformalMetric3(u3)
     radii = np.sort(np.asarray(radii, dtype=float))
-    return _extrapolate(radii, [-_sphere_flux(r, g3.dfactor(r)) / (2.0 * np.pi)
-                                for r in radii])
+    u_r = ConformalMetric3(u3).jets(radii)[1]
+    return _extrapolate(radii, [-_sphere_flux(r, du) / (2.0 * np.pi)
+                                for r, du in zip(radii, u_r)])
 
 
 def conformal_sphere_mean_curvature(u3: FieldExpr, r: float) -> float:
     """Mean curvature of the coordinate r-sphere in g = u^4 delta:
     H = (1/u^2)(2/r + (4/u) du/dr)."""
-    g3 = ConformalMetric3(u3)
-    u = float(g3.factor(r))
-    du = float(g3.dfactor(r))
+    u, du = ConformalMetric3(u3).jets([r])
+    return _mean_curvature(r, float(u[0]), float(du[0]))
+
+
+def _mean_curvature(r: float, u: float, du: float) -> float:
+    """H = (1/u^2)(2/r + (4/u) du/dr) from u and du/dr at r."""
     return (2.0 / r + 4.0 * du / u) / u**2
 
 
@@ -134,9 +138,9 @@ def hawking_to_adm_convergence(g3: ConformalMetric3, radii,
         adm_radii = [top, 2 * top, 4 * top, 8 * top]
     adm = adm_mass(g3, adm_radii).mass
     masses = []
-    for r in radii:
-        u = float(g3.factor(r))
-        h = conformal_sphere_mean_curvature(g3.u3, float(r))
+    u_values, du_values = g3.jets(radii)
+    for r, u, du in zip(radii, u_values.tolist(), du_values.tolist()):
+        h = _mean_curvature(float(r), u, du)
         rho = r * u**2
         masses.append(rho / 2.0 * (1.0 - (rho * h / 2.0) ** 2))
     masses = np.asarray(masses)

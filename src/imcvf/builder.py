@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms
+from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms, field_jets
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
-from .expr import FieldExpr, diff, evaluate, parse, var, call
+from .expr import FieldExpr, diff, parse, var, call
 from .sphere import _trace_mean_curvature, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
@@ -199,25 +199,27 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
     """
     u, v = _as_expr(u), _as_expr(v)
     radii = np.linspace(r_range[0], r_range[1], n)
-
-    def m_h_at(rv):
-        uu = np.asarray(evaluate(u, {"t": np.full_like(rv, t), "r": rv}), dtype=float)
-        return rv / 2.0 * (1.0 - uu ** -2.0)
-
-    m_h = m_h_at(radii)
     s = 2.0 * np.log(radii)
     fd_step = 1e-4
     r_up = np.exp((s + fd_step) / 2.0)
     r_dn = np.exp((s - fd_step) / 2.0)
-    dmh_ds = (m_h_at(r_up) - m_h_at(r_dn)) / (2.0 * fd_step)
+
+    # u, u_r and v on the sample radii and the two shifted copies, in one
+    # pass; the oracle below keeps a pass of its own
+    stacked = np.concatenate([radii, r_up, r_dn])
+    jets = field_jets({"u": u, "u_r": diff(u, "r"), "v": v},
+                      {"t": np.full_like(stacked, t), "r": stacked,
+                       "th": np.full_like(stacked, 1.0)})
+    uu, u_up, u_dn = np.split(jets["u"], 3)
+    u_r, vv = jets["u_r"][:n], jets["v"][:n]
+    m_h = radii / 2.0 * (1.0 - uu ** -2.0)
+    dmh_ds = (r_up / 2.0 * (1.0 - u_up ** -2.0)
+              - r_dn / 2.0 * (1.0 - u_dn ** -2.0)) / (2.0 * fd_step)
 
     env = {"t": np.full_like(radii, t), "r": radii, "th": np.full_like(radii, 1.0)}
     orc = spherical_oracle(u, v, env)
     g_tt = np.asarray(orc["G_tt"], dtype=float)
 
-    uu = np.asarray(evaluate(u, env), dtype=float)
-    u_r = np.asarray(evaluate(diff(u, "r"), env), dtype=float)
-    vv = np.asarray(evaluate(v, env), dtype=float)
     lhs = radii / 2.0 * (0.5 * (1.0 - uu ** -2.0) + radii * u_r / uu**3)
     rhs = radii / 2.0 * (radii**2 / (2.0 * vv**2)) * g_tt
     identity_err = float(np.max(np.abs(lhs - rhs)))

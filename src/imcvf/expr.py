@@ -391,6 +391,9 @@ class _Parser:
             if value == "pi":
                 return Lit(math.pi)
             if value in self.params:
+                if isinstance(self.params[value], bool):
+                    raise ExprSyntaxError(f"parameter {value!r} is a boolean, not a number",
+                                          pos, expected={"finite parameter"})
                 return _finite(Lit(float(self.params[value])), pos, f"parameter {value!r}",
                                "finite parameter")
             raise UnknownIdentifierError(

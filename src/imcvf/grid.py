@@ -14,6 +14,7 @@ this grid could not meet the tolerances the validation suite demands.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -123,6 +124,8 @@ class SphereGrid:
             raise GridTooCoarseError("need at least 4x4 nodes")
         if not r > 0:
             raise ValueError(f"r must be positive, got {r}")
+        if not math.isfinite(float(r) * float(r)):
+            raise ValueError(f"r^2 must be finite, got r = {r}")
         self.t = float(t)
         self.r = float(r)
         self.n_theta = int(n_theta)

@@ -10,9 +10,11 @@ from imcvf.asymptotics import (
     adm_conformal_delta,
     adm_mass,
     conformal_sphere_mean_curvature,
+    _extrapolate,
+    _sphere_flux,
     hawking_to_adm_convergence,
 )
-from imcvf.expr import parse
+from imcvf.expr import diff, evaluate, parse
 from imcvf.grid import SphereGrid
 
 RADII = (10.0, 20.0, 40.0, 80.0)
@@ -51,6 +53,39 @@ def test_asymptotic_flatness_check():
 def test_non_decaying_factor_flagged():
     res = adm_mass(ConformalMetric3(parse("1+r^2/10000")), RADII)
     assert res.diverging
+
+
+def _per_radius(u3, r):
+    """u and du/dr at one radius, each from its own evaluate pass, as the
+    per-radius surface integrals formed them."""
+    r = np.asarray(r, dtype=float)
+    return (np.asarray(evaluate(u3, {"r": r})), np.asarray(evaluate(diff(u3, "r"), {"r": r})))
+
+
+@pytest.mark.parametrize("source", ["1+1/(2*r)", "1+1/(2*r)+1/r^2", "exp(0.3/r)", "1",
+                                    "1+r^2/10000"])
+def test_one_pass_over_the_radii_equals_one_pass_per_radius_bitwise(source):
+    """adm_mass, adm_conformal_delta and hawking_to_adm_convergence take u
+    and du/dr at all their radii in one pass; every value is, bit for bit,
+    the one that a pass per radius gave."""
+    u3 = parse(source)
+    radii = (10.0, 80.0, 20.0, 40.0, 3.0)
+    ordered = np.sort(radii)
+    res = adm_mass(ConformalMetric3(u3), radii)
+    flux = [_sphere_flux(r, -8.0 * u**3 * du) / (16.0 * np.pi)
+            for r, (u, du) in ((r, _per_radius(u3, r)) for r in ordered)]
+    assert res.values.tobytes() == np.asarray(flux).tobytes()
+    delta = _extrapolate(ordered, [-_sphere_flux(r, _per_radius(u3, r)[1]) / (2.0 * np.pi)
+                                   for r in ordered])
+    assert np.float64(adm_conformal_delta(u3, radii)).tobytes() == np.float64(delta).tobytes()
+    table = hawking_to_adm_convergence(ConformalMetric3(u3), radii, adm_radii=RADII)
+    for r, m in zip(table.radii, table.hawking):
+        u, du = (float(x) for x in _per_radius(u3, r))
+        h = (2.0 / float(r) + 4.0 * du / u) / u**2
+        rho = r * u**2
+        expected = rho / 2.0 * (1.0 - (rho * h / 2.0) ** 2)
+        assert np.float64(m).tobytes() == np.float64(expected).tobytes()
+        assert h == conformal_sphere_mean_curvature(u3, float(r))
 
 
 def test_conformal_delta_examples():

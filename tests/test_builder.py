@@ -21,7 +21,7 @@ from imcvf.expr import Lit, evaluate, parse
 from imcvf.grid import SphereGrid
 from imcvf.sphere import star_values
 
-from conftest import build_seed, seed_inputs
+from conftest import U_BUMP, V_BUMP, build_seed, seed_inputs
 
 
 def test_solve_d_spherical_inputs_gives_zero_literal():
@@ -191,6 +191,52 @@ def test_monotonicity_identity_random_charts():
         v = parse(f"1+{rng.uniform(0.05, 0.3):.4f}/r")
         rep = monotonicity_check_spherical(u, v, 0.0, r_range=(1.5, 9.0), n=50)
         assert rep.identity_err_max <= 1e-9
+
+
+def _separate_passes(u, v, t, r_range, n):
+    """m_H, dm_H/ds, G_tt and the identity error as monotonicity_check_spherical
+    formed them with one evaluate pass per quantity and radius set."""
+    from imcvf.curvature import spherical_oracle
+    from imcvf.expr import diff
+
+    radii = np.linspace(r_range[0], r_range[1], n)
+
+    def m_h_at(rv):
+        uu = np.asarray(evaluate(u, {"t": np.full_like(rv, t), "r": rv}), dtype=float)
+        return rv / 2.0 * (1.0 - uu ** -2.0)
+
+    m_h = m_h_at(radii)
+    s = 2.0 * np.log(radii)
+    dmh_ds = (m_h_at(np.exp((s + 1e-4) / 2.0)) - m_h_at(np.exp((s - 1e-4) / 2.0))) / 2e-4
+    env = {"t": np.full_like(radii, t), "r": radii, "th": np.full_like(radii, 1.0)}
+    g_tt = np.asarray(spherical_oracle(u, v, env)["G_tt"], dtype=float)
+    uu = np.asarray(evaluate(u, env), dtype=float)
+    u_r = np.asarray(evaluate(diff(u, "r"), env), dtype=float)
+    vv = np.asarray(evaluate(v, env), dtype=float)
+    lhs = radii / 2.0 * (0.5 * (1.0 - uu ** -2.0) + radii * u_r / uu**3)
+    rhs = radii / 2.0 * (radii**2 / (2.0 * vv**2)) * g_tt
+    return m_h, dmh_ds, g_tt, np.max(np.abs(lhs - rhs))
+
+
+@pytest.mark.parametrize("n", [7, 16, 64])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("u, v", [
+    (U_BUMP, V_BUMP),
+    ("(1-2/r)^(-0.5)", "(1-2/r)^0.5"),
+    ("(1+0.001*r^2*exp(-r))^0.5", "1"),
+    ("1", "1"),
+])
+def test_monotonicity_stacked_pass_equals_separate_passes_bitwise(u, v, t, n):
+    """u, u_r and v on the sample and the two shifted radius sets in one
+    pass give the report that one pass per radius set gave, bit for bit."""
+    u, v = parse(u), parse(v)
+    r_range = (2.5, 9.0)
+    rep = monotonicity_check_spherical(u, v, t, r_range=r_range, n=n)
+    m_h, dmh_ds, g_tt, err = _separate_passes(u, v, t, r_range, n)
+    assert rep.m_h.tobytes() == m_h.tobytes()
+    assert rep.dmh_ds.tobytes() == dmh_ds.tobytes()
+    assert rep.g_tt.tobytes() == g_tt.tobytes()
+    assert np.float64(rep.identity_err_max).tobytes() == err.tobytes()
 
 
 def test_validate_degenerate_chart_reports_instead_of_raising():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from imcvf import cli
+from imcvf import cli, expr
 from imcvf.chart import COMPONENTS
 from imcvf.cli import SCHEMA, _emit, _node_columns, main
 from imcvf.grid import SphereGrid
@@ -222,6 +223,68 @@ def test_flowscan(tmp_path, capsys):
         assert abs(m_h - 1.0) <= 1e-10
 
 
+@pytest.fixture
+def evaluate_passes(monkeypatch):
+    """Counts the outermost expr.evaluate calls, wherever imcvf imports it."""
+    real, depth, passes = expr.evaluate, [0], []
+
+    def counting(exprs, env):
+        passes.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return real(exprs, env)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "imcvf" and getattr(module, "evaluate", None) is real:
+            monkeypatch.setattr(module, "evaluate", counting)
+    return passes
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_curvature_evaluates_every_point_in_one_pass(k, ef_chart, evaluate_passes,
+                                                    monkeypatch, capsys):
+    """k points are one curvature_values call on (k,) coordinate arrays,
+    which is one evaluate pass."""
+    calls = []
+    real = cli.curvature_values
+    monkeypatch.setattr(cli, "curvature_values", lambda g, env: calls.append(env) or real(g, env))
+    points = ";".join(f"0,{2 + i},1.2,{i - 1.5}" for i in range(k))
+    assert main(["curvature", "--chart", ef_chart, "--points", points]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + k
+    assert [np.shape(v) for v in calls[0].values()] == [(k,)] * 4 and len(calls) == 1
+    assert sum(evaluate_passes) == 1
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["flowscan", "--chart", "{chart}", "--r-range", "1.5:10:16"], 2),
+    (["adm", "--factor", "1+1/(2*r)", "--radii", "10,20,40,80"], 1),
+])
+def test_flowscan_and_adm_evaluation_passes(argv, passes, ef_chart, evaluate_passes, capsys):
+    """flowscan takes one pass for u, u_r and v on all its radii plus the
+    spherical oracle's own; adm one pass for u and u_r on all its radii."""
+    assert main([a.format(chart=ef_chart) for a in argv]) == 0
+    assert sum(evaluate_passes) == passes
+
+
+@pytest.mark.parametrize("points, message", [
+    ("0,4,1,0;0,-1,1,0", "r must be positive, got -1.0"),
+    ("0,4,1,0;0,4,3.5,0", "th must lie in (0, pi), got 3.5"),
+    ("0,4,1,0;0,4,1", "bad point '0,4,1', expected 't,r,th,ph'"),
+    ("0,4,1,0;0,4,x,0", "could not convert string to float: 'x'"),
+])
+def test_bad_second_point_exits_1_before_any_evaluation(points, message, tmp_path, capsys,
+                                                        monkeypatch):
+    """Every point is checked before the one evaluation pass, so a bad
+    second point gives the message it always gave and nothing is computed."""
+    monkeypatch.setattr(cli, "curvature_values", None)
+    path = tmp_path / "schw.json"
+    path.write_text(json.dumps(SCHWARZSCHILD))
+    assert main(["curvature", "--chart", str(path), "--points", points]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_usage_error_exit_1():
     assert main(["validate"]) == 1                      # missing --chart
     assert main(["adm", "--factor", "1+q", "--radii", "10,20,40"]) == 1
@@ -326,6 +389,35 @@ def test_non_finite_chart_parameter_exits_1(tmp_path, capsys):
     assert main(["hawking", "--chart", str(path), "--grid", "8,16", "--r", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "'q'" in captured.err
+    assert captured.out == ""
+
+
+def test_straightout_solve_at_a_radius_whose_square_overflows_exits_1(minkowski_chart, capsys):
+    assert main(["straightout", "--chart", minkowski_chart, "--grid", "8,16",
+                 "--r", "1e200", "--solve"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: r^2 must be finite, got r = 1e+200\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # du/dr = -1/r^2 overflows at 1e300
+@pytest.mark.parametrize("radii", ["10,inf", "10,20,1e300"])
+def test_adm_at_a_radius_whose_square_overflows_exits_1(radii, capsys):
+    """The surface integral at such a radius is no number: adm exits 1
+    instead of tabulating and extrapolating nan."""
+    assert main(["adm", "--factor", "1+1/r", "--radii", radii]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: r^2 must be finite") and captured.out == ""
+
+
+def test_boolean_chart_parameter_exits_1(tmp_path, capsys):
+    """A JSON true is not a number: the chart does not load, where it used
+    to load as q = 1.0 and print a mass."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, u="1+q/r", params={"q": True})))
+    assert main(["hawking", "--chart", str(path), "--grid", "8,16", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'q' is a boolean" in captured.err
     assert captured.out == ""
 
 

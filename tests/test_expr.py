@@ -53,11 +53,12 @@ def test_params_substitution():
     assert evaluate(e, {"r": 1.5}) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan"), True, False])
 def test_non_finite_parameter_is_a_syntax_error(q):
     """A parameter is substituted as a literal, so an inf or nan value is
     reported at the parameter's name like any constant that is not finite,
-    never parsed into an inf literal; an unused one is not read."""
+    never parsed into an inf literal, and so is a boolean (a JSON true or
+    false), never read as 1.0 or 0.0; an unused one is not read."""
     with pytest.raises(ExprSyntaxError) as info:
         parse("2*r + q*r", params={"q": q})
     assert info.value.offset == 6

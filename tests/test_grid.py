@@ -41,6 +41,15 @@ def test_grid_rejects_a_radius_that_is_not_positive(r):
         SphereGrid(0.0, r)
 
 
+@pytest.mark.parametrize("r", [float("inf"), 1e300, 1.4e154])
+def test_grid_rejects_a_radius_whose_square_overflows(r):
+    """r^2 enters the quadrature and the round Laplacian, so a radius
+    whose square is not finite is refused where the grid is made."""
+    with pytest.raises(ValueError, match=r"r\^2 must be finite"):
+        SphereGrid(0.0, r)
+    assert SphereGrid(0.0, 1e154).r == 1e154
+
+
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_vectorised_tables_equal_scalar_loop(n):
     x, _ = grid_mod._gauss_nodes(n)

@@ -353,3 +353,23 @@ def test_overflow_at_a_point_is_inf_as_on_a_grid(source, r):
     with np.errstate(over="ignore"):
         point, node = _point_and_node([parse(source)], {"r": r})
     assert point.tobytes() == node.tobytes() and point[0] == np.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 33])
+def test_point_set_as_one_grid_equals_each_point_bitwise(seed_charts, n):
+    """curvature_values on n points stacked into one 1-D env (as `imcvf
+    curvature --points` evaluates them) gives, bit for bit, each point's own
+    one-point call, for every key; two of the points lie outside [0, 2 pi)
+    in phi and are taken at their normalized ph."""
+    rng = np.random.default_rng(n)
+    for _, _, g in seed_charts:
+        rows = rng.uniform([-1.0, 1.5, 0.1, 0.0], [1.0, 8.0, 3.0, 6.28], (n, 4))
+        rows[:2, 3] = (7.0, -1.0)[:n]
+        points = [CoordinatePoint(*row) for row in rows]
+        stacked = curvature_values(g, {x: np.array([getattr(p, x) for p in points])
+                                       for x in ("t", "r", "th", "ph")})
+        for k, point in enumerate(points):
+            alone = curvature_values(g, point.env())
+            assert stacked.keys() == alone.keys()
+            for key, value in alone.items():
+                assert stacked[key][k].tobytes() == np.asarray(value).tobytes(), (key, k)
