@@ -204,21 +204,20 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
     r_up = np.exp((s + fd_step) / 2.0)
     r_dn = np.exp((s - fd_step) / 2.0)
 
+    def radial_env(rv):
+        return {"t": np.full_like(rv, t), "r": rv, "th": np.full_like(rv, 1.0)}
+
     # u, u_r and v on the sample radii and the two shifted copies, in one
     # pass; the oracle below keeps a pass of its own
-    stacked = np.concatenate([radii, r_up, r_dn])
     jets = field_jets({"u": u, "u_r": diff(u, "r"), "v": v},
-                      {"t": np.full_like(stacked, t), "r": stacked,
-                       "th": np.full_like(stacked, 1.0)})
+                      radial_env(np.concatenate([radii, r_up, r_dn])))
     uu, u_up, u_dn = np.split(jets["u"], 3)
     u_r, vv = jets["u_r"][:n], jets["v"][:n]
     m_h = radii / 2.0 * (1.0 - uu ** -2.0)
     dmh_ds = (r_up / 2.0 * (1.0 - u_up ** -2.0)
               - r_dn / 2.0 * (1.0 - u_dn ** -2.0)) / (2.0 * fd_step)
 
-    env = {"t": np.full_like(radii, t), "r": radii, "th": np.full_like(radii, 1.0)}
-    orc = spherical_oracle(u, v, env)
-    g_tt = np.asarray(orc["G_tt"], dtype=float)
+    g_tt = np.asarray(spherical_oracle(u, v, radial_env(radii))["G_tt"], dtype=float)
 
     lhs = radii / 2.0 * (0.5 * (1.0 - uu ** -2.0) + radii * u_r / uu**3)
     rhs = radii / 2.0 * (radii**2 / (2.0 * vv**2)) * g_tt
