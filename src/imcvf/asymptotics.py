@@ -30,13 +30,14 @@ class ConformalMetric3:
     u3: FieldExpr
 
     def jets(self, radii) -> tuple:
-        """u and du/dr at every radius, as arrays from one evaluate pass; a
-        factor that is not positive at any of them is a ValueError."""
-        jets = field_jets({"u": self.u3, "u_r": diff(self.u3, "r")},
-                          {"r": np.asarray(radii, dtype=float)})
+        """u and du/dr at every radius, as arrays of the radii's shape from
+        one evaluate pass; a factor that is not positive at any of them is a
+        ValueError."""
+        radii = np.asarray(radii, dtype=float)
+        jets = field_jets({"u": self.u3, "u_r": diff(self.u3, "r")}, {"r": radii})
         if np.any(jets["u"] <= 0):
             raise ValueError("conformal factor must be positive")
-        return jets["u"], jets["u_r"]
+        return np.broadcast_to(jets["u"], radii.shape), np.broadcast_to(jets["u_r"], radii.shape)
 
     def asymptotically_flat(self) -> bool:
         """Whether u(1e6) is within 1e-3 of 1."""
@@ -56,12 +57,18 @@ def _extrapolate(radii, values):
     largest distinct radii.  Eliminating both orders is needed for factors
     carrying genuine 1/r^2 terms, whose two-term fit bias would approach
     1e-2.  With fewer distinct radii the fit keeps as many terms as there
-    are radii: two give m_inf + c/r, one its own value.  No radius at all
-    is a ValueError."""
-    r, first = np.unique(np.asarray(radii, dtype=float), return_index=True)
+    are radii: two give m_inf + c/r, one its own value.  No radius at all,
+    or a value that is not finite, is a ValueError; the message names the
+    smallest radius whose value is not finite."""
+    radii, values = np.asarray(radii, dtype=float), np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"the surface integral at r = {float(radii[bad].min())!r} "
+                         "is not finite")
+    r, first = np.unique(radii, return_index=True)
     if not r.size:
         raise ValueError("no radius to extrapolate the mass from")
-    r, v = r[-3:], np.asarray(values, dtype=float)[first][-3:]
+    r, v = r[-3:], values[first][-3:]
     design = np.stack([np.ones_like(r), 1.0 / r, 1.0 / r**2][:r.size], axis=1)
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     return float(coef[0])

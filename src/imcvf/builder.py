@@ -18,7 +18,7 @@ import numpy as np
 from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms, field_jets
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
-from .expr import FieldExpr, diff, parse, var, call
+from .expr import FieldExpr, Plan, call, diff, parse, var
 from .sphere import _trace_mean_curvature, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
@@ -195,9 +195,15 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
     Samples m_H = (r/2)(1 - 1/u^2), its derivative in the flow parameter
     (centered difference of step 1e-4 in s, r^2 = e^s), and G_tt; verifies
     the pointwise identity  dm_H/ds (exact) = (r/2)(r^2/(2 v^2)) G_tt  and
-    flags any sample with G_tt >= 0 but decreasing mass.
+    flags any sample with G_tt >= 0 but decreasing mass.  A u or v that
+    reads th or ph is a ValueError that names the coordinate.
     """
     u, v = _as_expr(u), _as_expr(v)
+    for name, e in (("u", u), ("v", v)):
+        angular = [x for x in Plan([e]).coords if x in ("th", "ph")]
+        if angular:
+            raise ValueError(f"{name} reads {angular[0]}: the radial flow needs "
+                             "u and v of t and r alone")
     radii = np.linspace(r_range[0], r_range[1], n)
     s = 2.0 * np.log(radii)
     fd_step = 1e-4
@@ -209,10 +215,10 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
 
     # u, u_r and v on the sample radii and the two shifted copies, in one
     # pass; the oracle below keeps a pass of its own
-    jets = field_jets({"u": u, "u_r": diff(u, "r"), "v": v},
-                      radial_env(np.concatenate([radii, r_up, r_dn])))
-    uu, u_up, u_dn = np.split(jets["u"], 3)
-    u_r, vv = jets["u_r"][:n], jets["v"][:n]
+    stacked = np.concatenate([radii, r_up, r_dn])
+    jets = field_jets({"u": u, "u_r": diff(u, "r"), "v": v}, radial_env(stacked))
+    uu, u_up, u_dn = np.split(np.broadcast_to(jets["u"], stacked.shape), 3)
+    u_r, vv = (np.broadcast_to(jets[k], stacked.shape)[:n] for k in ("u_r", "v"))
     m_h = radii / 2.0 * (1.0 - uu ** -2.0)
     dmh_ds = (r_up / 2.0 * (1.0 - u_up ** -2.0)
               - r_dn / 2.0 * (1.0 - u_dn ** -2.0)) / (2.0 * fd_step)

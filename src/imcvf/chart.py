@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SingularMetricError
-from .expr import COORDS, FieldExpr, diff, evaluate, parse, to_source
+from .expr import COORDS, FieldExpr, Plan, diff, evaluate, parse, to_source
 
 T, R, TH, PH = 0, 1, 2, 3
 COMPONENTS = ("v", "d", "e", "f", "u", "a", "b", "c")
@@ -68,13 +68,15 @@ class CoordinatePoint:
 
 class BlockMetric:
     """The eight-component block metric.  Immutable; derivative expressions
-    are cached, so instances are cheap to evaluate repeatedly."""
+    and the plans that evaluate them are cached, so instances are cheap to
+    evaluate repeatedly."""
 
     def __init__(self, *, v, d, e, f, u, a, b, c,
                  theta_min: float = DEFAULT_THETA_MIN):
         comps = {"v": v, "d": d, "e": e, "f": f, "u": u, "a": a, "b": b, "c": c}
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
         self.theta_min = float(theta_min)
+        self._plans = {}
 
     # individual components as attributes (read-only by convention)
     def __getattr__(self, name):
@@ -90,6 +92,15 @@ class BlockMetric:
         for v in vars_:
             expr = diff(expr, v)
         return expr
+
+    def jet_plan(self, keys: tuple) -> Plan:
+        """The plan of the component jets named by keys, compiled on first
+        use and kept on the metric.  Two threads that both miss compile
+        alike, and setdefault hands both the plan stored first."""
+        plan = self._plans.get(keys)
+        if plan is None:
+            plan = self._plans.setdefault(keys, Plan([self.deriv(*k.split("_")) for k in keys]))
+        return plan
 
 
 class SphericalMetric:
@@ -126,31 +137,30 @@ def env_shape(env: Mapping) -> tuple:
 
 
 def field_jets(exprs: Mapping[str, FieldExpr], env: Mapping) -> dict:
-    """The named expressions evaluated on env in one evaluate pass with one
-    shared memo.  Each value comes back as a read-only float view broadcast
-    to the env's broadcast shape, so on a separable env (SphereGrid.env) a
-    factor is computed at the size of the coordinates it depends on while
-    every result still spans the whole grid."""
-    shape = env_shape(env)
-    values = evaluate(list(exprs.values()), env)
-    return {k: np.broadcast_to(np.asarray(v, dtype=float), shape)
-            for k, v in zip(exprs, values)}
-
-
-def compact_base(x) -> np.ndarray:
-    """The distinct entries of a broadcast view: x as a float array with
-    every stride-0 axis sliced to length 1.  It broadcasts back to x's
-    shape, so elementwise arithmetic on it gives the same values at the
-    size of the coordinates x depends on."""
-    x = np.asarray(x, dtype=float)
-    return x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)]
+    """The named expressions evaluated on env in one evaluate pass over one
+    plan.  Each value comes back as a read-only float array of the
+    broadcast shape of the coordinates it reads, which broadcasts to the
+    env's shape: on a separable env (SphereGrid.env) a field of r alone is
+    (1, 1), one of th a column, and a constant 0-d."""
+    return _named(exprs, evaluate(Plan(exprs.values()), env))
 
 
 def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
     """Values and exact partials of the metric components named by the jet
-    keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, from one field_jets
-    pass."""
-    return field_jets({k: g.deriv(*k.split("_")) for k in keys}, env)
+    keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, as field_jets gives
+    them, from one evaluate pass over the metric's plan of those keys."""
+    keys = tuple(keys)
+    return _named(keys, evaluate(g.jet_plan(keys), env))
+
+
+def _named(names, values) -> dict:
+    """names -> values as read-only float arrays.  Each is a view, so a
+    root that is an env coordinate leaves the caller's array writable."""
+    out = {}
+    for k, v in zip(names, values):
+        out[k] = np.asarray(v, dtype=float).view()
+        out[k].flags.writeable = False
+    return out
 
 
 def metric_values(g: BlockMetric, env: Mapping) -> np.ndarray:
@@ -174,7 +184,8 @@ def metric_from_components(c: Mapping, shape) -> np.ndarray:
 
 
 def det_values(g: BlockMetric, env: Mapping) -> np.ndarray:
-    """Closed-form determinant with shape env_broadcast."""
+    """Closed-form determinant, broadcastable to env_broadcast: as large as
+    the coordinates the components read make it."""
     c = component_jets(g, env, COMPONENTS)
     return det_from_components(c, cross_terms(c)[0])
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import builder
 from .asymptotics import ConformalMetric3, adm_mass
-from .chart import BlockMetric, CoordinatePoint, compact_base, load_chart, save_chart
+from .chart import BlockMetric, CoordinatePoint, load_chart, save_chart
 from .curvature import curvature_values
 from .errors import CompatibilityError, ConvergenceError, ExprSyntaxError, ImcvfError
 from .expr import parse
@@ -88,28 +88,31 @@ def _json_word(v) -> str:
     return json.dumps(v if isinstance(v, str) else bool(v))
 
 
-def _column_strings(column, fmt, word) -> list:
+def _column_strings(column, fmt, word, shape) -> list:
     """Text of each cell of a column, in raveled order.  A float array is
     formatted once per distinct float64 bit pattern (so -0.0 and 0.0, and
-    each nan payload, keep their own text), and every cell holding it,
-    along a broadcast axis (stride 0, as the node columns are) or not,
-    shares that string.  A list is a short column whose cells may also be
-    booleans or labels (str); those take word's text."""
+    each nan payload, keep their own text) at its own size, and its text is
+    broadcast to shape, so every cell holding a pattern shares one string.
+    A list is a short column whose cells may also be booleans or labels
+    (str); those take word's text."""
     if isinstance(column, list):
         return [word(v) if isinstance(v, (bool, str)) else fmt(np.asarray(v, float))[0]
                 for v in column]
-    base = compact_base(column)
+    base = np.asarray(column, dtype=float)
     bits, inverse = np.unique(base.view(np.int64), return_inverse=True)
     text = np.array(fmt(bits.view(np.float64)), dtype=object)[inverse.reshape(base.shape)]
-    return np.broadcast_to(text, np.shape(column)).ravel().tolist()
+    return np.broadcast_to(text, shape).ravel().tolist()
 
 
 def _emit(args, header, columns, json_payload=None):
     """Emit columns, one per header name, as CSV (floats with %.17g) or as
     the JSON that json.dumps(payload, indent=2, sort_keys=True) writes, byte
-    for byte, formatted a column at a time and written directly."""
+    for byte, formatted a column at a time and written directly.  Array
+    columns are broadcast to their common shape, so a grid column may come
+    at the size of the coordinates it depends on."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns if not isinstance(c, list)))
     if args.json:
-        rows = zip(*(_column_strings(c, _json_floats, _json_word) for c in columns))
+        rows = zip(*(_column_strings(c, _json_floats, _json_word, shape) for c in columns))
         body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
         body = "[\n    [\n      " + body + "\n    ]\n  ]" if body else "[]"
         payload = _payload(args, header, json_payload)
@@ -117,17 +120,15 @@ def _emit(args, header, columns, json_payload=None):
         head, tail = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_ROWS))
         text = head + body + tail + "\n"
     else:
-        rows = zip(*(_column_strings(c, _csv_floats, _csv_word) for c in columns))
+        rows = zip(*(_column_strings(c, _csv_floats, _csv_word, shape) for c in columns))
         text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
     _write(args, text)
 
 
 def _node_columns(grid: SphereGrid) -> list:
     """(th, ph) of every grid node, theta-major like a raveled grid array,
-    as broadcast views of the node coordinates."""
-    shape = (grid.n_theta, grid.n_phi)
-    return [np.broadcast_to(grid.theta[:, None], shape),
-            np.broadcast_to(grid.phi[None, :], shape)]
+    as the column and the row of node coordinates that _emit broadcasts."""
+    return [grid.theta[:, None], grid.phi[None, :]]
 
 
 def _payload(args, header, json_payload) -> dict:

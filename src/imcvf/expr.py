@@ -16,16 +16,19 @@ Grammar (``^`` binds tighter than unary minus, and is right-associative)::
 Exponents must reduce to numeric constants at parse time.  Chart files may
 supply named parameters; these are substituted as literals while parsing.
 Derivative ASTs are built with constant folding but no other rewriting, so
-they may grow; shared subtrees are evaluated once per call via memoization.
+they may grow.  A root list is compiled once into a flat ``Plan``, in which
+structurally equal subtrees are one slot, and ``evaluate`` runs a plan in
+one loop; a caller that evaluates the same roots again keeps the plan.
 
-Expressions are immutable and safe to evaluate from concurrent threads;
-the per-node derivative cache is idempotent, so a rare duplicate
+Expressions and plans are immutable and safe to evaluate from concurrent
+threads; the per-node derivative cache is idempotent, so a rare duplicate
 computation is the worst a race can produce.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -35,7 +38,7 @@ from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 COORDS = ("t", "r", "th", "ph")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
-__all__ = ["FieldExpr", "COORDS", "FUNCTIONS", "parse", "evaluate", "diff",
+__all__ = ["FieldExpr", "COORDS", "FUNCTIONS", "Plan", "parse", "evaluate", "diff",
            "to_source", "lit", "var", "ZERO", "ONE"]
 
 
@@ -458,110 +461,192 @@ def evaluate(expr, env):
     """Evaluate at a point.  ``env`` maps coordinate names to scalars or
     numpy arrays (broadcast together).  Returns float for scalar input.
 
-    ``expr`` may also be a sequence of expressions: they are evaluated in
-    one pass with one shared memo, so a subtree they have in common is
-    computed once, and the results come back as a list.  A value leaves
-    the memo once every node that reads it is computed, so the pass holds
-    only the arrays still to be read.  At a point (every env value 0-d)
-    nothing is worth releasing, so the pass skips counting the readers and
-    keeps every value.
+    ``expr`` may also be a sequence of expressions, or a Plan compiled from
+    one: the roots are evaluated in one pass over the plan, so a subtree
+    they have in common is computed once, and the results come back as a
+    list.  Each result has the broadcast shape of the coordinates it reads,
+    so on a separable env it is at most the env's broadcast shape; a
+    constant is a float.
 
     Domain violations (division by zero, log of non-positive, sqrt of
     negative, zero to a negative power) raise EvalDomainError.
     """
     if isinstance(expr, FieldExpr):
         return evaluate([expr], env)[0]
-    roots = list(expr)
-    point = all(np.ndim(v) == 0 for v in env.values())
-    memo, readers = {}, None if point else _reader_counts(roots)
-    values = [_ev(e, env, memo, readers) for e in roots]
+    plan = expr if isinstance(expr, Plan) else Plan(expr)
+    vals, point = _run(plan, env)
+    values = [vals[s] for s in plan.roots]
     return [float(v) for v in values] if point else values
 
 
-def _children(e):
-    t = type(e)
-    if t is Add or t is Sub or t is Mul or t is Div:
-        return (e.left, e.right)
-    if t is Neg or t is Call:
-        return (e.arg,)
-    if t is Pow:
-        return (e.base,)
-    return ()
+# slot 0 holds the env of a run; a check step writes its None to slot 1
+_ENV, _SINK = 0, 1
 
 
-def _reader_counts(roots) -> dict:
-    """id(node) -> number of parent edges into it in the DAG under roots,
-    plus one per occurrence as a root, so that roots stay in the memo."""
-    readers = {}
-    for r in roots:
-        readers[id(r)] = readers.get(id(r), 0) + 1
-    seen = set()
-    stack = list(roots)
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
-            continue
-        seen.add(id(e))
-        for c in _children(e):
-            readers[id(c)] = readers.get(id(c), 0) + 1
-            stack.append(c)
-    return readers
+class Plan:
+    """A root list compiled once into one flat sequence of steps.
+
+    The nodes are visited in the order a recursive evaluation takes (left
+    operand first, a denominator before its numerator), so domain errors
+    are raised in that order, and structurally equal subtrees share one
+    slot.  A literal is keyed on its value and its sign bit, so -0.0 and
+    0.0 keep their own slots.  Each step is (fn, out, a, b, free): slot out
+    gets fn(slot a), or fn(slot a, slot b), and then the slots it is the
+    last to read are released, unless the env is a point.  Each node
+    applies the numpy function it would apply alone to the same operands,
+    so its value holds the same bits.  A plan is immutable and may be run
+    from concurrent threads.
+
+    ``roots`` are the result slots, in the order of the roots given, and
+    ``coords`` the coordinates the roots read, in the order first read."""
+
+    __slots__ = ("steps", "consts", "roots", "coords")
+
+    def __init__(self, exprs):
+        exprs = list(exprs)         # alive while seen is keyed on their ids
+        consts = [None, None]
+        steps = []                  # (fn, out, a, b), in evaluation order
+        slots = {}                  # structural key -> slot
+        seen = {}                   # id(node) -> slot
+        coords = []
+        seen_get, slots_get = seen.get, slots.get
+
+        def slot(key, fn, a, b):
+            s = slots_get(key)
+            if s is None:
+                s = slots[key] = len(consts)
+                consts.append(None)
+                steps.append((fn, s, a, b))
+            return s
+
+        def const(value):
+            key = (value, math.copysign(1.0, value))
+            s = slots_get(key)
+            if s is None:
+                s = slots[key] = len(consts)
+                consts.append(value)
+            return s
+
+        def arg(e):
+            s = seen_get(id(e))
+            return visit(e) if s is None else s
+
+        def visit(e):
+            t = type(e)
+            fn = _BINARY_FN.get(t)
+            if fn is not None:
+                a = arg(e.left)
+                b = arg(e.right)
+                s = slot((fn, a, b), fn, a, b)
+            elif t is Lit:
+                s = const(e.value)
+            elif t is Var:
+                s = slots_get(e.name)
+                if s is None:
+                    coords.append(e.name)
+                    s = slot(e.name, _loader(e.name), _ENV, None)
+            elif t is Div:
+                b = arg(e.right)
+                mark = len(steps)
+                a = arg(e.left)
+                if len(steps) == mark:
+                    s = slot((operator.truediv, a, b), _checked_div, a, b)
+                else:
+                    # the numerator took steps of its own: check the
+                    # denominator before them
+                    steps.insert(mark, (_nonzero, _SINK, b, None))
+                    s = slot((operator.truediv, a, b), operator.truediv, a, b)
+            elif t is Neg:
+                a = arg(e.arg)
+                s = slot((operator.neg, a), operator.neg, a, None)
+            elif t is Pow:
+                a = arg(e.base)
+                k = const(e.expo)
+                s = slot((_checked_pow, a, k), _checked_pow, a, k)
+            elif t is Call:
+                fn = _CALL[e.fn]
+                a = arg(e.arg)
+                s = slot((fn, a), fn, a, None)
+            else:  # pragma: no cover
+                raise TypeError(f"not a FieldExpr node: {e!r}")
+            seen[id(e)] = s
+            return s
+
+        self.roots = tuple(arg(e) for e in exprs)
+        self.consts = consts
+        self.coords = tuple(coords)
+        self.steps = _with_releases(steps, set(self.roots))
 
 
-def _ev(e, env, memo, readers):
-    """Value of node e, memoised by id; a child's value is dropped from the
-    memo after its last reader (readers as from _reader_counts, or None to
-    keep every value)."""
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    t = type(e)
-    if t is Lit:
-        out = e.value
-    elif t is Var:
+def _with_releases(steps, keep) -> tuple:
+    """The steps as (fn, out, a, b, free), free the computed slots outside
+    keep that the step is the last to read."""
+    last = {}
+    for i, (_, _, a, b) in enumerate(steps):
+        last[a] = last[b] = i
+    free = [()] * len(steps)
+    for _, out, _, _ in steps:
+        if out not in keep and out != _SINK:
+            free[last[out]] += (out,)
+    return tuple((fn, out, a, b, f) for (fn, out, a, b), f in zip(steps, free))
+
+
+def _run(plan: Plan, env) -> tuple:
+    """(every slot of plan after one pass over env, whether env is a
+    point).  At a point (every env value 0-d) nothing is worth releasing,
+    so every slot keeps its value."""
+    point = all(np.ndim(v) == 0 for v in env.values())
+    vals = plan.consts.copy()
+    vals[_ENV] = env
+    for fn, out, a, b, free in plan.steps:
+        vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        if free and not point:
+            for x in free:
+                vals[x] = None
+    return vals, point
+
+
+def _loader(name):
+    def load(env):
         try:
-            out = env[e.name]
+            return env[name]
         except KeyError:
-            raise EvalDomainError(f"no value supplied for coordinate {e.name!r}")
-    elif t is Add:
-        out = _ev(e.left, env, memo, readers) + _ev(e.right, env, memo, readers)
-    elif t is Sub:
-        out = _ev(e.left, env, memo, readers) - _ev(e.right, env, memo, readers)
-    elif t is Mul:
-        out = _ev(e.left, env, memo, readers) * _ev(e.right, env, memo, readers)
-    elif t is Div:
-        den = _ev(e.right, env, memo, readers)
-        if np.any(den == 0.0):
-            raise EvalDomainError("division by zero")
-        out = _ev(e.left, env, memo, readers) / den
-    elif t is Neg:
-        out = -_ev(e.arg, env, memo, readers)
-    elif t is Pow:
-        base = _ev(e.base, env, memo, readers)
-        k = e.expo
-        if k != round(k) and np.any(base < 0.0):
-            raise EvalDomainError(f"negative base for exponent {k}")
-        if k < 0 and np.any(base == 0.0):
-            raise EvalDomainError(f"zero base for negative exponent {k}")
-        out = np.power(base, k)
-    elif t is Call:
-        arg = _ev(e.arg, env, memo, readers)
-        if e.fn == "log" and np.any(arg <= 0.0):
-            raise EvalDomainError("log of a non-positive value")
-        if e.fn == "sqrt" and np.any(arg < 0.0):
-            raise EvalDomainError("sqrt of a negative value")
-        out = _NUMPY_FN[e.fn](arg)
-    else:  # pragma: no cover
-        raise TypeError(f"not a FieldExpr node: {e!r}")
-    memo[key] = out
-    if readers is None:
-        return out
-    for c in _children(e):
-        readers[id(c)] -= 1
-        if readers[id(c)] == 0:
-            del memo[id(c)]
-    return out
+            raise EvalDomainError(f"no value supplied for coordinate {name!r}") from None
+    return load
+
+
+def _nonzero(den):
+    if np.any(den == 0.0):
+        raise EvalDomainError("division by zero")
+
+
+def _checked_div(num, den):
+    _nonzero(den)
+    return num / den
+
+
+def _checked_pow(base, k):
+    if k != round(k) and np.any(base < 0.0):
+        raise EvalDomainError(f"negative base for exponent {k}")
+    if k < 0 and np.any(base == 0.0):
+        raise EvalDomainError(f"zero base for negative exponent {k}")
+    return np.power(base, k)
+
+
+def _log(arg):
+    if np.any(arg <= 0.0):
+        raise EvalDomainError("log of a non-positive value")
+    return np.log(arg)
+
+
+def _sqrt(arg):
+    if np.any(arg < 0.0):
+        raise EvalDomainError("sqrt of a negative value")
+    return np.sqrt(arg)
+
+
+_CALL = {**_NUMPY_FN, "log": _log, "sqrt": _sqrt}
+_BINARY_FN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,9 @@ class SphereGrid:
     """Sphere S_{t,r} sampled on n_theta x n_phi nodes.
 
     Carries the quadrature weights; all arrays indexed [i_theta, j_phi].
-    The Legendre transform tables are shared per n_theta and built on the
-    first transform call.  Instances are immutable.
+    Every transform takes a field that broadcasts to the grid, such as a
+    column of a separable env.  The Legendre transform tables are shared per
+    n_theta and built on the first transform call.  Instances are immutable.
     """
 
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
@@ -195,6 +196,12 @@ class SphereGrid:
             np.matmul(tables[m].T, c[start[m]:start[m + 1]], out=out[m])
         return out.view(complex).transpose(2, 1, 0)
 
+    def _on_grid(self, f) -> np.ndarray:
+        """f (one field or a stack) broadcast to the grid: a field may come
+        at the size of the coordinates it depends on, as the jets do."""
+        f = np.asarray(f, dtype=float)
+        return np.broadcast_to(f, f.shape[:-2] + (self.n_theta, self.n_phi))
+
     def _grid(self, fm: np.ndarray) -> np.ndarray:
         """The stack of fields whose Fourier rows are fm."""
         return np.fft.irfft(fm, n=self.n_phi, axis=-1)
@@ -205,7 +212,7 @@ class SphereGrid:
         exact zeros, so its l >= 1 coefficients carry no quadrature roundoff
         (whose size would depend on the BLAS summation order) for l(l+1)
         and cot/sin^2 to amplify."""
-        f = np.asarray(f, dtype=float).reshape(-1, self.n_theta, self.n_phi)
+        f = self._on_grid(f).reshape(-1, self.n_theta, self.n_phi)
         return np.fft.rfft(f - f[:, :1, :1], axis=-1)
 
     def _analysis_without_constant(self, f) -> np.ndarray:
@@ -230,7 +237,7 @@ class SphereGrid:
 
     def d_phi(self, f: np.ndarray) -> np.ndarray:
         """Spectral d/dphi (FFT factor im)."""
-        fm = np.fft.rfft(np.asarray(f, dtype=float), axis=-1)
+        fm = np.fft.rfft(self._on_grid(f), axis=-1)
         return np.fft.irfft(fm * self._phi_factor(), n=self.n_phi, axis=-1)
 
     def gradient(self, f: np.ndarray):
@@ -271,7 +278,8 @@ class SphereGrid:
         formed on their Fourier rows.
         """
         sth = self.sin_theta[:, None]
-        fm = self._rows_without_constant(np.stack([sth * beta_th, beta_ph]))
+        fm = self._rows_without_constant(np.stack([self._on_grid(sth * beta_th),
+                                                   self._on_grid(beta_ph)]))
         div_th = self._synthesis(self._analysis(fm[:1]), derivative=True)[0] / sth
         return self._grid(div_th + fm[1] * self._phi_factor())
 
@@ -290,7 +298,7 @@ class SphereGrid:
         """Mean-zero solution of the Poisson equation on the round sphere
         of radius r."""
         ell = _packing(self.n_theta, self.mmax)[1]
-        coef = self._analysis(np.fft.rfft(np.asarray(rhs, dtype=float)[None], axis=-1))
+        coef = self._analysis(np.fft.rfft(self._on_grid(rhs)[None], axis=-1))
         eig = -(ell * (ell + 1.0)) / self.r**2
         coef[0] = 0.0                  # (l, m) = (0, 0): the mean
         eig[0] = 1.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, check_det, \
-    cofactors, compact_base, component_jets, cross_terms, det_from_components, metric_values
+    cofactors, component_jets, cross_terms, det_from_components, metric_values
 from .curvature import christoffel_values, metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .grid import SphereGrid
@@ -31,7 +31,10 @@ def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     Keys: the components by name, first partials as e.g. 'a_th', and the
     derived fields W = ab - c^2, W_r, cf_be, ce_af, det, nn, norm_n.
     extra names further component jets (e.g. 'u_th_th') to evaluate in the
-    same pass.  Every array spans the env's broadcast shape.
+    same pass.  Every array broadcasts to the env's shape and is no larger
+    than the coordinates it depends on make it: on SphereGrid.env a
+    component of r alone, and W = ab - c^2 of a chart with a = r^2, stay a
+    (1, 1) scalar or a column.
     """
     out = component_jets(g, env, FIRST_JETS + tuple(extra))
     a, b, c = out["a"], out["b"], out["c"]
@@ -172,31 +175,40 @@ def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
 
 def _trace_mean_curvature(f) -> tuple:
     """(H_r, H_n) by the generic trace formula from the surface_fields dict
-    f; it forms no star, so the closed form it checks stays out of it."""
-    gt, gr = _tangent_christoffel(f)
-    # <nabla_i d_j, e_r> = (1/u)(Gamma^t_ij d + Gamma^r_ij u^2)
-    s_r = gs_trace(f, *(t * f["d"] + r * f["u"] ** 2
-                        for t, r in zip(gt, gr))) / f["W"] / f["u"]
+    f; it forms no star, so the closed form it checks stays out of it.
+
+    Both g_S-traces take one tangent pair at a time, in gs_trace's order
+    b x_thth - 2c x_thph + a x_phph, so only one pair's Christoffels are
+    alive at once."""
+    d, u2 = f["d"], f["u"] ** 2
+    pairs = _tangent_christoffel(f)
+    # <nabla_i d_j, e_r> u = Gamma^t_ij d + Gamma^r_ij u^2, and
     # <nabla_i d_j, e_n> = Gamma^t_ij <d_t, n>/||n|| = -Gamma^t_ij ||n||
-    s_n = gs_trace(f, *gt) / f["W"] * (-f["norm_n"])
+    gt, gr = next(pairs)
+    tr_r, tr_t = f["b"] * (gt * d + gr * u2), f["b"] * gt
+    gt, gr = next(pairs)
+    two_c = 2.0 * f["c"]
+    tr_r, tr_t = tr_r - two_c * (gt * d + gr * u2), tr_t - two_c * gt
+    gt, gr = next(pairs)
+    tr_r, tr_t = tr_r + f["a"] * (gt * d + gr * u2), tr_t + f["a"] * gt
+    s_r = tr_r / f["W"] / f["u"]
+    s_n = tr_t / f["W"] * (-f["norm_n"])
     return s_r, -s_n
 
 
-def _tangent_christoffel(f) -> tuple:
-    """(Gamma^t_ij, Gamma^r_ij) for the tangent pairs (ij) = thth, thph, phph:
-    two triples of arrays that broadcast to the grid, the only entries the
-    normal projections of the second fundamental form read.  Generic
-    formula: P_l = d_i g_jl + d_j g_il - d_l g_ij from the first partials,
-    raised with the (T, R) rows of the cofactor inverse, all on the compact
-    base of each array in the surface_fields dict f."""
-    c = {k: compact_base(f[k]) for k in FIRST_JETS + ("W", "cf_be", "ce_af", "det")}
-    check_det(c["det"])
-    cof = cofactors(c, (c["W"], c["cf_be"], c["ce_af"]))
-    ginv = [[cof(k, l) / c["det"] for l in range(4)] for k in (T, R)]
-    lowered = [[(metric_partial(c, i, j, l) + metric_partial(c, j, i, l))
-                - metric_partial(c, l, i, j) for l in range(4)]
-               for i, j in ((TH, TH), (TH, PH), (PH, PH))]
-    return tuple(tuple(raise_sum(row, p) for p in lowered) for row in ginv)
+def _tangent_christoffel(f):
+    """Yields (Gamma^t_ij, Gamma^r_ij) for the tangent pairs (ij) = thth,
+    thph, phph in turn, the only entries the normal projections of the
+    second fundamental form read.  Generic formula: P_l = d_i g_jl + d_j g_il
+    - d_l g_ij from the first partials, raised with the (T, R) rows of the
+    cofactor inverse, all at the size of the surface_fields arrays f."""
+    check_det(f["det"])
+    cof = cofactors(f, (f["W"], f["cf_be"], f["ce_af"]))
+    ginv = [[cof(k, l) / f["det"] for l in range(4)] for k in (T, R)]
+    for i, j in ((TH, TH), (TH, PH), (PH, PH)):
+        lowered = [(metric_partial(f, i, j, l) + metric_partial(f, j, i, l))
+                   - metric_partial(f, l, i, j) for l in range(4)]
+        yield raise_sum(ginv[0], lowered), raise_sum(ginv[1], lowered)
 
 
 def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint) -> MeanCurvatureDecomp:
@@ -242,7 +254,7 @@ def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
     h_r, h_n = _trace_mean_curvature(fields)
     hh = h_r**2 - h_n**2
     sqrt_gs = np.sqrt(fields["W"])
-    area = grid.integrate_area(np.ones_like(hh), sqrt_gs)
+    area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
     integral = grid.integrate_area(hh, sqrt_gs)
     return float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))
 

@@ -30,7 +30,7 @@ __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
 
 @dataclass(frozen=True)
 class FrameData:
-    """Per-node frame ingredients; every field is a scalar or grid array.
+    """Per-node frame ingredients; every field is an array that broadcasts to the grid.
 
     The commutator coefficients are named C_<out>_<i><j> for [alpha_i,
     alpha_j] = C^out_ij alpha_out; the radial ones C^th_rth and C^ph_rph
@@ -71,7 +71,8 @@ def _frame_exprs(g: BlockMetric) -> dict:
 
 def frame_data(g: BlockMetric, env) -> FrameData:
     """Evaluate the frame ingredients of a chart on an env grid, in one
-    field_jets pass; every array spans the env's broadcast shape."""
+    field_jets pass; every array broadcasts to the env's shape, at the size
+    of the coordinates it depends on."""
     ex = _frame_exprs(g)
     exprs = {k: ex[k] for k in ("lam", "p", "q", "x", "u", "a", "b", "c", "w")}
     for k in ("w", "a", "b", "c"):

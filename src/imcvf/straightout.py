@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import BlockMetric, compact_base, det_from_components
+from .chart import BlockMetric, det_from_components
 from .errors import CompatibilityError, ConvergenceError, \
     NonSpacelikeMeanCurvatureError
 from .grid import SphereGrid
@@ -255,11 +255,10 @@ _D_ENTRIES = ("d", "d_t", "d_r", "d_th", "d_ph", "det", "nn", "norm_n") + _D_SEC
 
 def _assembled_d_free(grid: SphereGrid, fields) -> dict:
     """Every array of assembled_form that does not depend on d, formed from
-    the compact base of each jet (chart.compact_base): a separable factor
-    stays at the size of the coordinates it depends on.  Elementwise
-    arithmetic does not depend on broadcasting, so each array holds the bits
-    the full-grid jets give."""
-    f = {key: compact_base(v) for key, v in fields.items() if key not in _D_ENTRIES}
+    the jets at their own size: a separable factor stays at the size of the
+    coordinates it depends on.  Elementwise arithmetic does not depend on
+    broadcasting, so each array holds the bits full-grid jets give."""
+    f = {key: v for key, v in fields.items() if key not in _D_ENTRIES}
     cot = grid.cot_theta[:, None]
     a, b, c = f["a"], f["b"], f["c"]
     w = f["W"]

@@ -410,6 +410,50 @@ def test_adm_at_a_radius_whose_square_overflows_exits_1(radii, capsys):
     assert captured.err.startswith("error: r^2 must be finite") and captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # u^3 overflows at r = 1e-160
+@pytest.mark.parametrize("factor, radii", [("exp(1/r)", "1e-160"),
+                                           ("1+1/(2*r)", "10,20,1e-160")])
+def test_adm_with_a_surface_integral_that_is_not_finite_exits_1(factor, radii, capfd):
+    """A tabulated integral that is inf or nan is refused before the fit,
+    naming its radius: no nan mass, and no LAPACK message from the SVD."""
+    assert main(["adm", "--factor", factor, "--radii", radii]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == "error: the surface integral at r = 1e-160 is not finite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("component, source, coord", [
+    ("u", "1+cos(th)/r", "th"), ("u", "1+0.1*sin(ph)/r", "ph"),
+    ("v", "1+0.1*cos(ph)/r", "ph"), ("v", "1+th-th", "th")])
+def test_flowscan_with_an_angular_u_or_v_exits_1(component, source, coord, tmp_path, capsys):
+    """flowscan samples the radial flow at no angle: a u or v that reads th
+    or ph is refused and the coordinate named, where th used to be taken
+    at 1 and ph to fail as a missing coordinate."""
+    path = tmp_path / "angular.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, **{component: source})))
+    assert main(["flowscan", "--chart", str(path), "--r-range", "3:10:8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {component} reads {coord}: the radial flow needs "
+                            "u and v of t and r alone\n")
+    assert captured.out == ""
+
+
+def test_hawking_evaluates_every_sphere_with_one_plan(ef_chart, monkeypatch, capsys):
+    """Four radii on the pool: the metric compiles its FIRST_JETS plan once,
+    and every sphere's evaluate pass is handed that plan."""
+    from imcvf import chart
+
+    metrics, plans = [], []
+    load, real = cli._load_metric, chart.evaluate
+    monkeypatch.setattr(cli, "_load_metric", lambda path: metrics.append(load(path)) or metrics[-1])
+    monkeypatch.setattr(chart, "evaluate", lambda plan, env: plans.append(plan) or real(plan, env))
+    assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,3,4,5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    (g,) = metrics
+    assert list(g._plans) == [chart.FIRST_JETS]
+    assert len(plans) == 4 and all(p is g._plans[chart.FIRST_JETS] for p in plans)
+
+
 def test_boolean_chart_parameter_exits_1(tmp_path, capsys):
     """A JSON true is not a number: the chart does not load, where it used
     to load as q = 1.0 and print a mass."""
@@ -529,8 +573,11 @@ def _csv_cell(v) -> str:
 def _row_text(args, header, columns, payload):
     """The row-at-a-time text: %.17g per float CSV cell, true/false per
     boolean and the raw text per label, or json.dumps of the whole payload.
-    A list column is taken cell by cell, an array column as floats."""
-    rows = list(zip(*(c if isinstance(c, list) else np.ravel(c).astype(float).tolist()
+    A list column is taken cell by cell, an array column as floats
+    broadcast to the array columns' common shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns if not isinstance(c, list)))
+    rows = list(zip(*(c if isinstance(c, list)
+                      else np.ravel(np.broadcast_to(c, shape)).astype(float).tolist()
                       for c in columns)))
     if args.json:
         doc = {"schema": SCHEMA, "command": args.command, "columns": list(header),
@@ -547,9 +594,10 @@ def _row_text(args, header, columns, payload):
 def test_column_writer_matches_row_text(as_json, command, header, payload, capsys):
     """Node columns formatted once per distinct node, value columns once
     per distinct value: byte for byte the row-wise text, special values,
-    subnormals and repeats included.  Three more value columns follow the
-    command's own: a constant one (H_r of a radial-u chart), a transposed
-    (non-contiguous) one and one broadcast along theta."""
+    subnormals and repeats included.  The node columns come as a column
+    and a row.  Three more value columns follow the command's own: a (1, 1)
+    constant (H_r of a radial-u chart), a transposed (non-contiguous) one
+    and one broadcast along theta."""
     grid = SphereGrid(0.0, 2.0, 6, 8)
     shape = (grid.n_theta, grid.n_phi)
     rng = np.random.default_rng(9)
@@ -564,7 +612,7 @@ def test_column_writer_matches_row_text(as_json, command, header, payload, capsy
     phi_row = np.array([special[:grid.n_phi]])
     header = [*header, "constant", "transposed", "broadcast"]
     columns = _node_columns(grid) + list(values) + [
-        np.full(shape, -0.38786715231970426), transposed.T, np.broadcast_to(phi_row, shape)]
+        np.full((1, 1), -0.38786715231970426), transposed.T, np.broadcast_to(phi_row, shape)]
     assert not columns[-2].flags.c_contiguous and columns[-1].strides[0] == 0
     args = argparse.Namespace(json=as_json, out=None, command=command)
     _emit(args, header, columns, payload)
@@ -589,7 +637,7 @@ def test_column_strings_formats_each_bit_pattern_once(fmt, layout):
         seen.extend(a.view(np.int64).ravel().tolist())
         return fmt(a)
 
-    text = cli._column_strings(column, counting, None)
+    text = cli._column_strings(column, counting, None, np.shape(column))
     assert sorted(seen) == sorted(set(bits))
     assert text == [fmt(np.array([v]))[0] for v in np.ravel(column)]
 

@@ -1,6 +1,7 @@
 """Parser, evaluator and symbolic differentiation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,26 +195,54 @@ def test_evaluate_sequence_matches_one_by_one(trial):
         np.testing.assert_array_equal(together, evaluate(alone, env))
 
 
-def test_point_evaluation_skips_the_reader_walk(monkeypatch):
-    """A 0-d env keeps every value, so it needs no reader counts; the
-    values are those of the counted pass, bit for bit."""
+@pytest.mark.parametrize("env", [{"r": 2.0}, {"r": np.linspace(1.0, 2.0, 4)}])
+def test_plan_keeps_signed_zero_roots_apart(env):
+    """0.0 and -0.0 are equal floats but distinct literals: each root comes
+    back with its own sign bit, at a point and on an array env."""
+    from imcvf.expr import Lit, Plan
+
+    plan = Plan([Lit(0.0), Lit(-0.0), parse("r*0.5")])
+    assert plan.roots[0] != plan.roots[1]
+    zero, minus_zero, _ = evaluate(plan, env)
+    assert math.copysign(1.0, zero) == 1.0 and math.copysign(1.0, minus_zero) == -1.0
+
+
+def test_plan_raises_domain_errors_in_recursive_order():
+    """The denominator is checked before the numerator is evaluated, and the
+    left operand before the right, as a recursive evaluation would."""
+    env = {"r": np.array([0.0, 1.0]), "th": np.array([-1.0, 1.0])}
+    for source, message in [("log(th)/r", "division by zero"),
+                            ("r/log(th)", "log of a non-positive value"),
+                            ("sqrt(th) + log(th)", "sqrt of a negative value"),
+                            ("log(th) + sqrt(th)", "log of a non-positive value"),
+                            ("sqrt(th)*ph", "sqrt of a negative value"),
+                            ("ph*sqrt(th)", "no value supplied for coordinate 'ph'")]:
+        with pytest.raises(EvalDomainError, match=re.escape(message)):
+            evaluate(parse(source), env)
+
+
+def test_point_evaluation_skips_the_reader_walk():
+    """A 0-d env keeps every slot of the plan, where an array env releases
+    each value after its last reader and keeps only the roots; the values
+    are those of the plan's slots, bit for bit."""
     from imcvf import expr as expr_mod
 
     rng = np.random.default_rng(77)
     e = parse(_random_expr(3, rng))
     exprs = [e, diff(e, "r"), diff(diff(e, "r"), "th"), e * e, diff(e, "r")]
     point = {"t": 0.4, "r": np.float64(1.7), "th": np.array(0.9), "ph": 0.3}
-    counted = [expr_mod._ev(x, point, {}, expr_mod._reader_counts(exprs)) for x in exprs]
     grid = {k: np.full((2, 3), float(v)) for k, v in point.items()}
+    plan = expr_mod.Plan(exprs)
+    computed = [out for _, out, *_ in plan.steps if out != expr_mod._SINK]
 
-    calls = []
-    walk = expr_mod._reader_counts
-    monkeypatch.setattr(expr_mod, "_reader_counts", lambda roots: calls.append(1) or walk(roots))
-    assert evaluate(exprs, point) == [float(v) for v in counted]
-    assert evaluate(e, point) == float(counted[0])
-    assert calls == []
-    evaluate(exprs, grid)
-    assert calls == [1]
+    vals, is_point = expr_mod._run(plan, point)
+    assert is_point and all(vals[s] is not None for s in computed)
+    assert evaluate(exprs, point) == [float(vals[s]) for s in plan.roots]
+    assert evaluate(e, point) == float(vals[plan.roots[0]])
+
+    vals, is_point = expr_mod._run(plan, grid)
+    assert not is_point and all(vals[s] is not None for s in plan.roots)
+    assert {s for s in computed if vals[s] is None} == set(computed) - set(plan.roots)
 
 
 # ---------------------------------------------------------------------------

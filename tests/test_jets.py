@@ -2,9 +2,10 @@
 
 SphereGrid.env() is separable (t, r as (1, 1), th a column, ph a row), and
 every component jet is evaluated through chart.component_jets in one
-evaluate pass.  Public results must not depend on that: on the separable
-env they equal, bit for bit, the results on the full meshgrid env, and
-every array spans the grid."""
+evaluate pass over the metric's plan.  Each array keeps the size of the
+coordinates it depends on.  Public results must not depend on that: on the
+separable env, broadcast to the grid where they are compared, they equal
+bit for bit the results on the full meshgrid env."""
 
 import dataclasses
 
@@ -49,8 +50,9 @@ def _grids(size, r=3.0):
 
 
 def _same(a, b, shape):
-    assert np.shape(a) == shape and np.shape(b) == shape
-    assert np.array_equal(a, b)
+    """a and b, each broadcast to shape (which neither may exceed), are
+    equal bit for bit."""
+    assert np.array_equal(np.broadcast_to(a, shape), np.broadcast_to(b, shape))
 
 
 def test_env_is_separable():
@@ -118,15 +120,14 @@ def test_hawking_mass_matches_meshgrid_env(seed):
     assert sep == mesh
 
 
-def test_compact_base_keeps_only_the_distinct_entries():
-    col = np.arange(3.0)[:, None]
-    view = np.broadcast_to(col, (3, 4))
-    base = chart.compact_base(view)
-    assert base.shape == (3, 1) and np.array_equal(base, col)
-    full = np.arange(12.0).reshape(3, 4)
-    assert chart.compact_base(full).shape == full.shape
-    assert np.shares_memory(chart.compact_base(full), full)
-    assert chart.compact_base(np.broadcast_to(2.5, (3, 4))).shape == (1, 1)
+def test_jets_keep_the_size_of_their_coordinates():
+    """On the separable env a jet of r alone is (1, 1), one of th a column,
+    one of th and ph the grid and a constant 0-d; each is read-only."""
+    g = build_seed("ef", 0.1)
+    jets = component_jets(g, SphereGrid(0.0, 3.0, 16, 32).env(), ("a", "b", "c", "e", "a_r"))
+    assert {k: v.shape for k, v in jets.items()} == {
+        "a": (1, 1), "b": (16, 1), "c": (), "e": (16, 32), "a_r": (1, 1)}
+    assert not any(v.flags.writeable for v in jets.values())
 
 
 def _one_pass_assembled_form(grid, fields):
@@ -214,18 +215,18 @@ GENERIC = {"v": "1+0.1*r*sin(th)^2*cos(ph)", "d": "0.05*r*sin(th)^3*sin(ph)",
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("kind", ("e", "ef", "ea", "c", "ac", "generic"))
 def test_assembled_form_on_compact_jets_is_bitwise(kind, size):
-    """The d-free stage of the assembled form reads the compact base of each
-    broadcast jet: its result equals, bit for bit, the form on the same
-    fields materialised to full-grid copies, with d sampled on the grid,
-    and the one-pass reference; so does the Picard map's input, where the
-    second partials of d are zero."""
+    """The d-free stage of the assembled form reads each jet at its own
+    size: its result equals, bit for bit, the form on the same fields
+    materialised to full-grid copies, with d sampled on the grid, and the
+    one-pass reference; so does the Picard map's input, where the second
+    partials of d are zero."""
     g = BlockMetric(**GENERIC) if kind == "generic" else build_seed(kind, 0.1)
     grid = SphereGrid(0.0, 2.0, *size)
     f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS + _D_SECOND_JETS)
-    fd = _grid_d_data(grid, f, np.array(f["d"]))
-    full = {k: np.array(v) for k, v in fd.items()}
-    assert any(0 in v.strides for v in fd.values())
-    assert not any(0 in v.strides for v in full.values())
+    fd = _grid_d_data(grid, f, np.array(np.broadcast_to(f["d"], size)))
+    full = {k: np.array(np.broadcast_to(v, size)) for k, v in fd.items()}
+    assert any(np.shape(v) != size for v in fd.values())
+    assert all(v.shape == size for v in full.values())
     closed = assembled_form(grid, fd)
     _same(closed, assembled_form(grid, full), size)
     _same(closed, _one_pass_assembled_form(grid, full), size)
@@ -248,13 +249,13 @@ def test_d_free_stage_keeps_separable_factors_compact():
 
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Lists of expressions handed to evaluate by the jet evaluator."""
+    """The plans handed to evaluate by the jet evaluator."""
     calls = []
 
-    def counting(exprs, env):
-        exprs = list(exprs)
-        calls.append(exprs)
-        return evaluate(exprs, env)
+    def counting(plan, env):
+        assert isinstance(plan, expr.Plan)
+        calls.append(plan)
+        return evaluate(plan, env)
 
     monkeypatch.setattr(chart, "evaluate", counting)
     return calls
@@ -263,12 +264,16 @@ def evaluate_calls(monkeypatch):
 def test_component_jets_evaluate_only_the_requested_keys(evaluate_calls):
     g = build_seed("ef", 0.1)
     keys = ("a", "u_th", "d_th_ph")
-    jets = component_jets(g, SphereGrid(0.0, 3.0, 16, 32).env(), keys)
+    env = SphereGrid(0.0, 3.0, 16, 32).env()
+    jets = component_jets(g, env, keys)
     assert list(jets) == list(keys)
-    assert all(v.shape == (16, 32) and not v.flags.writeable for v in jets.values())
-    assert len(evaluate_calls) == 1
+    assert {k: v.shape for k, v in jets.items()} == {"a": (1, 1), "u_th": (), "d_th_ph": (16, 32)}
+    assert not any(v.flags.writeable for v in jets.values())
+    assert len(evaluate_calls) == 1 and evaluate_calls[0] is g.jet_plan(keys)
     requested = [g.deriv("a"), g.deriv("u", "th"), g.deriv("d", "th", "ph")]
-    assert [id(e) for e in evaluate_calls[0]] == [id(e) for e in requested]
+    assert len(evaluate_calls[0].roots) == len(requested)
+    for key, e in zip(keys, requested):
+        assert np.array_equal(jets[key], evaluate(e, env)), key
 
 
 @pytest.mark.parametrize("run, n_jets", [
@@ -280,26 +285,63 @@ def test_component_jets_evaluate_only_the_requested_keys(evaluate_calls):
 ])
 def test_each_sphere_quantity_takes_one_evaluate_pass(evaluate_calls, run, n_jets):
     run(build_seed("ef", 0.1), SphereGrid(0.0, 4.7, 16, 32))
-    assert [len(c) for c in evaluate_calls] == [n_jets]
+    assert [len(plan.roots) for plan in evaluate_calls] == [n_jets]
 
 
-def test_evaluate_sequence_shares_one_memo(monkeypatch):
+def test_evaluate_sequence_shares_one_memo():
+    """A repeated root, and a structurally equal copy of it, are one slot:
+    the plan of [e, e] or [e, copy] has the steps of the plan of [e]."""
     e = parse("sin(th)^9*cos(ph) + r^2")
+    copy = parse("sin(th)^9*cos(ph) + r^2")
+    one, two, merged = expr.Plan([e]), expr.Plan([e, e]), expr.Plan([e, copy])
+    assert len(two.steps) == len(merged.steps) == len(one.steps)
+    assert two.roots == merged.roots == one.roots * 2
     env = SphereGrid(0.0, 2.0, 16, 32).env()
-    visits = []
-    real = expr._ev
+    alone, both = evaluate([e], env), evaluate(merged, env)
+    assert np.array_equal(both[0], alone[0]) and both[1] is both[0]
 
-    def counting(node, *args):
-        visits.append(node)
-        return real(node, *args)
 
-    monkeypatch.setattr(expr, "_ev", counting)
-    one = evaluate([e], env)
-    n_one = len(visits)
-    visits.clear()
-    two = evaluate([e, e], env)
-    assert len(visits) == n_one + 1              # the second root is one memo hit
-    assert np.array_equal(two[0], one[0]) and two[1] is two[0]
+@pytest.mark.parametrize("where", ["point", "grid"])
+def test_plan_gives_each_root_the_bits_it_has_alone(seed_charts, where):
+    """Every first and second jet of the twelve seeds, from the metric's
+    plan, equals bit for bit (and in shape) the root evaluated alone, at a
+    point and on a 16x32 sphere, though the plan merges equal subtrees."""
+    keys = FIRST_JETS + SECOND_JETS
+    env = ({"t": 0.3, "r": 2.7, "th": 1.1, "ph": 4.0} if where == "point"
+           else SphereGrid(0.3, 2.7, 16, 32).env())
+    for kind, eps, g in seed_charts:
+        together = evaluate(g.jet_plan(keys), env)
+        for key, value in zip(keys, together):
+            alone = evaluate(g.deriv(*key.split("_")), env)
+            assert np.shape(value) == np.shape(alone), (kind, eps, key)
+            assert np.asarray(value).tobytes() == np.asarray(alone).tobytes(), (kind, eps, key)
+
+
+def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
+    """Two threads that start together on a fresh BlockMetric may both
+    compile its plan; each gets the plan stored first, and the jets and
+    masses are those of one thread on another fresh copy, bit for bit."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    grids = [SphereGrid(0.0, r, 16, 32) for r in (2.0, 3.5)]
+    alone = build_seed("ea", 0.1)
+    expected = [(component_jets(alone, gr.env(), FIRST_JETS), hawking_mass(alone, gr))
+                for gr in grids]
+    shared = build_seed("ea", 0.1)
+    barrier = threading.Barrier(2)
+
+    def run(grid):
+        barrier.wait()
+        return component_jets(shared, grid.env(), FIRST_JETS), hawking_mass(shared, grid)
+
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(run, grids))
+    assert list(shared._plans) == [FIRST_JETS]
+    for (jets, mass), (ref_jets, ref_mass) in zip(got, expected):
+        assert mass == ref_mass
+        for key in FIRST_JETS:
+            assert jets[key].tobytes() == ref_jets[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------

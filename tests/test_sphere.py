@@ -165,8 +165,8 @@ def test_trace_formula_agrees_with_closed_form():
     env = grid.env()
     hr_c, hn_c, _ = mean_curvature_values(g, env, method="closed")
     hr_t, hn_t, _ = mean_curvature_values(g, env, method="trace")
-    np.testing.assert_allclose(hr_t, hr_c, atol=1e-10)
-    np.testing.assert_allclose(hn_t, hn_c, atol=1e-10)
+    np.testing.assert_allclose(*np.broadcast_arrays(hr_t, hr_c), atol=1e-10)
+    np.testing.assert_allclose(*np.broadcast_arrays(hn_t, hn_c), atol=1e-10)
 
 
 def test_auto_method_falls_back_without_area_constraint():
@@ -304,13 +304,13 @@ def test_tangent_christoffel_matches_generic_christoffel():
     g = build_seed("ef", 0.1)
     env = SphereGrid(0.0, 2.5, 64, 128).env()
     full = christoffel_values(g, env)
-    rows = _tangent_christoffel(surface_fields(g, env))
-    for k, row in zip((T, R), rows):
-        for p, (i, j) in enumerate(((TH, TH), (TH, PH), (PH, PH))):
+    pairs = _tangent_christoffel(surface_fields(g, env))
+    for (i, j), pair in zip(((TH, TH), (TH, PH), (PH, PH)), pairs, strict=True):
+        for k, value in zip((T, R), pair):
             ref = full[..., k, i, j]
             scale = np.max(np.abs(ref))
             assert scale > 0.0
-            assert np.max(np.abs(row[p] - ref)) <= 1e-13 * scale, (k, i, j)
+            assert np.max(np.abs(value - ref)) <= 1e-13 * scale, (k, i, j)
 
 
 @pytest.mark.parametrize("size", ((16, 32), (64, 128)))
@@ -324,10 +324,10 @@ def test_tangent_christoffel_rows_equal_generic_rows_bitwise(seed_charts, size):
     env = SphereGrid(0.0, 2.5, *size).env()
     for kind, eps, g in seed_charts:
         full = christoffel_values(g, env)
-        rows = _tangent_christoffel(surface_fields(g, env))
-        for k, row in zip((T, R), rows):
-            for p, (i, j) in enumerate(((TH, TH), (TH, PH), (PH, PH))):
-                assert np.array_equal(np.broadcast_to(row[p], size), full[..., k, i, j]), \
+        pairs = _tangent_christoffel(surface_fields(g, env))
+        for (i, j), pair in zip(((TH, TH), (TH, PH), (PH, PH)), pairs, strict=True):
+            for k, value in zip((T, R), pair):
+                assert np.array_equal(np.broadcast_to(value, size), full[..., k, i, j]), \
                     (kind, eps, k, i, j)
 
 
