@@ -547,15 +547,11 @@ class Plan:
                     s = slot(e.name, _loader(e.name), _ENV, None)
             elif t is Div:
                 b = arg(e.right)
-                mark = len(steps)
+                steps.append((_nonzero, _SINK, b, None))    # before the numerator
                 a = arg(e.left)
-                if len(steps) == mark:
-                    s = slot((operator.truediv, a, b), _checked_div, a, b)
-                else:
-                    # the numerator took steps of its own: check the
-                    # denominator before them
-                    steps.insert(mark, (_nonzero, _SINK, b, None))
-                    s = slot((operator.truediv, a, b), operator.truediv, a, b)
+                if (operator.truediv, a, b) in slots:
+                    steps.pop()     # an equal quotient: its numerator took no steps
+                s = slot((operator.truediv, a, b), operator.truediv, a, b)
             elif t is Neg:
                 a = arg(e.arg)
                 s = slot((operator.neg, a), operator.neg, a, None)
@@ -575,20 +571,15 @@ class Plan:
         self.roots = tuple(arg(e) for e in exprs)
         self.consts = consts
         self.coords = tuple(coords)
-        self.steps = _with_releases(steps, set(self.roots))
-
-
-def _with_releases(steps, keep) -> tuple:
-    """The steps as (fn, out, a, b, free), free the computed slots outside
-    keep that the step is the last to read."""
-    last = {}
-    for i, (_, _, a, b) in enumerate(steps):
-        last[a] = last[b] = i
-    free = [()] * len(steps)
-    for _, out, _, _ in steps:
-        if out not in keep and out != _SINK:
-            free[last[out]] += (out,)
-    return tuple((fn, out, a, b, f) for (fn, out, a, b), f in zip(steps, free))
+        # free: the computed slots outside the roots this step reads last
+        last, keep = {}, {*self.roots, _SINK}
+        for i, (_, _, a, b) in enumerate(steps):
+            last[a] = last[b] = i
+        free = [()] * len(steps)
+        for _, out, _, _ in steps:
+            if out not in keep:
+                free[last[out]] += (out,)
+        self.steps = tuple((*step, f) for step, f in zip(steps, free))
 
 
 def _run(plan: Plan, env) -> tuple:
@@ -618,11 +609,6 @@ def _loader(name):
 def _nonzero(den):
     if np.any(den == 0.0):
         raise EvalDomainError("division by zero")
-
-
-def _checked_div(num, den):
-    _nonzero(den)
-    return num / den
 
 
 def _checked_pow(base, k):

@@ -225,14 +225,16 @@ def test_flowscan(tmp_path, capsys):
 
 @pytest.fixture
 def evaluate_passes(monkeypatch):
-    """Counts the outermost expr.evaluate calls, wherever imcvf imports it."""
+    """Counts the outermost expr.evaluate calls, wherever imcvf imports it;
+    each is handed a compiled plan."""
     real, depth, passes = expr.evaluate, [0], []
 
-    def counting(exprs, env):
+    def counting(plan, env):
+        assert isinstance(plan, expr.Plan)
         passes.append(depth[0] == 0)
         depth[0] += 1
         try:
-            return real(exprs, env)
+            return real(plan, env)
         finally:
             depth[0] -= 1
 

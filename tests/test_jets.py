@@ -318,27 +318,36 @@ def test_plan_gives_each_root_the_bits_it_has_alone(seed_charts, where):
 
 
 def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
-    """Two threads that start together on a fresh BlockMetric may both
-    compile its plan; each gets the plan stored first, and the jets and
-    masses are those of one thread on another fresh copy, bit for bit."""
+    """Threads that start together on a fresh BlockMetric (four of them,
+    more than the cores, with a short switch interval) may each compile its
+    plan; every one gets the plan stored first, and the jets and masses are
+    those of one thread on another fresh copy, bit for bit."""
+    import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    grids = [SphereGrid(0.0, r, 16, 32) for r in (2.0, 3.5)]
+    grids = [SphereGrid(0.0, r, 16, 32) for r in (2.0, 3.5, 5.0, 7.5)]
     alone = build_seed("ea", 0.1)
     expected = [(component_jets(alone, gr.env(), FIRST_JETS), hawking_mass(alone, gr))
                 for gr in grids]
     shared = build_seed("ea", 0.1)
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(len(grids), timeout=30)
 
     def run(grid):
         barrier.wait()
-        return component_jets(shared, grid.env(), FIRST_JETS), hawking_mass(shared, grid)
+        plan = shared.jet_plan(FIRST_JETS)
+        return plan, component_jets(shared, grid.env(), FIRST_JETS), hawking_mass(shared, grid)
 
-    with ThreadPoolExecutor(2) as pool:
-        got = list(pool.map(run, grids))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(grids)) as pool:
+            got = [job.result(timeout=60) for job in [pool.submit(run, gr) for gr in grids]]
+    finally:
+        sys.setswitchinterval(interval)
     assert list(shared._plans) == [FIRST_JETS]
-    for (jets, mass), (ref_jets, ref_mass) in zip(got, expected):
+    assert all(plan is shared._plans[FIRST_JETS] for plan, _, _ in got)
+    for (_, jets, mass), (ref_jets, ref_mass) in zip(got, expected):
         assert mass == ref_mass
         for key in FIRST_JETS:
             assert jets[key].tobytes() == ref_jets[key].tobytes(), key
