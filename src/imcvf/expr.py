@@ -527,16 +527,16 @@ class Plan:
                 consts.append(value)
             return s
 
-        def arg(e):
-            s = seen_get(id(e))
-            return visit(e) if s is None else s
-
         def visit(e):
+            # one frame per level of the tree, as a recursive evaluation takes
+            s = seen_get(id(e))
+            if s is not None:
+                return s
             t = type(e)
             fn = _BINARY_FN.get(t)
             if fn is not None:
-                a = arg(e.left)
-                b = arg(e.right)
+                a = visit(e.left)
+                b = visit(e.right)
                 s = slot((fn, a, b), fn, a, b)
             elif t is Lit:
                 s = const(e.value)
@@ -546,29 +546,29 @@ class Plan:
                     coords.append(e.name)
                     s = slot(e.name, _loader(e.name), _ENV, None)
             elif t is Div:
-                b = arg(e.right)
+                b = visit(e.right)
                 steps.append((_nonzero, _SINK, b, None))    # before the numerator
-                a = arg(e.left)
+                a = visit(e.left)
                 if (operator.truediv, a, b) in slots:
                     steps.pop()     # an equal quotient: its numerator took no steps
                 s = slot((operator.truediv, a, b), operator.truediv, a, b)
             elif t is Neg:
-                a = arg(e.arg)
+                a = visit(e.arg)
                 s = slot((operator.neg, a), operator.neg, a, None)
             elif t is Pow:
-                a = arg(e.base)
+                a = visit(e.base)
                 k = const(e.expo)
                 s = slot((_checked_pow, a, k), _checked_pow, a, k)
             elif t is Call:
                 fn = _CALL[e.fn]
-                a = arg(e.arg)
+                a = visit(e.arg)
                 s = slot((fn, a), fn, a, None)
             else:  # pragma: no cover
                 raise TypeError(f"not a FieldExpr node: {e!r}")
             seen[id(e)] = s
             return s
 
-        self.roots = tuple(arg(e) for e in exprs)
+        self.roots = tuple(visit(e) for e in exprs)
         self.consts = consts
         self.coords = tuple(coords)
         # free: the computed slots outside the roots this step reads last

@@ -207,6 +207,15 @@ def test_plan_keeps_signed_zero_roots_apart(env):
     assert math.copysign(1.0, zero) == 1.0 and math.copysign(1.0, minus_zero) == -1.0
 
 
+def test_plan_compiles_a_deep_tree():
+    """A sum of 700 terms is a tree 700 levels deep; compiling it takes one
+    frame per level, as a recursive evaluation would, so it stays within
+    the default recursion limit."""
+    e = parse("+".join(["r*th"] * 700))
+    assert evaluate(e, {"r": 1.0, "th": 2.0}) == 1400.0
+    assert evaluate(e, {"r": np.ones(3), "th": 2.0}).tolist() == [1400.0] * 3
+
+
 def test_plan_raises_domain_errors_in_recursive_order():
     """The denominator is checked before the numerator is evaluated, and the
     left operand before the right, as a recursive evaluation would."""
