@@ -89,14 +89,15 @@ def adm_mass(g3: ConformalMetric3, radii) -> AdmResult:
     Euclidean area element and divided by 16 pi.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    u, u_r = g3.jets(radii)
-    values = np.asarray([_sphere_flux(r, flux) / (16.0 * np.pi)
-                         for r, flux in zip(radii, -8.0 * u**3 * u_r)])
+    with np.errstate(all="ignore"):     # _extrapolate names a radius whose value is not finite
+        u, u_r = g3.jets(radii)
+        values = np.asarray([_sphere_flux(r, flux) / (16.0 * np.pi)
+                             for r, flux in zip(radii, -8.0 * u**3 * u_r)])
+    mass = _extrapolate(radii, values)
     growth = np.abs(values[1:]) - np.abs(values[:-1])
     diverging = bool(values.size >= 3 and np.all(growth > 0)
                      and np.abs(values[-1]) > 2.0 * np.abs(values[0]))
-    return AdmResult(radii=radii, values=values,
-                     mass=_extrapolate(radii, values), diverging=diverging)
+    return AdmResult(radii=radii, values=values, mass=mass, diverging=diverging)
 
 
 def adm_conformal_delta(u3: FieldExpr, radii) -> float:

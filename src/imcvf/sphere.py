@@ -13,30 +13,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import FIRST_JETS, PH, R, T, TH, BlockMetric, CoordinatePoint, check_det, \
+from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, CoordinatePoint, check_det, \
     cofactors, component_jets, cross_terms, det_from_components, metric_values
 from .curvature import christoffel_values, metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
+from .expr import COORDS
 from .grid import SphereGrid
 
-__all__ = ["SphereFrame", "MeanCurvatureDecomp", "surface_fields", "sphere_frame",
-           "star_values", "mean_curvature_vector",
+__all__ = ["SURFACE_JETS", "SphereFrame", "MeanCurvatureDecomp", "surface_fields",
+           "sphere_frame", "star_values", "mean_curvature_vector",
            "mean_curvature_values", "inverse_mean_curvature_vector",
            "hawking_mass", "sphere_laplacian", "first_variation_area_check"]
 
 
-def surface_fields(g: BlockMetric, env, extra=()) -> dict:
-    """Component values, first partials and frame scalars on an env grid.
+# the jets surface_fields evaluates: all that its frame scalars, star_values
+# and _trace_mean_curvature read.  That is the components, every partial of
+# a, b and c, and the tangential partials of e and f; no partial of d, u or v.
+SURFACE_JETS = (COMPONENTS + ("e_th", "e_ph", "f_th", "f_ph")
+                + tuple(f"{n}_{m}" for n in "abc" for m in COORDS))
 
-    Keys: the components by name, first partials as e.g. 'a_th', and the
-    derived fields W = ab - c^2, W_r, cf_be, ce_af, det, nn, norm_n.
-    extra names further component jets (e.g. 'u_th_th') to evaluate in the
-    same pass.  Every array broadcasts to the env's shape and is no larger
-    than the coordinates it depends on make it: on SphereGrid.env a
-    component of r alone, and W = ab - c^2 of a chart with a = r^2, stay a
-    (1, 1) scalar or a column.
+
+def surface_fields(g: BlockMetric, env, extra=()) -> dict:
+    """The SURFACE_JETS, the jets named in extra and the frame scalars on an
+    env grid.
+
+    Keys: each jet by its key (e.g. 'a', 'a_th'), and the derived fields
+    W = ab - c^2, W_r, W_th, W_ph, cf_be, ce_af, det, nn, norm_n.  The
+    SURFACE_JETS are what the frame scalars, star_values and the trace
+    formula read; a caller that reads another jet (e.g. 'e_r' or
+    'u_th_th') names it in extra, and it is evaluated in the same pass.
+    Every array broadcasts to the env's shape and is no larger than the
+    coordinates it depends on make it: on SphereGrid.env a component of r
+    alone, and W = ab - c^2 of a chart with a = r^2, stay a (1, 1) scalar
+    or a column.
     """
-    out = component_jets(g, env, FIRST_JETS + tuple(extra))
+    out = component_jets(g, env, SURFACE_JETS + tuple(extra))
     a, b, c = out["a"], out["b"], out["c"]
     out["W"], out["cf_be"], out["ce_af"] = cross_terms(out)
     if np.any(out["W"] <= 0.0):
@@ -249,14 +260,19 @@ def generalized_flow_radial_residual(m: MeanCurvatureDecomp, beta: float) -> flo
 
 def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
     """sqrt(|S|/16 pi) (1 - (1/16 pi) integral of <H,H> dA) by quadrature,
-    with H from the trace formula."""
-    fields = surface_fields(g, grid.env())
-    h_r, h_n = _trace_mean_curvature(fields)
-    hh = h_r**2 - h_n**2
-    sqrt_gs = np.sqrt(fields["W"])
-    area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
-    integral = grid.integrate_area(hh, sqrt_gs)
-    return float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))
+    with H from the trace formula.  A mass that is not finite (the chart's
+    arithmetic overflows on the sphere) is a ValueError naming r."""
+    with np.errstate(all="ignore"):     # an overflow shows in the mass, checked below
+        fields = surface_fields(g, grid.env())
+        h_r, h_n = _trace_mean_curvature(fields)
+        hh = h_r**2 - h_n**2
+        sqrt_gs = np.sqrt(fields["W"])
+        area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
+        integral = grid.integrate_area(hh, sqrt_gs)
+        mass = float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))
+    if not np.isfinite(mass):
+        raise ValueError(f"the Hawking mass at r = {grid.r!r} is not finite")
+    return mass
 
 
 def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.ndarray:

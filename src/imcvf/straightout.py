@@ -56,9 +56,19 @@ class HyperbolicAngle:
     iterations: int
 
 
+# jets that the closed forms read beyond surface_fields' SURFACE_JETS: the
+# one-form's Gamma^t_thr and Gamma^t_phr read the first four, the d-free
+# stage of the assembled form all six.  Where d is the chart's own, they
+# also read its tangential partials, _CHART_D_JETS; where d lives on the
+# grid, _grid_d_data puts spectral ones in their place.
+_CLOSED_FORM_JETS = ("e_r", "f_r", "u_th", "u_ph", "v_th", "v_ph")
+_CHART_D_JETS = ("d_th", "d_ph")
+
+
 def _gamma_t_radial(f):
     """Closed forms of Gamma^t_thr and Gamma^t_phr from the fields dict f
-    (surface_fields, or _grid_d_data where d lives on the grid)."""
+    (surface_fields with _CLOSED_FORM_JETS and _CHART_D_JETS, or
+    _grid_d_data where d lives on the grid)."""
     d, u2, det = f["d"], f["u"] ** 2, f["det"]
     g_thr = (u2 * f["W"] * (f["e_r"] + f["d_th"]) - d * f["W"] * 2.0 * f["u"] * f["u_th"]
              + u2 * f["cf_be"] * f["a_r"] + u2 * f["ce_af"] * f["c_r"]) / (2.0 * det)
@@ -68,8 +78,12 @@ def _gamma_t_radial(f):
 
 
 def connection_one_form(g: BlockMetric, grid: SphereGrid, fields=None) -> ConnectionOneForm:
-    """One-form of e_r from the closed-form Christoffel entries."""
-    f = fields if fields is not None else surface_fields(g, grid.env())
+    """One-form of e_r from the closed-form Christoffel entries.  fields,
+    when given, must hold e_r, f_r, u_th, u_ph, d_th and d_ph besides the
+    surface_fields entries: surface_fields(g, env, extra=_CLOSED_FORM_JETS
+    + _CHART_D_JETS), or that dict through _grid_d_data."""
+    f = fields if fields is not None else surface_fields(
+        g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     g_thr, g_phr = _gamma_t_radial(f)
     scale = -np.sqrt(-f["det"] / f["W"]) / f["u"] ** 2
     return ConnectionOneForm(alpha_th=scale * g_thr, alpha_ph=scale * g_phr)
@@ -102,6 +116,7 @@ def divergence_alpha(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
     div = d(beta^th)/dth + d(beta^ph)/dph + beta^th cot(th) with the dual
     vector beta = g_S^{-1} alpha, evaluated spectrally through the
     sin-weighted form that keeps the transform in the scalar parity class.
+    fields, when given, needs only the surface_fields entries a, b, c, W.
     """
     f = fields if fields is not None else surface_fields(g, grid.env())
     beta_th, beta_ph = _dual_vector(f, alpha)
@@ -123,7 +138,8 @@ def one_form_energy(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
 
     Rotating the normal by an angle field chi maps alpha to alpha - d(chi),
     so among all rotations the energy is minimized exactly by the Poisson
-    gauge; the straight-out normal is that minimizer.
+    gauge; the straight-out normal is that minimizer.  fields, when given,
+    needs only the surface_fields entries a, b, c, W.
     """
     f = fields if fields is not None else surface_fields(g, grid.env())
     return grid.integrate_area(one_form_norm_sq(f, alpha), np.sqrt(f["W"]))
@@ -192,6 +208,7 @@ def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
     beyond 1e-6 * |alpha| raise CompatibilityError.  After the rotation the
     one-form alpha - d(chi) has sup-norm divergence below the solver
     tolerance by construction (the same discrete operators are composed).
+    fields, when given, needs only the surface_fields entries a, b, c, W.
     """
     f = fields if fields is not None else surface_fields(g, grid.env())
     div, integral = divergence_alpha(g, grid, alpha, fields=f)
@@ -214,7 +231,7 @@ def is_time_flat(g: BlockMetric, grid: SphereGrid, tol: float = 1e-7):
     rotated by artanh(H_n / H_r), with H from the trace formula.  Requires
     a spacelike mean curvature vector.
     """
-    f = surface_fields(g, grid.env())
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     h_r, h_n = _trace_mean_curvature(f)
     if np.any(np.abs(h_r) <= np.abs(h_n)):
         raise NonSpacelikeMeanCurvatureError(
@@ -241,8 +258,9 @@ _D_SECOND_JETS = ("d_th_th", "d_th_ph", "d_ph_ph")
 def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
     """The fields dict f with grid samples of d merged in: d, its tangential
     partials by spectral derivatives and the |g| they imply replace the
-    chart's own; other entries that depend on d (d_t, d_r, nn, norm_n and
-    any second partials of d) are left as the chart gives them."""
+    chart's own, so f needs none of _CHART_D_JETS; other entries that
+    depend on d (nn, norm_n and any second partials of d) are left as the
+    chart gives them."""
     d_th, d_ph = grid.gradient(d)
     out = {**f, "d": d, "d_th": d_th, "d_ph": d_ph}
     out["det"] = det_from_components(out, out["W"])
@@ -250,7 +268,7 @@ def _grid_d_data(grid: SphereGrid, f, d: np.ndarray) -> dict:
 
 
 # entries of a fields dict that depend on d; the d-free stage reads none
-_D_ENTRIES = ("d", "d_t", "d_r", "d_th", "d_ph", "det", "nn", "norm_n") + _D_SECOND_JETS
+_D_ENTRIES = ("d",) + _CHART_D_JETS + ("det", "nn", "norm_n") + _D_SECOND_JETS
 
 
 def _assembled_d_free(grid: SphereGrid, fields) -> dict:
@@ -354,8 +372,8 @@ def assembled_form(grid: SphereGrid, fields) -> np.ndarray:
     """|g_S| Lap_{g_S}(d) + F(d, d'): the fully assembled closed form of
     2 sqrt(-|g_S||g|) div(alpha).  All 0/0-prone groupings are multiplied
     through, so the spherically symmetric limit is exactly zero.  fields
-    must hold the _ASSEMBLED_JETS and _D_SECOND_JETS besides the
-    surface_fields entries.
+    must hold the _CLOSED_FORM_JETS, _CHART_D_JETS, _ASSEMBLED_JETS and
+    _D_SECOND_JETS besides the surface_fields entries.
 
     It runs in two stages: _assembled_d_free forms every array that does
     not depend on d from the compact jets, and _assembled_d_terms adds the
@@ -379,7 +397,8 @@ def straight_out_residual(g: BlockMetric, grid: SphereGrid) -> StraightOutResidu
 
     The agreement of the two routes (typically at rounding level, required
     below 1e-6) certifies the assembled second-order form."""
-    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS + _D_SECOND_JETS)
+    f = surface_fields(g, grid.env(), extra=(_CLOSED_FORM_JETS + _CHART_D_JETS
+                                             + _ASSEMBLED_JETS + _D_SECOND_JETS))
     alpha = connection_one_form(g, grid, fields=f)
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     direct = 2.0 * np.sqrt(-f["W"] * f["det"]) * div
@@ -420,7 +439,7 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, max_iter: int = 200,
     configuration.  So is an inner Poisson solve that stalls above its
     floor: the solution comes back unconverged with its poisson_history.
     """
-    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS)
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
     area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
     d_free = _assembled_d_free(grid, f)

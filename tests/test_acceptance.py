@@ -25,6 +25,7 @@ from imcvf.steering import frame_data, steered_normal_component, \
 from imcvf.straightout import ConnectionOneForm, connection_one_form, \
     divergence_alpha, gauge_rotation, one_form_norm_sq, rotate_one_form, \
     straight_out_residual
+from imcvf.straightout import _CHART_D_JETS, _CLOSED_FORM_JETS
 
 from conftest import build_seed, seed_inputs
 from test_curvature import IDX, random_env, random_uv
@@ -288,7 +289,7 @@ def test_criterion_9_property_bundle():
     for kind, eps in [("e", 1e-2), ("ef", 1e-1)]:
         g = build_seed(kind, eps)
         grid = SphereGrid(0.0, 2.0, 32, 64)
-        f = surface_fields(g, grid.env())
+        f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
         alpha = connection_one_form(g, grid, fields=f)
         _, integral = divergence_alpha(g, grid, alpha, fields=f)
         norm = math.sqrt(float(np.max(one_form_norm_sq(f, alpha))))

@@ -402,7 +402,7 @@ def test_straightout_solve_at_a_radius_whose_square_overflows_exits_1(minkowski_
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # du/dr = -1/r^2 overflows at 1e300
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no overflow warning escapes
 @pytest.mark.parametrize("radii", ["10,inf", "10,20,1e300"])
 def test_adm_at_a_radius_whose_square_overflows_exits_1(radii, capsys):
     """The surface integral at such a radius is no number: adm exits 1
@@ -412,12 +412,14 @@ def test_adm_at_a_radius_whose_square_overflows_exits_1(radii, capsys):
     assert captured.err.startswith("error: r^2 must be finite") and captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # u^3 overflows at r = 1e-160
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no overflow warning escapes
 @pytest.mark.parametrize("factor, radii", [("exp(1/r)", "1e-160"),
                                            ("1+1/(2*r)", "10,20,1e-160")])
 def test_adm_with_a_surface_integral_that_is_not_finite_exits_1(factor, radii, capfd):
     """A tabulated integral that is inf or nan is refused before the fit,
-    naming its radius: no nan mass, and no LAPACK message from the SVD."""
+    naming its radius: no nan mass, no LAPACK message from the SVD, and no
+    warning of the overflow (u^3 and du/dr at r = 1e-160) besides the one
+    error line."""
     assert main(["adm", "--factor", factor, "--radii", radii]) == 1
     captured = capfd.readouterr()
     assert captured.err == "error: the surface integral at r = 1e-160 is not finite\n"
@@ -441,9 +443,10 @@ def test_flowscan_with_an_angular_u_or_v_exits_1(component, source, coord, tmp_p
 
 
 def test_hawking_evaluates_every_sphere_with_one_plan(ef_chart, monkeypatch, capsys):
-    """Four radii on the pool: the metric compiles its FIRST_JETS plan once,
-    and every sphere's evaluate pass is handed that plan."""
+    """Four radii on the pool: the metric compiles its SURFACE_JETS plan
+    once, and every sphere's evaluate pass is handed that plan."""
     from imcvf import chart
+    from imcvf.sphere import SURFACE_JETS
 
     metrics, plans = [], []
     load, real = cli._load_metric, chart.evaluate
@@ -452,8 +455,20 @@ def test_hawking_evaluates_every_sphere_with_one_plan(ef_chart, monkeypatch, cap
     assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,3,4,5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     (g,) = metrics
-    assert list(g._plans) == [chart.FIRST_JETS]
-    assert len(plans) == 4 and all(p is g._plans[chart.FIRST_JETS] for p in plans)
+    assert list(g._plans) == [SURFACE_JETS]
+    assert len(plans) == 4 and all(p is g._plans[SURFACE_JETS] for p in plans)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no overflow warning escapes
+def test_hawking_mass_that_is_not_finite_exits_1(ef_chart, capsys):
+    """The ef chart's arithmetic overflows from r = 1e76 while r^2 is still
+    finite: once every sphere is done, hawking names the first such radius
+    on one error line, where it printed nan under a stack of warnings and
+    exited 0."""
+    assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,1e76,1e100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the Hawking mass at r = 1e+76 is not finite\n"
+    assert captured.out == ""
 
 
 def test_boolean_chart_parameter_exits_1(tmp_path, capsys):

@@ -12,19 +12,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imcvf import chart, expr
+from imcvf import builder, chart, expr, sphere
+from imcvf.builder import validate_chart
 from imcvf.chart import (FIRST_JETS, SECOND_JETS, BlockMetric, CoordinatePoint, component_jets,
                          det_values, inverse_values, metric_values)
 from imcvf.curvature import christoffel_values, curvature_values
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
-from imcvf.sphere import (gs_laplacian_coefficients, gs_trace, hawking_mass,
-                          mean_curvature_values, star_values, surface_fields)
+from imcvf.sphere import (SURFACE_JETS, first_variation_area_check, gs_laplacian_coefficients,
+                          gs_trace, hawking_mass, mean_curvature_values, star_values,
+                          surface_fields)
 from imcvf.steering import frame_data, steering_parameter
-from imcvf.straightout import (_ASSEMBLED_JETS, _D_SECOND_JETS, _assembled_d_free,
-                               _grid_d_data, assembled_form, solve_straight_out_d,
-                               straight_out_residual)
+from imcvf.straightout import (_ASSEMBLED_JETS, _CHART_D_JETS, _CLOSED_FORM_JETS,
+                               _D_SECOND_JETS, _assembled_d_free, _grid_d_data,
+                               assembled_form, solve_straight_out_d, straight_out_residual)
 
 from conftest import build_seed
 
@@ -222,7 +224,7 @@ def test_assembled_form_on_compact_jets_is_bitwise(kind, size):
     partials of d are zero."""
     g = BlockMetric(**GENERIC) if kind == "generic" else build_seed(kind, 0.1)
     grid = SphereGrid(0.0, 2.0, *size)
-    f = surface_fields(g, grid.env(), extra=_ASSEMBLED_JETS + _D_SECOND_JETS)
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _ASSEMBLED_JETS + _D_SECOND_JETS)
     fd = _grid_d_data(grid, f, np.array(np.broadcast_to(f["d"], size)))
     full = {k: np.array(np.broadcast_to(v, size)) for k, v in fd.items()}
     assert any(np.shape(v) != size for v in fd.values())
@@ -236,7 +238,8 @@ def test_assembled_form_on_compact_jets_is_bitwise(kind, size):
 
 def test_d_free_stage_keeps_separable_factors_compact():
     grid = SphereGrid(0.0, 2.0, 16, 32)
-    f = surface_fields(build_seed("ef", 0.1), grid.env(), extra=_ASSEMBLED_JETS)
+    f = surface_fields(build_seed("ef", 0.1), grid.env(),
+                       extra=_CLOSED_FORM_JETS + _ASSEMBLED_JETS)
     p = _assembled_d_free(grid, f)
     assert p["a"].shape == p["u"].shape == p["u2"].shape == (1, 1)
     assert p["b"].shape == p["tr_u2"].shape == (16, 1)
@@ -277,15 +280,71 @@ def test_component_jets_evaluate_only_the_requested_keys(evaluate_calls):
 
 
 @pytest.mark.parametrize("run, n_jets", [
-    (lambda g, gr: surface_fields(g, gr.env()), len(FIRST_JETS)),
-    (lambda g, gr: hawking_mass(g, gr), len(FIRST_JETS)),
-    (lambda g, gr: straight_out_residual(g, gr), len(FIRST_JETS) + 16),
-    (lambda g, gr: solve_straight_out_d(g, gr, max_iter=1), len(FIRST_JETS) + 13),
+    (lambda g, gr: surface_fields(g, gr.env()), len(SURFACE_JETS)),
+    (lambda g, gr: hawking_mass(g, gr), len(SURFACE_JETS)),
+    (lambda g, gr: straight_out_residual(g, gr), len(SURFACE_JETS) + 8 + 16),
+    (lambda g, gr: solve_straight_out_d(g, gr, max_iter=1), len(SURFACE_JETS) + 6 + 13),
     (lambda g, gr: frame_data(g, gr.env()), 29),
 ])
 def test_each_sphere_quantity_takes_one_evaluate_pass(evaluate_calls, run, n_jets):
     run(build_seed("ef", 0.1), SphereGrid(0.0, 4.7, 16, 32))
     assert [len(plan.roots) for plan in evaluate_calls] == [n_jets]
+
+
+def test_hawking_plan_holds_no_partial_of_d(evaluate_calls):
+    """hawking_mass runs the SURFACE_JETS plan, and no partial of d is in
+    it: each one, added as a root, adds steps, where a subtree the plan
+    already holds would share its slot."""
+    g = build_seed("ef", 0.1)
+    hawking_mass(g, SphereGrid(0.0, 4.7, 16, 32))
+    (plan,) = evaluate_calls
+    assert plan is g.jet_plan(SURFACE_JETS)
+    roots = [g.deriv(*k.split("_")) for k in SURFACE_JETS]
+    for x in expr.COORDS:
+        assert len(expr.Plan(roots + [g.deriv("d", x)]).steps) > len(plan.steps), x
+
+
+def _bits(value):
+    """value as bytes, equal exactly where two results are equal bit for
+    bit; a report by its repr, which spells each float to its last bit."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value).tobytes()
+    return repr(value)
+
+
+_POINT = CoordinatePoint(0.3, 2.7, 1.1, 4.0).env()
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda g, gr: hawking_mass(g, gr),
+    lambda g, gr: mean_curvature_values(g, gr.env(), method="closed"),
+    lambda g, gr: mean_curvature_values(g, gr.env(), method="trace"),
+    lambda g, gr: mean_curvature_values(g, _POINT, method="closed"),
+    lambda g, gr: mean_curvature_values(g, _POINT, method="trace"),
+    lambda g, gr: first_variation_area_check(g, gr),
+    lambda g, gr: validate_chart(g),
+], ids=["hawking", "closed", "trace", "closed-point", "trace-point", "first-variation",
+        "validate"])
+def test_surface_jets_give_the_bits_of_every_first_jet(seed_charts, monkeypatch, quantity):
+    """Each sphere quantity on the twelve seeds, at 16x32 or at a point,
+    holds the same bits from the SURFACE_JETS fields as from fields that
+    hold every FIRST_JETS key: the jets surface_fields leaves out are jets
+    none of them reads."""
+    grid = SphereGrid(0.3, 2.7, 16, 32)
+    lean = [_bits(quantity(g, grid)) for _, _, g in seed_charts]
+    real, calls = sphere.surface_fields, []
+
+    def every_first_jet(g, env, extra=()):
+        calls.append(g)
+        return real(g, env, extra=FIRST_JETS + tuple(extra))
+
+    monkeypatch.setattr(sphere, "surface_fields", every_first_jet)
+    monkeypatch.setattr(builder, "surface_fields", every_first_jet)
+    full = [_bits(quantity(g, grid)) for _, _, g in seed_charts]
+    assert len(calls) == len(seed_charts)
+    assert lean == full
 
 
 def test_evaluate_sequence_shares_one_memo():
@@ -345,7 +404,7 @@ def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
             got = [job.result(timeout=60) for job in [pool.submit(run, gr) for gr in grids]]
     finally:
         sys.setswitchinterval(interval)
-    assert list(shared._plans) == [FIRST_JETS]
+    assert list(shared._plans) == [FIRST_JETS, SURFACE_JETS]
     assert all(plan is shared._plans[FIRST_JETS] for plan, _, _ in got)
     for (_, jets, mass), (ref_jets, ref_mass) in zip(got, expected):
         assert mass == ref_mass

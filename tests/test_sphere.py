@@ -223,6 +223,17 @@ def test_hawking_mass_constant_u():
     assert hawking_mass(g, grid) == pytest.approx(1.125, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hawking_mass_that_is_not_finite_is_a_value_error():
+    """On the ef seed the chart's own arithmetic overflows at r = 1e100,
+    where r^2 is still finite: the mass is refused, naming r, and no
+    floating-point warning escapes (the filter would raise it)."""
+    from conftest import build_seed
+
+    with pytest.raises(ValueError, match=r"^the Hawking mass at r = 1e\+100 is not finite$"):
+        hawking_mass(build_seed("ef", 0.1), SphereGrid(0.0, 1e100, 16, 32))
+
+
 # ---------------------------------------------------------------------------
 # surface Laplacian
 # ---------------------------------------------------------------------------

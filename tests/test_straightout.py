@@ -25,6 +25,7 @@ from imcvf.straightout import (
     solve_straight_out_d,
     straight_out_residual,
 )
+from imcvf.straightout import _CHART_D_JETS, _CLOSED_FORM_JETS
 
 from conftest import build_seed, seed_inputs
 
@@ -86,7 +87,7 @@ def test_solvability_integral_small_on_chart_one_forms():
     for kind, eps in [("e", 1e-2), ("ef", 1e-1), ("ea", 1e-3)]:
         g = build_seed(kind, eps)
         grid = SphereGrid(0.0, 3.0, 24, 48)
-        f = surface_fields(g, grid.env())
+        f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
         alpha = connection_one_form(g, grid, fields=f)
         _, integral = divergence_alpha(g, grid, alpha, fields=f)
         norm = math.sqrt(float(np.max(one_form_norm_sq(f, alpha))))
@@ -176,7 +177,7 @@ def test_gauge_rotation_convergence_with_resolution():
 def test_gauge_rotation_general_metric():
     g = build_seed("ea", 1e-1)
     grid = SphereGrid(0.0, 2.5, 32, 64)
-    f = surface_fields(g, grid.env())
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=f)
     angle = gauge_rotation(g, grid, alpha, fields=f)
     rotated = rotate_one_form(grid, alpha, angle.theta_gauge)
@@ -205,7 +206,7 @@ def test_gauge_covariance_against_ambient_derivative():
     g = build_seed("ef", 1e-2)
     grid = SphereGrid(0.0, 2.5, 32, 64)
     env = grid.env()
-    f = surface_fields(g, env)
+    f = surface_fields(g, env, extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=f)
 
     rng = np.random.default_rng(101)
@@ -241,7 +242,7 @@ def test_gauge_covariance_against_ambient_derivative():
 def test_energy_minimized_by_gauge_rotation():
     g = build_seed("ef", 1e-1)
     grid = SphereGrid(0.0, 2.0, 32, 64)
-    f = surface_fields(g, grid.env())
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=f)
     angle = gauge_rotation(g, grid, alpha, fields=f)
     best = one_form_energy(g, grid, rotate_one_form(grid, alpha, angle.theta_gauge),
@@ -285,7 +286,7 @@ def test_solved_chart_time_flat():
     grid = SphereGrid(0.0, 2.0, 24, 48)
     flat, sup = is_time_flat(g, grid, tol=1e-5)
     env = grid.env()
-    f = surface_fields(g, env)
+    f = surface_fields(g, env, extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=f)
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     assert sup == pytest.approx(np.max(np.abs(div)), rel=1e-6)
@@ -297,7 +298,7 @@ def test_gauge_rotation_does_not_make_a_surface_time_flat():
     untouched by rotating nu: the two must not be conflated."""
     g = unsolved_seed("e", 1e-1)
     grid = SphereGrid(0.0, 2.0, 32, 64)
-    f = surface_fields(g, grid.env())
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=f)
     angle = gauge_rotation(g, grid, alpha, fields=f)
     rotated = rotate_one_form(grid, alpha, angle.theta_gauge)
@@ -361,7 +362,7 @@ def test_picard_small_perturbation_converges():
     # end to end: with the solved d the radial normal is straight out
     from imcvf.sphere import surface_fields
     from imcvf.straightout import _grid_d_data
-    f = surface_fields(g, grid.env())
+    f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _CHART_D_JETS)
     alpha = connection_one_form(g, grid, fields=_grid_d_data(grid, f, sol.d))
     div, _ = divergence_alpha(g, grid, alpha, fields=f)
     before = connection_one_form(g, grid, fields=f)
