@@ -55,14 +55,12 @@ from .errors import (
 from .expr import FieldExpr, diff, evaluate, parse, to_source
 from .grid import SphereGrid
 from .sphere import (
-    MeanCurvatureDecomp,
-    SphereFrame,
     first_variation_area_check,
+    frame_values,
     generalized_flow_radial_residual,
     hawking_mass,
     inverse_mean_curvature_vector,
-    mean_curvature_vector,
-    sphere_frame,
+    mean_curvature_values,
     sphere_laplacian,
     star_values,
 )

@@ -19,6 +19,7 @@ from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, Plan, call, diff, parse, var
+from .grid import check_radius
 from .sphere import _trace_mean_curvature, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
@@ -80,6 +81,10 @@ class ValidationSpec:
     r_values: tuple = ()
     tol_cond3: float = 1e-10
     tol_cond4: float = 1e-8
+
+    def __post_init__(self):
+        for r in self.r_values:
+            check_radius(r)
 
 
 @dataclass
@@ -163,8 +168,7 @@ def validate_chart(g: BlockMetric, spec: ValidationSpec | None = None) -> ChartR
 
 def imcvf_flow_param(r: float) -> float:
     """Flow parameter s with r^2 = e^s (unit constant): s = 2 ln r."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    check_radius(r)
     return 2.0 * math.log(r)
 
 
@@ -204,6 +208,10 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
         if angular:
             raise ValueError(f"{name} reads {angular[0]}: the radial flow needs "
                              "u and v of t and r alone")
+    for r in r_range:
+        check_radius(r)
+    if n < 1:
+        raise ValueError(f"the radial flow needs at least one radius, got n = {n}")
     radii = np.linspace(r_range[0], r_range[1], n)
     s = 2.0 * np.log(radii)
     fd_step = 1e-4

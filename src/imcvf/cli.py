@@ -214,6 +214,8 @@ def cmd_hawking(args) -> int:
     g = _load_metric(args.chart)
     n_theta, n_phi = _grid_sizes(args.grid)
     radii = _floats(args.r)
+    if not radii:
+        raise ImcvfError("no radius to take the Hawking mass at")
 
     def one(r):
         return hawking_mass(g, SphereGrid(args.t, r, n_theta, n_phi))
@@ -290,9 +292,12 @@ def cmd_adm(args) -> int:
 def cmd_flowscan(args) -> int:
     cf = load_chart(args.chart)
     u, v = cf.exprs["u"], cf.exprs["v"]
-    lo, hi, n = args.r_range.split(":")
-    rep = builder.monotonicity_check_spherical(u, v, args.t,
-                                               (float(lo), float(hi)), int(n))
+    try:
+        lo, hi, n = args.r_range.split(":")
+        r_range, n = (float(lo), float(hi)), int(n)
+    except ValueError as exc:
+        raise ImcvfError(f"bad --r-range {args.r_range!r}, expected 'LO:HI:N'") from exc
+    rep = builder.monotonicity_check_spherical(u, v, args.t, r_range, n)
     _emit(args, ["r", "m_H", "dmH_ds", "G_tt"], [rep.r, rep.m_h, rep.dmh_ds, rep.g_tt],
           {"identity_err_max": rep.identity_err_max,
            "monotone_ok": bool(rep.monotone_ok)})

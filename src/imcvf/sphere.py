@@ -9,21 +9,19 @@ identity 2 H_{e_r} (ab - c^2) = e_r(ab - c^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, CoordinatePoint, check_det, \
-    cofactors, component_jets, cross_terms, det_from_components, metric_values
-from .curvature import christoffel_values, metric_partial, raise_sum
+from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, check_det, cofactors, \
+    component_jets, cross_terms, det_from_components, env_shape
+from .curvature import metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .expr import COORDS
 from .grid import SphereGrid
 
-__all__ = ["SURFACE_JETS", "SphereFrame", "MeanCurvatureDecomp", "surface_fields",
-           "sphere_frame", "star_values", "mean_curvature_vector",
+__all__ = ["SURFACE_JETS", "surface_fields", "frame_values", "star_values",
            "mean_curvature_values", "inverse_mean_curvature_vector",
-           "hawking_mass", "sphere_laplacian", "first_variation_area_check"]
+           "generalized_flow_radial_residual", "hawking_mass", "sphere_laplacian",
+           "first_variation_area_check"]
 
 
 # the jets surface_fields evaluates: all that its frame scalars, star_values
@@ -74,43 +72,18 @@ def gs_laplacian_coefficients(f, cot):
     return (f["b_th"] - f["b"] * cot - f["c_ph"], -f["c_th"] + f["c"] * cot + f["a_ph"])
 
 
-@dataclass(frozen=True)
-class SphereFrame:
-    """Normal-bundle data at one node of a coordinate sphere."""
+def frame_values(g: BlockMetric, env) -> dict:
+    """The normal frame on an env grid: n = d_t - (d/u^2) d_r + ((cf - be)/W) d_th
+    + ((ce - af)/W) d_ph, the timelike normal (<n, n> is surface_fields' 'nn'),
+    e_r = (1/u) d_r and e_n = n / ||n||, each of shape env_shape(env) + (4,)."""
+    f, shape = surface_fields(g, env), env_shape(env)
 
-    g_s: np.ndarray          # 2x2 induced metric [[a, c], [c, b]]
-    g_s_inv: np.ndarray
-    n: np.ndarray            # un-normalized timelike normal, components (t,r,th,ph)
-    nn: float                # <n, n> < 0
-    e_r: np.ndarray          # (1/u) d_r
-    e_n: np.ndarray          # n / ||n||
+    def vector(*parts):
+        return np.stack([np.broadcast_to(x, shape) for x in parts], axis=-1)
 
-
-def sphere_frame(g: BlockMetric, node: CoordinatePoint) -> SphereFrame:
-    """Orthonormal frame of the normal bundle at a node."""
-    env = node.env()
-    f = surface_fields(g, env)
-    a, b, c, w = (float(f[k]) for k in ("a", "b", "c", "W"))
-    g_s = np.array([[a, c], [c, b]])
-    g_s_inv = np.array([[b, -c], [-c, a]]) / w
-    n = np.array([1.0, -float(f["d"]) / float(f["u"]) ** 2,
-                  float(f["cf_be"]) / w, float(f["ce_af"]) / w])
-    nn = float(f["nn"])
-    e_r = np.array([0.0, 1.0 / float(f["u"]), 0.0, 0.0])
-    e_n = n / np.sqrt(-nn)
-    return SphereFrame(g_s=g_s, g_s_inv=g_s_inv, n=n, nn=nn,
-                       e_r=e_r, e_n=e_n)
-
-
-def normal_inner_products(g: BlockMetric, node: CoordinatePoint) -> dict:
-    """<n, d_i> under the full metric plus the closed-form and direct <n, n>;
-    used to verify the frame construction."""
-    fr = sphere_frame(g, node)
-    m = metric_values(g, node.env())
-    direct = float(fr.n @ m @ fr.n)
-    return {"n_dr": float(fr.n @ m[:, R]), "n_dth": float(fr.n @ m[:, TH]),
-            "n_dph": float(fr.n @ m[:, PH]), "nn_closed": fr.nn,
-            "nn_direct": direct}
+    n = vector(1.0, -f["d"] / f["u"] ** 2, f["cf_be"] / f["W"], f["ce_af"] / f["W"])
+    return {"n": n, "e_r": vector(0.0, 1.0 / f["u"], 0.0, 0.0),
+            "e_n": n / np.broadcast_to(f["norm_n"], shape)[..., None]}
 
 
 # ---------------------------------------------------------------------------
@@ -137,43 +110,19 @@ def star_values(g: BlockMetric, env, fields=None) -> np.ndarray:
     return num / (2.0 * f["det"])
 
 
-def star_from_christoffel(g: BlockMetric, env) -> np.ndarray:
-    """Independent evaluation b G^t_thth - 2c G^t_thph + a G^t_phph."""
-    gam = christoffel_values(g, env)
-    return gs_trace(component_jets(g, env, ("a", "b", "c")), gam[..., T, TH, TH],
-                    gam[..., T, TH, PH], gam[..., T, PH, PH])
-
-
 # ---------------------------------------------------------------------------
 # mean curvature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanCurvatureDecomp:
-    """H = H_r e_r + H_n e_n with <e_r,e_r> = 1, <e_n,e_n> = -1.
+def mean_curvature_values(g: BlockMetric, env, method: str) -> tuple:
+    """(H_r, H_n, star) arrays on an env grid, with H = H_r e_r + H_n e_n.
 
-    The inward convention makes H_r < 0 for round spheres; star carries the
-    tangency obstruction evaluated at the same node.
+    method 'closed' uses the radial closed form H_r = -2/(r u) < 0 (valid
+    when ab - c^2 = r^4 sin^2 th) and the star formula for H_n; method
+    'trace' contracts the second fundamental form with generic Christoffels
+    and is the independent oracle.
     """
-
-    H_r: float
-    H_n: float
-    star: float
-
-    def norm_squared(self) -> float:
-        return self.H_r**2 - self.H_n**2
-
-
-def mean_curvature_values(g: BlockMetric, env, method: str = "closed",
-                          fields=None) -> tuple:
-    """(H_r, H_n, star) arrays on an env grid.
-
-    method 'closed' uses the radial closed form -2/(r u) (valid when
-    ab - c^2 = r^4 sin^2 th) and the star formula for H_n; method 'trace'
-    contracts the second fundamental form with generic Christoffels and is
-    the independent oracle.
-    """
-    f = fields if fields is not None else surface_fields(g, env)
+    f = surface_fields(g, env)
     star = star_values(g, env, fields=f)
     if method == "trace":
         return (*_trace_mean_curvature(f), star)
@@ -222,36 +171,26 @@ def _tangent_christoffel(f):
         yield raise_sum(ginv[0], lowered), raise_sum(ginv[1], lowered)
 
 
-def mean_curvature_vector(g: BlockMetric, node: CoordinatePoint) -> MeanCurvatureDecomp:
-    """H at a node: the closed form where the area constraint
-    ab - c^2 = r^4 sin^2 th holds there (to 1e-10 relative), the trace
-    formula otherwise."""
-    env = node.env()
-    f = surface_fields(g, env)
-    r4s2 = node.r ** 4 * np.sin(node.th) ** 2
-    closed = abs(f["W"] - r4s2) / r4s2 <= 1e-10
-    h_r, h_n, star = mean_curvature_values(g, env, "closed" if closed else "trace", fields=f)
-    return MeanCurvatureDecomp(H_r=float(h_r), H_n=float(h_n), star=float(star))
+def inverse_mean_curvature_vector(h_r, h_n) -> tuple:
+    """I = -H / <H, H> in the {e_r, e_n} frame, from the H_r and H_n arrays
+    of mean_curvature_values; outward (I_r > 0 for round spheres).  Raises
+    NullMeanCurvatureError when H is null at any node."""
+    hh = h_r**2 - h_n**2
+    if np.any(np.abs(hh) < 1e-300) or not np.all(np.isfinite(hh)):
+        raise NullMeanCurvatureError("mean curvature vector is null at a node")
+    return -h_r / hh, -h_n / hh
 
 
-def inverse_mean_curvature_vector(m: MeanCurvatureDecomp) -> tuple:
-    """I = -H / <H, H> in the {e_r, e_n} frame; outward (I_r > 0 for round
-    spheres).  Raises NullMeanCurvatureError when H is null."""
-    hh = m.norm_squared()
-    if abs(hh) < 1e-300 or not np.isfinite(hh):
-        raise NullMeanCurvatureError("mean curvature vector is null")
-    return (-m.H_r / hh, -m.H_n / hh)
-
-
-def generalized_flow_radial_residual(m: MeanCurvatureDecomp, beta: float) -> float:
-    """Defect of the direction I + beta I^perp being parallel to d_r.
+def generalized_flow_radial_residual(h_r, h_n, beta: float):
+    """Defect of the direction I + beta I^perp being parallel to d_r, per
+    node.
 
     The perp rotation swaps the frame legs (e_r <-> e_n), so the timelike
     component of the flow direction is I_n + beta I_r; its magnitude is the
     predicate residual.  Zero for beta = 0 exactly when the chart already
     steers the mean curvature into the slice."""
-    i_r, i_n = inverse_mean_curvature_vector(m)
-    return float(abs(i_n + beta * i_r))
+    i_r, i_n = inverse_mean_curvature_vector(h_r, h_n)
+    return np.abs(i_n + beta * i_r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .chart import BlockMetric, cross_terms, det_from_components, field_jets
 from .errors import NotAreaExpandingError
 from .expr import COORDS, call, diff
-from .sphere import _trace_mean_curvature, gs_trace, surface_fields
+from .sphere import gs_trace
 
 __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
            "tangentiality_residual", "minimal_surface_lemma_check",
@@ -158,9 +158,3 @@ def steered_normal_component(fd: FrameData, q):
                    - q * (-fd.er_b))
     return -np.sqrt(1.0 + q * q) * (gs_trace(vars(fd), w_hh, w_hp, w_pp) / fd.W)
 
-
-def trace_h_er(g: BlockMetric, env, fields=None):
-    """H_{e_r} = -<H, e_r> from the generic trace formula (for the lemma
-    check against frame data)."""
-    f = fields if fields is not None else surface_fields(g, env)
-    return -_trace_mean_curvature(f)[0]

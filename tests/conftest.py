@@ -6,6 +6,7 @@ import pytest
 from imcvf.builder import complete_chart
 from imcvf.chart import SphericalMetric
 from imcvf.expr import parse
+from imcvf.sphere import _trace_mean_curvature, surface_fields
 
 # pole window: a high odd sin power keeps the perturbations themselves in
 # the smooth class (odd parity against the m = 1 harmonics) and pushes the
@@ -40,6 +41,14 @@ def seed_specs():
     """(kind, eps) for the twelve standard non-spherical seeds."""
     specs = [(k, e) for k in ("e", "f", "ef", "ea") for e in SEED_EPSILONS]
     return specs
+
+
+def trace_h_er(g, env, fields=None):
+    """H_{e_r} = -<H, e_r> from the generic trace formula: the oracle the
+    minimal-surface lemma is checked against, independent of the frame data
+    and of the closed-form H."""
+    f = fields if fields is not None else surface_fields(g, env)
+    return -_trace_mean_curvature(f)[0]
 
 
 def build_seed(kind: str, eps: float):

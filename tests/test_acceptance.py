@@ -18,8 +18,8 @@ from imcvf.curvature import curvature_values, spherical_oracle
 from imcvf.errors import NotAreaExpandingError
 from imcvf.expr import diff, evaluate, parse, to_source
 from imcvf.grid import SphereGrid
-from imcvf.sphere import mean_curvature_values, normal_inner_products, \
-    star_values, surface_fields
+from imcvf.sphere import frame_values, mean_curvature_values, star_values, \
+    surface_fields
 from imcvf.steering import frame_data, steered_normal_component, \
     steering_parameter, tangentiality_residual
 from imcvf.straightout import ConnectionOneForm, connection_one_form, \
@@ -108,7 +108,7 @@ def test_criterion_3_imcvf_construction(seed_charts):
         env = grid.env()
         fields = surface_fields(g, env)
         star = star_values(g, env, fields=fields)
-        h_r, h_n, _ = mean_curvature_values(g, env, method="trace", fields=fields)
+        h_r, h_n, _ = mean_curvature_values(g, env, method="trace")
         worst_star = max(worst_star, float(np.max(np.abs(star))))
         worst_hn = max(worst_hn, float(np.max(np.abs(h_n))))
         worst_hr = max(worst_hr, float(np.max(np.abs(h_r + 2.0 / (grid.r * fields["u"])))))
@@ -282,8 +282,9 @@ def test_criterion_9_property_bundle():
     for _ in range(25):
         g = random_block_metric(rng)
         p = random_point(rng)
-        ips = normal_inner_products(g, p)
-        assert ips["nn_direct"] == pytest.approx(ips["nn_closed"], rel=1e-10)
+        env = p.env()
+        n, m = frame_values(g, env)["n"], metric_values(g, env)
+        assert n @ m @ n == pytest.approx(surface_fields(g, env)["nn"], rel=1e-10)
 
     # divergence-theorem integrals
     for kind, eps in [("e", 1e-2), ("ef", 1e-1)]:

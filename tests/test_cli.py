@@ -442,6 +442,31 @@ def test_flowscan_with_an_angular_u_or_v_exits_1(component, source, coord, tmp_p
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no warning escapes
+@pytest.mark.parametrize("argv, message", [
+    (["flowscan", "--r-range", "0:2:3"], "r must be positive, got 0.0"),
+    (["flowscan", "--r-range", "1:nan:3"], "r must be positive, got nan"),
+    (["flowscan", "--r-range", "1.5:1e200:4"], "r^2 must be finite, got r = 1e+200"),
+    (["flowscan", "--r-range", "1:2"], "bad --r-range '1:2', expected 'LO:HI:N'"),
+    (["flowscan", "--r-range", "1:2:0"],
+     "the radial flow needs at least one radius, got n = 0"),
+    (["validate", "--r-values=-1"], "r must be positive, got -1.0"),
+    (["validate", "--r-values", "0"], "r must be positive, got 0.0"),
+    (["validate", "--r-values", "2,nan"], "r must be positive, got nan"),
+    (["validate", "--r-values", "1e200"], "r^2 must be finite, got r = 1e+200"),
+    (["hawking", "--grid", "8,16", "--r", ""], "no radius to take the Hawking mass at"),
+])
+def test_bad_radius_exits_1_naming_it(argv, message, tmp_path, capsys):
+    """flowscan, validate and hawking hold every radius to SphereGrid's rule
+    (r > 0, r^2 finite) before any sampling: one error line naming the
+    radius or the option, where they used to print rows of inf, nan or
+    zeros, pass a negative radius, or exit 0 with no row."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, u="1+1/r")))
+    assert main([argv[0], "--chart", str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_hawking_evaluates_every_sphere_with_one_plan(ef_chart, monkeypatch, capsys):
     """Four radii on the pool: the metric compiles its SURFACE_JETS plan
     once, and every sphere's evaluate pass is handed that plan."""

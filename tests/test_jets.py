@@ -20,9 +20,9 @@ from imcvf.curvature import christoffel_values, curvature_values
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
-from imcvf.sphere import (SURFACE_JETS, first_variation_area_check, gs_laplacian_coefficients,
-                          gs_trace, hawking_mass, mean_curvature_values, star_values,
-                          surface_fields)
+from imcvf.sphere import (SURFACE_JETS, first_variation_area_check, frame_values,
+                          gs_laplacian_coefficients, gs_trace, hawking_mass,
+                          mean_curvature_values, star_values, surface_fields)
 from imcvf.steering import frame_data, steering_parameter
 from imcvf.straightout import (_ASSEMBLED_JETS, _CHART_D_JETS, _CLOSED_FORM_JETS,
                                _D_SECOND_JETS, _assembled_d_free, _grid_d_data,
@@ -439,7 +439,8 @@ def test_point_evaluation_equals_one_node_grid_bitwise(seed_charts):
 
 
 @pytest.mark.parametrize("quantity", [metric_values, det_values, inverse_values,
-                                      christoffel_values, curvature_values, star_values])
+                                      christoffel_values, curvature_values, star_values,
+                                      frame_values])
 def test_point_quantity_equals_one_node_grid_bitwise(seed_charts, quantity):
     """Each quantity at CoordinatePoint.env() is, bit for bit, its value on
     a grid of that one node (every key of a dict result), so a point needs

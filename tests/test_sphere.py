@@ -5,28 +5,36 @@ import math
 import numpy as np
 import pytest
 
-from imcvf.chart import BlockMetric, CoordinatePoint, SphericalMetric
+from imcvf.chart import PH, R, T, TH, BlockMetric, CoordinatePoint, SphericalMetric, \
+    component_jets, metric_values
+from imcvf.curvature import christoffel_values
 from imcvf.errors import NullMeanCurvatureError
 from imcvf.grid import SphereGrid
 from imcvf.sphere import (
-    MeanCurvatureDecomp,
     first_variation_area_check,
+    frame_values,
+    gs_trace,
     hawking_mass,
     inverse_mean_curvature_vector,
     mean_curvature_values,
-    mean_curvature_vector,
-    normal_inner_products,
-    sphere_frame,
     sphere_laplacian,
-    star_from_christoffel,
     star_values,
     surface_fields,
 )
 from imcvf.expr import parse
 
+from conftest import trace_h_er
+
 
 def minkowski():
     return SphericalMetric("1", "1").block()
+
+
+def star_from_christoffel(g, env):
+    """Independent evaluation b G^t_thth - 2c G^t_thph + a G^t_phph."""
+    gam = christoffel_values(g, env)
+    return gs_trace(component_jets(g, env, ("a", "b", "c")), gam[..., T, TH, TH],
+                    gam[..., T, TH, PH], gam[..., T, PH, PH])
 
 
 def e_perturbed(eps=0.01):
@@ -85,23 +93,23 @@ def test_poisson_round_inverts_laplacian():
 
 def test_frame_spherical():
     g = SphericalMetric("1+1/r", "1+0.5/r").block()
-    node = CoordinatePoint(0.0, 2.0, 1.1, 0.3)
-    fr = sphere_frame(g, node)
-    np.testing.assert_allclose(fr.n, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    assert fr.nn == pytest.approx(-(1.25) ** 2, rel=1e-12)
+    env = CoordinatePoint(0.0, 2.0, 1.1, 0.3).env()
+    fr = frame_values(g, env)
+    np.testing.assert_allclose(fr["n"], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+    assert surface_fields(g, env)["nn"] == pytest.approx(-(1.25) ** 2, rel=1e-12)
 
 
 def test_frame_with_d_only():
     g = BlockMetric(v="1", d="0.2", e="0", f="0", u="2", a="r^2",
                     b="r^2*sin(th)^2", c="0")
-    fr = sphere_frame(g, CoordinatePoint(0.0, 2.0, 1.0, 0.0))
-    np.testing.assert_allclose(fr.n, [1.0, -0.05, 0.0, 0.0], atol=1e-15)
+    fr = frame_values(g, CoordinatePoint(0.0, 2.0, 1.0, 0.0).env())
+    np.testing.assert_allclose(fr["n"], [1.0, -0.05, 0.0, 0.0], atol=1e-15)
 
 
 def test_frame_minkowski():
-    fr = sphere_frame(minkowski(), CoordinatePoint(0.0, 2.0, 1.0, 0.0))
-    np.testing.assert_allclose(fr.e_n, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(fr.e_r, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
+    fr = frame_values(minkowski(), CoordinatePoint(0.0, 2.0, 1.0, 0.0).env())
+    np.testing.assert_allclose(fr["e_n"], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(fr["e_r"], [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_frame_orthogonality_and_norm():
@@ -113,12 +121,14 @@ def test_frame_orthogonality_and_norm():
         node = CoordinatePoint(rng.uniform(-1, 1), rng.uniform(1.5, 6.0),
                                rng.uniform(0.4, math.pi - 0.4),
                                rng.uniform(0, 2 * math.pi))
-        ips = normal_inner_products(g, node)
-        assert abs(ips["n_dr"]) <= 1e-10
-        assert abs(ips["n_dth"]) <= 1e-10
-        assert abs(ips["n_dph"]) <= 1e-10
-        assert ips["nn_closed"] < 0
-        assert ips["nn_direct"] == pytest.approx(ips["nn_closed"], rel=1e-10)
+        env = node.env()
+        n, m = frame_values(g, env)["n"], metric_values(g, env)
+        nn_closed = surface_fields(g, env)["nn"]
+        assert abs(n @ m[:, R]) <= 1e-10
+        assert abs(n @ m[:, TH]) <= 1e-10
+        assert abs(n @ m[:, PH]) <= 1e-10
+        assert nn_closed < 0
+        assert n @ m @ n == pytest.approx(nn_closed, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +157,17 @@ def test_star_matches_christoffel_contraction():
 
 def test_mean_curvature_spherical():
     g = SphericalMetric("1+1/r", "1").block()
-    node = CoordinatePoint(0.0, 2.0, 1.2, 0.1)
-    mc = mean_curvature_vector(g, node)
-    assert mc.H_r == pytest.approx(-2.0 / (2.0 * 1.5), rel=1e-12)
-    assert mc.H_n == pytest.approx(0.0, abs=1e-14)
+    env = CoordinatePoint(0.0, 2.0, 1.2, 0.1).env()
+    h_r, h_n, _ = mean_curvature_values(g, env, method="closed")
+    assert h_r == pytest.approx(-2.0 / (2.0 * 1.5), rel=1e-12)
+    assert h_n == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mean_curvature_minkowski():
-    mc = mean_curvature_vector(minkowski(), CoordinatePoint(0.0, 2.0, 1.0, 0.0))
-    assert mc.H_r == pytest.approx(-1.0, rel=1e-14)
-    assert mc.H_n == pytest.approx(0.0, abs=1e-14)
+    env = CoordinatePoint(0.0, 2.0, 1.0, 0.0).env()
+    h_r, h_n, _ = mean_curvature_values(minkowski(), env, method="closed")
+    assert h_r == pytest.approx(-1.0, rel=1e-14)
+    assert h_n == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trace_formula_agrees_with_closed_form():
@@ -169,34 +180,39 @@ def test_trace_formula_agrees_with_closed_form():
     np.testing.assert_allclose(*np.broadcast_arrays(hn_t, hn_c), atol=1e-10)
 
 
-def test_auto_method_falls_back_without_area_constraint():
-    """A chart violating ab - c^2 = r^4 sin^2(th) must not get the radial
-    closed form: auto dispatches to the trace formula."""
+def test_trace_method_without_area_constraint():
+    """A chart violating ab - c^2 = r^4 sin^2(th) has no radial closed
+    form: the trace formula gives its H_r."""
     g = BlockMetric(v="1", d="0", e="0", f="0", u="1",
                     a="r^3", b="r^2*sin(th)^2", c="0")
     node = CoordinatePoint(0.0, 2.0, 1.0, 0.0)
-    mc = mean_curvature_vector(g, node)
     hr_t, _, _ = mean_curvature_values(g, node.env(), method="trace")
-    assert mc.H_r == pytest.approx(float(hr_t), rel=1e-12)
     # a ~ r^3 makes the theta leg contribute -1.5/r: H_r = -2.5/r here
-    assert mc.H_r == pytest.approx(-2.5 / node.r, rel=1e-12)
+    assert hr_t == pytest.approx(-2.5 / node.r, rel=1e-12)
 
 
 def test_inverse_mean_curvature_examples():
-    i_r, i_n = inverse_mean_curvature_vector(MeanCurvatureDecomp(-1.0, 0.0, 0.0))
+    i_r, i_n = inverse_mean_curvature_vector(-1.0, 0.0)
     assert (i_r, i_n) == (1.0, 0.0)
-    i_r, i_n = inverse_mean_curvature_vector(MeanCurvatureDecomp(-2.0, 1.0, 0.0))
+    i_r, i_n = inverse_mean_curvature_vector(-2.0, 1.0)
     assert i_r == pytest.approx(2.0 / 3.0)
     assert i_n == pytest.approx(-1.0 / 3.0)
     with pytest.raises(NullMeanCurvatureError):
-        inverse_mean_curvature_vector(MeanCurvatureDecomp(1.0, 1.0, 0.0))
+        inverse_mean_curvature_vector(1.0, 1.0)
+    # arrays: node by node, and one null node refuses the whole array
+    h_r, h_n = np.array([-1.0, -2.0, 1.0]), np.array([0.0, 1.0, 1.0])
+    i_r, i_n = inverse_mean_curvature_vector(h_r[:2], h_n[:2])
+    np.testing.assert_allclose(i_r, [1.0, 2.0 / 3.0])
+    np.testing.assert_allclose(i_n, [0.0, -1.0 / 3.0])
+    with pytest.raises(NullMeanCurvatureError):
+        inverse_mean_curvature_vector(h_r, h_n)
 
 
 def test_inverse_mean_curvature_spherical_is_radial_flow():
     g = SphericalMetric("1+1/r", "1").block()
     node = CoordinatePoint(0.0, 2.0, 1.0, 0.0)
-    mc = mean_curvature_vector(g, node)
-    i_r, i_n = inverse_mean_curvature_vector(mc)
+    h_r, h_n, _ = mean_curvature_values(g, node.env(), method="closed")
+    i_r, i_n = inverse_mean_curvature_vector(h_r, h_n)
     u = 1.5
     assert i_r / u == pytest.approx(node.r / 2.0, rel=1e-12)  # I = (r/2) d_r
     assert i_n == pytest.approx(0.0, abs=1e-14)
@@ -308,8 +324,6 @@ def test_first_variation_perturbed_chart():
 
 def test_tangent_christoffel_matches_generic_christoffel():
     from conftest import build_seed
-    from imcvf.chart import PH, R, T, TH
-    from imcvf.curvature import christoffel_values
     from imcvf.sphere import _tangent_christoffel
 
     g = build_seed("ef", 0.1)
@@ -328,8 +342,6 @@ def test_tangent_christoffel_matches_generic_christoffel():
 def test_tangent_christoffel_rows_equal_generic_rows_bitwise(seed_charts, size):
     """Same P entries, same cofactors and the same fixed-order raise as
     christoffel_values, so the trace formula's rows carry the same bits."""
-    from imcvf.chart import PH, R, T, TH
-    from imcvf.curvature import christoffel_values
     from imcvf.sphere import _tangent_christoffel
 
     env = SphereGrid(0.0, 2.5, *size).env()
@@ -413,7 +425,6 @@ def test_trace_route_forms_no_star(monkeypatch):
     """Hawking mass, the first-variation check, the time-flat predicate and
     the steering lemma's H_{e_r} take H from the trace formula alone; none
     of them computes the closed-form star it is checked against."""
-    from imcvf.steering import trace_h_er
     from imcvf.straightout import is_time_flat
 
     def fail(*args, **kwargs):

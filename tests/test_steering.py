@@ -18,10 +18,9 @@ from imcvf.steering import (
     steered_normal_component,
     steering_parameter,
     tangentiality_residual,
-    trace_h_er,
 )
 
-from conftest import seed_inputs
+from conftest import seed_inputs, trace_h_er
 
 
 def unsteered_seed(kind="ef", eps=1e-2):
