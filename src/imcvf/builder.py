@@ -19,7 +19,7 @@ from .chart import BlockMetric, ChartFile, _as_expr, component_jets, cross_terms
 from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, Plan, call, diff, parse, var
-from .grid import check_radius
+from .grid import check_radius, check_time
 from .sphere import _trace_mean_curvature, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
@@ -75,7 +75,8 @@ def complete_chart_file(cf: ChartFile) -> BlockMetric:
 class ValidationSpec:
     """Time slice, radii and tolerances for chart validation.  No radii
     means eight in geometric steps from 1 to 10; each sphere is sampled on
-    16 theta by 8 phi nodes, and |H_n| is held to 1e-8."""
+    16 theta by 8 phi nodes, and |H_n| is held to 1e-8.  t is held to
+    grid.check_time and each radius to grid.check_radius."""
 
     t: float = 0.0
     r_values: tuple = ()
@@ -83,6 +84,7 @@ class ValidationSpec:
     tol_cond4: float = 1e-8
 
     def __post_init__(self):
+        check_time(self.t)
         for r in self.r_values:
             check_radius(r)
 
@@ -200,7 +202,8 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
     (centered difference of step 1e-4 in s, r^2 = e^s), and G_tt; verifies
     the pointwise identity  dm_H/ds (exact) = (r/2)(r^2/(2 v^2)) G_tt  and
     flags any sample with G_tt >= 0 but decreasing mass.  A u or v that
-    reads th or ph is a ValueError that names the coordinate.
+    reads th or ph is a ValueError that names the coordinate, and so is a
+    t that is not finite.
     """
     u, v = _as_expr(u), _as_expr(v)
     for name, e in (("u", u), ("v", v)):
@@ -208,6 +211,7 @@ def monotonicity_check_spherical(u, v, t: float, r_range=(1.5, 10.0),
         if angular:
             raise ValueError(f"{name} reads {angular[0]}: the radial flow needs "
                              "u and v of t and r alone")
+    check_time(t)
     for r in r_range:
         check_radius(r)
     if n < 1:

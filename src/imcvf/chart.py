@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import SingularMetricError
 from .expr import COORDS, FieldExpr, Plan, diff, evaluate, parse, to_source
+from .grid import check_radius, check_time
 
 T, R, TH, PH = 0, 1, 2, 3
 COMPONENTS = ("v", "d", "e", "f", "u", "a", "b", "c")
@@ -36,16 +37,17 @@ SECOND_JETS = tuple(f"{n}_{m}_{k}" for n in COMPONENTS
 DEFAULT_THETA_MIN = 1e-3
 
 __all__ = ["T", "R", "TH", "PH", "COMPONENTS", "FIRST_JETS", "SECOND_JETS",
-           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets",
+           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets", "plan_jets",
            "component_jets", "metric_values", "det_values", "inverse_values",
            "load_chart", "save_chart", "ChartFile", "DEFAULT_THETA_MIN"]
 
 
 @dataclass(frozen=True)
 class CoordinatePoint:
-    """A chart point with r > 0 and theta in the open interval (0, pi);
-    the poles are coordinate singularities and are excluded.  phi is
-    normalized into [0, 2 pi) by periodicity."""
+    """A chart point with a finite t, an r that passes grid.check_radius
+    (r > 0, r^2 finite) and theta in the open interval (0, pi); the poles
+    are coordinate singularities and are excluded.  phi is normalized into
+    [0, 2 pi) by periodicity."""
 
     t: float
     r: float
@@ -53,8 +55,8 @@ class CoordinatePoint:
     ph: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        check_time(self.t)
+        check_radius(self.r)
         if not 0.0 < self.th < np.pi:
             raise ValueError(f"th must lie in (0, pi), got {self.th}")
         object.__setattr__(self, "ph", float(self.ph) % (2.0 * np.pi))
@@ -93,14 +95,19 @@ class BlockMetric:
             expr = diff(expr, v)
         return expr
 
-    def jet_plan(self, keys: tuple) -> Plan:
-        """The plan of the component jets named by keys, compiled on first
-        use and kept on the metric.  Two threads that both miss compile
-        alike, and setdefault hands both the plan stored first."""
-        plan = self._plans.get(keys)
+    def plan(self, key, roots) -> Plan:
+        """The plan of the expressions that roots() builds, compiled on
+        first use and kept on the metric under key.  Two threads that both
+        miss compile alike, and setdefault hands both the plan stored
+        first."""
+        plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans.setdefault(keys, Plan([self.deriv(*k.split("_")) for k in keys]))
+            plan = self._plans.setdefault(key, Plan(roots()))
         return plan
+
+    def jet_plan(self, keys: tuple) -> Plan:
+        """The plan of the component jets named by keys, kept under keys."""
+        return self.plan(keys, lambda: [self.deriv(*k.split("_")) for k in keys])
 
 
 class SphericalMetric:
@@ -142,7 +149,13 @@ def field_jets(exprs: Mapping[str, FieldExpr], env: Mapping) -> dict:
     broadcast shape of the coordinates it reads, which broadcasts to the
     env's shape: on a separable env (SphereGrid.env) a field of r alone is
     (1, 1), one of th a column, and a constant 0-d."""
-    return _named(exprs, evaluate(Plan(exprs.values()), env))
+    return plan_jets(Plan(exprs.values()), exprs, env)
+
+
+def plan_jets(plan: Plan, names, env: Mapping) -> dict:
+    """The roots of a compiled plan evaluated on env in one evaluate pass,
+    named in root order by names, as field_jets gives them."""
+    return _named(names, evaluate(plan, env))
 
 
 def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
@@ -150,15 +163,16 @@ def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
     keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, as field_jets gives
     them, from one evaluate pass over the metric's plan of those keys."""
     keys = tuple(keys)
-    return _named(keys, evaluate(g.jet_plan(keys), env))
+    return plan_jets(g.jet_plan(keys), keys, env)
 
 
 def _named(names, values) -> dict:
     """names -> values as read-only float arrays.  Each is a view, so a
-    root that is an env coordinate leaves the caller's array writable."""
+    root that is an env coordinate leaves the caller's array writable, and
+    a PooledArray stays one."""
     out = {}
     for k, v in zip(names, values):
-        out[k] = np.asarray(v, dtype=float).view()
+        out[k] = np.asanyarray(v, dtype=float).view()
         out[k].flags.writeable = False
     return out
 

@@ -22,16 +22,23 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarseError
 
-__all__ = ["SphereGrid", "check_radius"]
+__all__ = ["SphereGrid", "check_radius", "check_time"]
 
 
 def check_radius(r) -> None:
-    """The radius rule of every sphere: a ValueError naming r unless r > 0
-    and r^2 is finite."""
+    """The radius rule of every sphere and point: a ValueError naming r
+    unless r > 0 and r^2 is finite."""
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     if not math.isfinite(float(r) * float(r)):
         raise ValueError(f"r^2 must be finite, got r = {r}")
+
+
+def check_time(t) -> None:
+    """The time rule of every sphere and point: a ValueError naming t
+    unless t is finite."""
+    if not math.isfinite(float(t)):
+        raise ValueError(f"t must be finite, got t = {t}")
 
 
 def _legendre_tables(lmax: int, x: np.ndarray):
@@ -132,6 +139,7 @@ class SphereGrid:
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
         if n_theta < 4 or n_phi < 4:
             raise GridTooCoarseError("need at least 4x4 nodes")
+        check_time(t)
         check_radius(r)
         self.t = float(t)
         self.r = float(r)

@@ -17,6 +17,7 @@ from .curvature import metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .expr import COORDS
 from .grid import SphereGrid
+from .workspace import pooled, pooled_env
 
 __all__ = ["SURFACE_JETS", "surface_fields", "frame_values", "star_values",
            "mean_curvature_values", "inverse_mean_curvature_vector",
@@ -55,7 +56,7 @@ def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     out["W_ph"] = out["a_ph"] * b + a * out["b_ph"] - 2.0 * c * out["c_ph"]
     out["det"] = det_from_components(out, out["W"])
     out["nn"] = out["det"] / (out["u"] ** 2 * out["W"])
-    out["norm_n"] = np.sqrt(-out["nn"])
+    out["norm_n"] = pooled(np.sqrt, -out["nn"])
     return out
 
 
@@ -200,12 +201,15 @@ def generalized_flow_radial_residual(h_r, h_n, beta: float):
 def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
     """sqrt(|S|/16 pi) (1 - (1/16 pi) integral of <H,H> dA) by quadrature,
     with H from the trace formula.  A mass that is not finite (the chart's
-    arithmetic overflows on the sphere) is a ValueError naming r."""
+    arithmetic overflows on the sphere) is a ValueError naming r.
+
+    The arithmetic runs on a pooled env, so its grid arrays, from the jets
+    to the quadrature products, come from the calling thread's workspace."""
     with np.errstate(all="ignore"):     # an overflow shows in the mass, checked below
-        fields = surface_fields(g, grid.env())
+        fields = surface_fields(g, pooled_env(grid.env()))
         h_r, h_n = _trace_mean_curvature(fields)
         hh = h_r**2 - h_n**2
-        sqrt_gs = np.sqrt(fields["W"])
+        sqrt_gs = pooled(np.sqrt, fields["W"])
         area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
         integral = grid.integrate_area(hh, sqrt_gs)
         mass = float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))

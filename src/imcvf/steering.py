@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BlockMetric, cross_terms, det_from_components, field_jets
+from .chart import BlockMetric, cross_terms, det_from_components, plan_jets
 from .errors import NotAreaExpandingError
 from .expr import COORDS, call, diff
 from .sphere import gs_trace
@@ -69,17 +69,25 @@ def _frame_exprs(g: BlockMetric) -> dict:
             "p": cf_be / w, "q": ce_af / w, "x": -comps["d"] / (u * u), "u": u}
 
 
+# the frame fields frame_data reads, and the partials of them it reads
+_FRAME_FIELDS = ("lam", "p", "q", "x", "u", "a", "b", "c", "w")
+_FRAME_PARTIALS = (tuple((k, m) for k in "wabc" for m in COORDS)
+                   + (("p", "th"), ("p", "ph"), ("q", "th"), ("q", "ph")))
+_FRAME_KEYS = _FRAME_FIELDS + tuple(f"{k}_{m}" for k, m in _FRAME_PARTIALS)
+
+
+def _frame_roots(g: BlockMetric) -> list:
+    """The expressions of _FRAME_KEYS, in that order."""
+    ex = _frame_exprs(g)
+    return [ex[k] for k in _FRAME_FIELDS] + [diff(ex[k], m) for k, m in _FRAME_PARTIALS]
+
+
 def frame_data(g: BlockMetric, env) -> FrameData:
     """Evaluate the frame ingredients of a chart on an env grid, in one
-    field_jets pass; every array broadcasts to the env's shape, at the size
-    of the coordinates it depends on."""
-    ex = _frame_exprs(g)
-    exprs = {k: ex[k] for k in ("lam", "p", "q", "x", "u", "a", "b", "c", "w")}
-    for k in ("w", "a", "b", "c"):
-        exprs.update((f"{k}_{m}", diff(ex[k], m)) for m in COORDS)
-    for k, m in (("p", "th"), ("p", "ph"), ("q", "th"), ("q", "ph")):
-        exprs[f"{k}_{m}"] = diff(ex[k], m)
-    j = field_jets(exprs, env)
+    evaluate pass over a plan the metric compiles on the first call and
+    keeps; every array broadcasts to the env's shape, at the size of the
+    coordinates it depends on."""
+    j = plan_jets(g.plan("frame", lambda: _frame_roots(g)), _FRAME_KEYS, env)
     lam = j["lam"]
 
     def e_t(k):

@@ -68,6 +68,8 @@ def cofactor_det(m):
 def test_point_validation():
     with pytest.raises(ValueError):
         CoordinatePoint(0.0, -1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"r\^2 must be finite, got r = 1e\+200"):
+        CoordinatePoint(0.0, 1e200, 1.0, 0.0)
     with pytest.raises(ValueError):
         CoordinatePoint(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):

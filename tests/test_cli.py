@@ -272,6 +272,8 @@ def test_flowscan_and_adm_evaluation_passes(argv, passes, ef_chart, evaluate_pas
 
 @pytest.mark.parametrize("points, message", [
     ("0,4,1,0;0,-1,1,0", "r must be positive, got -1.0"),
+    ("0,4,1,0;0,1e200,1,0", "r^2 must be finite, got r = 1e+200"),
+    ("0,4,1,0;nan,4,1,0", "t must be finite, got t = nan"),
     ("0,4,1,0;0,4,3.5,0", "th must lie in (0, pi), got 3.5"),
     ("0,4,1,0;0,4,1", "bad point '0,4,1', expected 't,r,th,ph'"),
     ("0,4,1,0;0,4,x,0", "could not convert string to float: 'x'"),
@@ -463,6 +465,25 @@ def test_bad_radius_exits_1_naming_it(argv, message, tmp_path, capsys):
     zeros, pass a negative radius, or exit 0 with no row."""
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(dict(MINKOWSKI, u="1+1/r")))
+    assert main([argv[0], "--chart", str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no warning escapes
+@pytest.mark.parametrize("argv, message", [
+    (["meancurv", "--grid", "8,16", "--r", "2", "--t", "nan"], "t must be finite, got t = nan"),
+    (["flowscan", "--t", "nan", "--r-range", "2:3:2"], "t must be finite, got t = nan"),
+    (["validate", "--t", "inf"], "t must be finite, got t = inf"),
+    (["hawking", "--grid", "8,16", "--r", "2,3", "--t", "nan"], "t must be finite, got t = nan"),
+    (["steer", "--grid", "8,16", "--r", "2", "--t=-inf"], "t must be finite, got t = -inf"),
+])
+def test_non_finite_t_exits_1_naming_it(argv, message, tmp_path, capsys):
+    """Every sphere, validation spec and radial flow holds t to one rule
+    (grid.check_time), on a chart whose u reads t: one error line naming
+    t, where meancurv and flowscan printed rows of nan, validate exited 2
+    after a RuntimeWarning and hawking blamed r."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, u="1+0.2*exp(-((r-3)/2)^2)*(1+0.1*sin(t))")))
     assert main([argv[0], "--chart", str(path), *argv[1:]]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

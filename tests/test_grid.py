@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from imcvf import grid as grid_mod
+from imcvf.builder import ValidationSpec, monotonicity_check_spherical
+from imcvf.chart import CoordinatePoint
 from imcvf.grid import SphereGrid
 
 
@@ -48,6 +50,20 @@ def test_grid_rejects_a_radius_whose_square_overflows(r):
     with pytest.raises(ValueError, match=r"r\^2 must be finite"):
         SphereGrid(0.0, r)
     assert SphereGrid(0.0, 1e154).r == 1e154
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("make", [
+    lambda t: SphereGrid(t, 2.0),
+    lambda t: ValidationSpec(t=t),
+    lambda t: monotonicity_check_spherical("1", "1", t, (1.5, 3.0), 2),
+    lambda t: CoordinatePoint(t, 2.0, 1.0, 0.0),
+])
+def test_every_sphere_and_point_refuses_a_non_finite_t(make, t):
+    """One time rule, grid.check_time, wherever a t is taken."""
+    with pytest.raises(ValueError, match=f"t must be finite, got t = {t}"):
+        make(t)
+    make(0.0)
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])

@@ -304,6 +304,23 @@ def test_hawking_plan_holds_no_partial_of_d(evaluate_calls):
         assert len(expr.Plan(roots + [g.deriv("d", x)]).steps) > len(plan.steps), x
 
 
+def test_frame_data_compiles_its_plan_once_per_metric(evaluate_calls):
+    """frame_data keeps its plan on the metric, as jet_plan does: a second
+    call hands evaluate the very plan of the first, that plan gives bit for
+    bit what a plan compiled afresh from the same expressions gives, and so
+    do the two calls' frame data."""
+    from imcvf.steering import _frame_roots
+
+    g = build_seed("ef", 0.1)
+    env = SphereGrid(0.0, 4.7, 16, 32).env()
+    first, second = frame_data(g, env), frame_data(g, env)
+    assert len(evaluate_calls) == 2 and evaluate_calls[0] is evaluate_calls[1]
+    kept, fresh = evaluate(evaluate_calls[0], env), evaluate(expr.Plan(_frame_roots(g)), env)
+    assert [_bits(v) for v in kept] == [_bits(v) for v in fresh]
+    assert ([_bits(v) for v in dataclasses.astuple(first)]
+            == [_bits(v) for v in dataclasses.astuple(second)])
+
+
 def _bits(value):
     """value as bytes, equal exactly where two results are equal bit for
     bit; a report by its repr, which spells each float to its last bit."""
