@@ -37,7 +37,7 @@ SECOND_JETS = tuple(f"{n}_{m}_{k}" for n in COMPONENTS
 DEFAULT_THETA_MIN = 1e-3
 
 __all__ = ["T", "R", "TH", "PH", "COMPONENTS", "FIRST_JETS", "SECOND_JETS",
-           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets", "plan_jets",
+           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets",
            "component_jets", "metric_values", "det_values", "inverse_values",
            "load_chart", "save_chart", "ChartFile", "DEFAULT_THETA_MIN"]
 

@@ -17,7 +17,7 @@ from .curvature import metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .expr import COORDS
 from .grid import SphereGrid
-from .workspace import pooled, pooled_env
+from .workspace import PooledArray, pooled, pooled_env
 
 __all__ = ["SURFACE_JETS", "surface_fields", "frame_values", "star_values",
            "mean_curvature_values", "inverse_mean_curvature_vector",
@@ -209,7 +209,10 @@ def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
         fields = surface_fields(g, pooled_env(grid.env()))
         h_r, h_n = _trace_mean_curvature(fields)
         hh = h_r**2 - h_n**2
-        sqrt_gs = pooled(np.sqrt, fields["W"])
+        # W of most charts reads no ph, so pooled_env leaves it a plain
+        # column; as a PooledArray its products with the grid's full
+        # quadrature weights pool too
+        sqrt_gs = pooled(np.sqrt, fields["W"].view(PooledArray))
         area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
         integral = grid.integrate_area(hh, sqrt_gs)
         mass = float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))

@@ -4,15 +4,25 @@ The arithmetic of one sphere makes a few hundred temporary arrays of the
 grid's shape.  At 128x256 each is 256 KB, above glibc's mmap threshold, so
 a fresh array costs a page fault per 4 KB page when it is first written,
 and freeing it hands the pages back.  A workspace keeps such arrays for its
-thread and hands one out again once nothing else refers to it.
+thread and hands one out again once nothing else refers to it.  Those
+faults are what it saves, and each pooled operator costs a Python call
+for them; on smaller grids, whose arrays come from the heap and fault
+less, the call costs more than it saves.
 
 Arithmetic reaches a workspace through PooledArray: an operator on a
 PooledArray whose result is a float64 array of the workspace's shape
 applies the same ufunc, on the same operands in the same order, with
 ``out=`` a free buffer, so every result keeps its bits.  ``pooled_env``
 starts a sphere: it sets the calling thread's workspace to the env's shape
-and views the env's coordinates as PooledArrays, so everything computed
-from them, the jet plan run included, takes its buffers from there.
+and views the coordinates that span its last axis as PooledArrays, so
+every array of the full shape computed from them, the jet plan run
+included, takes its buffer from there.
+
+Reuse is safe only where sys.getrefcount counts every reference to a
+buffer exactly, as a CPython build with the GIL does.  Importing this
+module checks that Workspace.take, run often enough for the interpreter
+to specialise it, never hands out a buffer a local or a view still holds,
+and raises RuntimeError where it does.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Workspace", "PooledArray", "workspace", "pooled", "pooled_env"]
+__all__ = ["PooledArray", "pooled", "pooled_env"]
 
 _FLOAT = np.dtype(float)
 
@@ -140,12 +150,17 @@ def pooled(ufunc, x):
 
 
 def pooled_env(env) -> dict:
-    """Start a sphere: the env with its coordinate arrays viewed as
-    PooledArrays, and the calling thread's workspace set to the env's
-    broadcast shape."""
-    env = {k: np.asarray(v, dtype=float).view(PooledArray) for k, v in env.items()}
-    _LOCAL.workspace.use(np.broadcast_shapes(*(v.shape for v in env.values())))
-    return env
+    """Start a sphere: the calling thread's workspace set to the env's
+    broadcast shape, and the env with each coordinate array that spans the
+    shape's last axis viewed as a PooledArray.  Arithmetic of the other
+    coordinates alone cannot make an array of the full shape, so it (on a
+    SphereGrid env, everything of t, r and th alone) stays plain ndarray
+    arithmetic and pays no PooledArray operator."""
+    env = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+    shape = np.broadcast_shapes(*(v.shape for v in env.values()))
+    _LOCAL.workspace.use(shape)
+    return {k: v.view(PooledArray) if v.shape[-1:] == shape[-1:] else v
+            for k, v in env.items()}
 
 
 def _idle_refs() -> int:
@@ -155,4 +170,20 @@ def _idle_refs() -> int:
     return sys.getrefcount(buffers[0])
 
 
+def _check_reuse() -> None:
+    """Raise RuntimeError unless take hands out a buffer again once it is
+    dropped, and never while a local or a view refers to it."""
+    ws = Workspace()
+    ws.use((2,))
+    for _ in range(64):
+        held = ws.take()
+        view = ws.take()[:1]
+        reused = ws.take()
+        if reused is held or reused is view.base or len(ws.buffers) != 3:
+            raise RuntimeError("imcvf.workspace needs sys.getrefcount to count every "
+                               "reference, as a CPython build with the GIL does")
+        del held, view, reused
+
+
 _IDLE = _idle_refs()
+_check_reuse()

@@ -14,6 +14,7 @@ import imcvf
 from imcvf.chart import save_chart
 from imcvf.grid import SphereGrid
 from imcvf.sphere import _trace_mean_curvature, hawking_mass, surface_fields
+from imcvf import workspace as workspace_module
 from imcvf.workspace import PooledArray, pooled_env, workspace
 
 from conftest import build_seed
@@ -45,6 +46,49 @@ def test_a_held_result_or_a_view_of_one_is_never_handed_out_again():
     # held, the base of view, the product one step keeps and the one the
     # next step writes meanwhile; every later step reuses these
     assert on_new_thread(run) == 4
+
+
+def test_only_coordinates_that_span_the_last_axis_are_pooled():
+    """t, r and th of a SphereGrid env stay plain ndarrays, so arithmetic
+    on them pays no PooledArray operator; ph is pooled, and a th column
+    times a ph row, the only way to the grid's shape, takes a buffer."""
+    def run():
+        env = pooled_env(SphereGrid(0.0, 2.0, 8, 16).env())
+        kinds = {k: type(v) for k, v in env.items()}
+        product = env["th"] * env["ph"]
+        return kinds, type(product), len(workspace().buffers)
+
+    kinds, product, buffers = on_new_thread(run)
+    assert kinds == {"t": np.ndarray, "r": np.ndarray, "th": np.ndarray, "ph": PooledArray}
+    assert product is PooledArray and buffers == 1
+
+
+def test_the_quadrature_products_of_a_column_w_are_pooled(monkeypatch):
+    """On an ef chart W = ab - c^2 is a th column, which pooled_env leaves
+    plain, and the area integral multiplies ones of its shape into the
+    grid's full weights: hawking_mass hands integrate_area PooledArrays,
+    so both quadratures' products are PooledArrays of the grid's shape."""
+    g = build_seed("ef", 0.1)
+    seen = []
+    integrate_area = SphereGrid.integrate_area
+
+    def spy(grid, values, sqrt_gs):
+        product = grid.weights * values * sqrt_gs
+        seen.append((np.shape(sqrt_gs), type(product), product.shape))
+        return integrate_area(grid, values, sqrt_gs)
+
+    monkeypatch.setattr(SphereGrid, "integrate_area", spy)
+    on_new_thread(hawking_mass, g, SphereGrid(0.0, 2.0, 16, 32))
+    assert seen == [((16, 1), PooledArray, (16, 32))] * 2
+
+
+def test_a_miscounted_reference_fails_the_import_check(monkeypatch):
+    """The check run at import passes on this interpreter, and fails when
+    one outside reference would count as free."""
+    workspace_module._check_reuse()
+    monkeypatch.setattr(workspace_module, "_IDLE", workspace_module._IDLE + 1)
+    with pytest.raises(RuntimeError, match="GIL"):
+        workspace_module._check_reuse()
 
 
 def test_a_result_larger_than_the_workspace_shape_is_allocated():
