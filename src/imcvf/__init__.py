@@ -1,86 +1,75 @@
 """Construction and validation of spacetimes admitting inverse mean
 curvature vector flow coordinate charts, with the associated geometric
 quantities: curvature tensors, mean curvature vectors, Hawking and ADM
-mass, steering parameters and straight-out-flow one-forms."""
+mass, steering parameters and straight-out-flow one-forms.
 
-from .asymptotics import (
-    ConformalMetric3,
-    adm_conformal_delta,
-    adm_mass,
-    conformal_sphere_mean_curvature,
-    hawking_to_adm_convergence,
-)
-from .builder import (
-    ChartReport,
-    ValidationSpec,
-    complete_chart,
-    complete_chart_file,
-    imcvf_flow_param,
-    imcvf_flow_radius,
-    monotonicity_check_spherical,
-    solve_d,
-    validate_chart,
-)
-from .chart import (
-    BlockMetric,
-    ChartFile,
-    CoordinatePoint,
-    SphericalMetric,
-    det_values,
-    inverse_values,
-    load_chart,
-    metric_values,
-    save_chart,
-)
-from .curvature import (
-    christoffel_values,
-    conformal_scalar,
-    curvature_values,
-    spherical_oracle,
-)
-from .errors import (
-    CompatibilityError,
-    ConvergenceError,
-    DegenerateSurfaceError,
-    EvalDomainError,
-    ExprSyntaxError,
-    GridTooCoarseError,
-    ImcvfError,
-    NonSpacelikeMeanCurvatureError,
-    NotAreaExpandingError,
-    NullMeanCurvatureError,
-    SingularMetricError,
-    UnknownIdentifierError,
-)
-from .expr import FieldExpr, diff, evaluate, parse, to_source
-from .grid import SphereGrid
-from .sphere import (
-    first_variation_area_check,
-    frame_values,
-    generalized_flow_radial_residual,
-    hawking_mass,
-    inverse_mean_curvature_vector,
-    mean_curvature_values,
-    sphere_laplacian,
-    star_values,
-)
-from .steering import (
-    FrameData,
-    frame_data,
-    minimal_surface_lemma_check,
-    steer_metric,
-    steering_parameter,
-    tangentiality_residual,
-)
-from .straightout import (
-    ConnectionOneForm,
-    HyperbolicAngle,
-    connection_one_form,
-    divergence_alpha,
-    gauge_rotation,
-    is_time_flat,
-    solve_straight_out_d,
-    straight_out_residual,
-)
+Importing the package executes none of its modules.  Each one is
+registered in sys.modules and bound here unexecuted, and runs on the first
+read of one of its attributes; the names below are re-exported from their
+modules on first use (PEP 562).  CPython 3.11 executes such a module
+with no lock, so a layer that worker threads will read is first read on
+the thread that starts them.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# module -> the names the package re-exports from it
+_EXPORTS = {
+    "asymptotics": ("ConformalMetric3", "adm_conformal_delta", "adm_mass",
+                    "conformal_sphere_mean_curvature", "hawking_to_adm_convergence"),
+    "builder": ("ChartReport", "ValidationSpec", "complete_chart", "complete_chart_file",
+                "imcvf_flow_param", "imcvf_flow_radius", "monotonicity_check_spherical",
+                "solve_d", "validate_chart"),
+    "chart": ("BlockMetric", "ChartFile", "CoordinatePoint", "SphericalMetric",
+              "det_values", "inverse_values", "load_chart", "metric_values", "save_chart"),
+    "curvature": ("christoffel_values", "conformal_scalar", "curvature_values",
+                  "spherical_oracle"),
+    "errors": ("CompatibilityError", "ConvergenceError", "DegenerateSurfaceError",
+               "EvalDomainError", "ExprSyntaxError", "GridTooCoarseError", "ImcvfError",
+               "NonSpacelikeMeanCurvatureError", "NotAreaExpandingError",
+               "NullMeanCurvatureError", "SingularMetricError", "UnknownIdentifierError"),
+    "expr": ("FieldExpr", "diff", "evaluate", "parse", "to_source"),
+    "grid": ("SphereGrid",),
+    "sphere": ("first_variation_area_check", "frame_values",
+               "generalized_flow_radial_residual", "hawking_mass",
+               "inverse_mean_curvature_vector", "mean_curvature_values",
+               "sphere_laplacian", "star_values"),
+    "steering": ("FrameData", "frame_data", "minimal_surface_lemma_check", "steer_metric",
+                 "steering_parameter", "tangentiality_residual"),
+    "straightout": ("ConnectionOneForm", "HyperbolicAngle", "connection_one_form",
+                    "divergence_alpha", "gauge_rotation", "is_time_flat",
+                    "solve_straight_out_d", "straight_out_residual"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _register_lazily(layer: str) -> None:
+    """Put imcvf.<layer> in sys.modules and on the package unexecuted; its
+    code runs on the first read of one of its attributes."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[layer] = module
+
+
+for _layer in _EXPORTS:
+    _register_lazily(_layer)
+del _layer
+
+
+def __getattr__(name):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    return sorted([*globals(), *_HOME])

@@ -76,7 +76,8 @@ class ValidationSpec:
     """Time slice, radii and tolerances for chart validation.  No radii
     means eight in geometric steps from 1 to 10; each sphere is sampled on
     16 theta by 8 phi nodes, and |H_n| is held to 1e-8.  t is held to
-    grid.check_time and each radius to grid.check_radius."""
+    grid.check_time, each radius to grid.check_radius, and each tolerance
+    must be a number >= 0 (not nan)."""
 
     t: float = 0.0
     r_values: tuple = ()
@@ -87,6 +88,9 @@ class ValidationSpec:
         check_time(self.t)
         for r in self.r_values:
             check_radius(r)
+        for name, tol in (("tol_cond3", self.tol_cond3), ("tol_cond4", self.tol_cond4)):
+            if not tol >= 0:
+                raise ValueError(f"{name} must be a number >= 0, got {tol}")
 
 
 @dataclass

@@ -16,6 +16,8 @@ the index constants T, R, TH, PH rather than raw integers.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -77,7 +79,7 @@ class BlockMetric:
                  theta_min: float = DEFAULT_THETA_MIN):
         comps = {"v": v, "d": d, "e": e, "f": f, "u": u, "a": a, "b": b, "c": c}
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
-        self.theta_min = float(theta_min)
+        self.theta_min = _check_theta_min(theta_min)
         self._plans = {}
 
     # individual components as attributes (read-only by convention)
@@ -121,6 +123,15 @@ class SphericalMetric:
     def block(self) -> BlockMetric:
         return BlockMetric(v=self.v, d=0.0, e=0.0, f=0.0, u=self.u,
                            a=parse("r^2"), b=parse("r^2*sin(th)^2"), c=0.0)
+
+
+def _check_theta_min(x) -> float:
+    """x as a float: a ValueError naming theta_min unless x is a real
+    number, not a bool, with 0 < x < pi/2, so that the sampled theta range
+    [x, pi - x] lies inside (0, pi) and runs forwards."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0.0 < x < math.pi / 2:
+        raise ValueError(f"theta_min must be a real number in (0, pi/2), got {x!r}")
+    return float(x)
 
 
 def _as_expr(x) -> FieldExpr:
@@ -292,7 +303,10 @@ def load_chart(source) -> ChartFile:
     """Load a chart definition from a path, file object or dict.
 
     Expression strings are parsed with the file's "params" substituted.
-    "d" may be omitted only when "solve_d" is true.
+    "d" may be omitted only when "solve_d" is true.  A document that is not
+    an object, a "params" that is not one and a "solve_d" that is not a
+    boolean are each a ValueError naming it, as is a theta_min that
+    BlockMetric would refuse.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -301,8 +315,15 @@ def load_chart(source) -> ChartFile:
         raw = source
     else:
         raw = json.load(source)
-    params = dict(raw.get("params", {}))
-    solve_d = bool(raw.get("solve_d", False))
+    if not isinstance(raw, dict):
+        raise ValueError(f"a chart must be a JSON object, got {type(raw).__name__}")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"chart key 'params' must be an object, got {type(params).__name__}")
+    params = dict(params)
+    solve_d = raw.get("solve_d", False)
+    if not isinstance(solve_d, bool):
+        raise ValueError(f"chart key 'solve_d' must be true or false, got {solve_d!r}")
     exprs = {}
     for key in COMPONENTS:
         if key not in raw:
@@ -312,7 +333,7 @@ def load_chart(source) -> ChartFile:
             raise KeyError(f"chart file is missing component {key!r}")
         exprs[key] = parse(str(raw[key]), params=params)
     return ChartFile(exprs=exprs, params=params,
-                     theta_min=float(raw.get("theta_min", DEFAULT_THETA_MIN)),
+                     theta_min=_check_theta_min(raw.get("theta_min", DEFAULT_THETA_MIN)),
                      solve_d=solve_d)
 
 

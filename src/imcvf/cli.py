@@ -15,20 +15,14 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from . import builder
-from .asymptotics import ConformalMetric3, adm_mass
-from .chart import BlockMetric, CoordinatePoint, load_chart, save_chart
-from .curvature import curvature_values
+# the package binds each layer unexecuted (see imcvf/__init__), and a layer
+# runs on the first call through it, so a command executes only what it uses
+from . import asymptotics, builder, chart, curvature, expr, grid, sphere, steering, \
+    straightout
 from .errors import CompatibilityError, ConvergenceError, ExprSyntaxError, ImcvfError
-from .expr import parse
-from .grid import SphereGrid
-from .sphere import hawking_mass, mean_curvature_values
-from .steering import frame_data, steering_parameter
-from .straightout import solve_straight_out_d, straight_out_residual
 
 SCHEMA = "imcvf-report/1"
 
@@ -47,7 +41,7 @@ _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
-def _sphere_pool() -> ThreadPoolExecutor:
+def _sphere_pool():
     """The process-wide pool that ``hawking`` runs its spheres on, started
     on first use with thread_count() workers, which then live as long as
     the process.  A pool started and joined per call would start new
@@ -55,10 +49,12 @@ def _sphere_pool() -> ThreadPoolExecutor:
     that starts before the previous one has handed its arena back gets a
     new one, so the resident memory of a long run would depend on thread
     timing.  The workers are idle between calls: cmd_hawking waits for
-    every sphere it submits."""
+    every sphere it submits.  concurrent.futures is imported here, so the
+    commands that start no pool do not load it."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(max_workers=thread_count())
         return _POOL
 
@@ -125,10 +121,11 @@ def _emit(args, header, columns, json_payload=None):
     _write(args, text)
 
 
-def _node_columns(grid: SphereGrid) -> list:
-    """(th, ph) of every grid node, theta-major like a raveled grid array,
-    as the column and the row of node coordinates that _emit broadcasts."""
-    return [grid.theta[:, None], grid.phi[None, :]]
+def _node_columns(sg) -> list:
+    """(th, ph) of every node of the SphereGrid sg, theta-major like a
+    raveled grid array, as the column and the row of node coordinates that
+    _emit broadcasts."""
+    return [sg.theta[:, None], sg.phi[None, :]]
 
 
 def _payload(args, header, json_payload) -> dict:
@@ -160,8 +157,8 @@ def _floats(spec: str):
     return [float(x) for x in spec.split(",") if x.strip()]
 
 
-def _load_metric(path) -> BlockMetric:
-    return load_chart(path).metric()
+def _load_metric(path):
+    return chart.load_chart(path).metric()
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,10 @@ def _load_metric(path) -> BlockMetric:
 
 def cmd_validate(args) -> int:
     g = _load_metric(args.chart)
-    spec = builder.ValidationSpec(t=args.t, r_values=tuple(_floats(args.r_values)),
-                                  tol_cond3=args.tol_cond3, tol_cond4=args.tol_cond4)
+    # an option not given keeps the ValidationSpec default
+    given = {k: v for k, v in (("t", args.t), ("tol_cond3", args.tol_cond3),
+                               ("tol_cond4", args.tol_cond4)) if v is not None}
+    spec = builder.ValidationSpec(r_values=tuple(_floats(args.r_values)), **given)
     report = builder.validate_chart(g, spec)
     items = sorted(report.as_dict().items())
     _emit(args, [k for k, _ in items], [[v] for _, v in items])
@@ -179,11 +178,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    cf = load_chart(args.chart)
+    cf = chart.load_chart(args.chart)
     if not (args.solve_d or cf.solve_d):
         raise ImcvfError("nothing to do: pass --solve-d or set \"solve_d\" in the chart")
     g = builder.complete_chart_file(cf)
-    save_chart(g, args.out, params=cf.params)
+    chart.save_chart(g, args.out, params=cf.params)
     print(f"wrote completed chart to {args.out}", file=sys.stderr)
     return 0
 
@@ -201,10 +200,11 @@ def cmd_curvature(args) -> int:
         if len(vals) != 4:
             raise ImcvfError(f"bad point {spec!r}, expected 't,r,th,ph'")
         raw.append(vals)
-        points.append(CoordinatePoint(*vals))
+        points.append(chart.CoordinatePoint(*vals))
     # every point in one pass, as a 1-D grid at the normalized ph; the
     # table keeps each point as it was given
-    out = curvature_values(g, {x: np.array([getattr(p, x) for p in points]) for x in names})
+    out = curvature.curvature_values(g, {x: np.array([getattr(p, x) for p in points])
+                                         for x in names})
     _emit(args, header, [*np.array(raw, dtype=float).T, out["scalar"],
                          *(out[key][:, i, j] for key in ("ricci", "einstein") for i, j in idx)])
     return 0
@@ -217,11 +217,16 @@ def cmd_hawking(args) -> int:
     if not radii:
         raise ImcvfError("no radius to take the Hawking mass at")
 
+    # read on this thread, so that sphere and grid execute here and not,
+    # unlocked, on two workers at once
+    hawking_mass, sphere_grid = sphere.hawking_mass, grid.SphereGrid
+
     def one(r):
-        return hawking_mass(g, SphereGrid(args.t, r, n_theta, n_phi))
+        return hawking_mass(g, sphere_grid(args.t, r, n_theta, n_phi))
 
     jobs = [_sphere_pool().submit(one, r) for r in radii]
-    wait(jobs)
+    for job in jobs:
+        job.exception()     # waits without raising, so no sphere outlives the call
     masses = [job.result() for job in jobs]
     _emit(args, ["r", "m_H"], [radii, masses])
     return 0
@@ -230,28 +235,28 @@ def cmd_hawking(args) -> int:
 def cmd_meancurv(args) -> int:
     g = _load_metric(args.chart)
     n_theta, n_phi = _grid_sizes(args.grid)
-    grid = SphereGrid(args.t, args.r, n_theta, n_phi)
-    h_r, h_n, star = mean_curvature_values(g, grid.env(), method=args.method)
-    _emit(args, ["th", "ph", "H_r", "H_n", "star"], _node_columns(grid) + [h_r, h_n, star])
+    sg = grid.SphereGrid(args.t, args.r, n_theta, n_phi)
+    h_r, h_n, star = sphere.mean_curvature_values(g, sg.env(), method=args.method)
+    _emit(args, ["th", "ph", "H_r", "H_n", "star"], _node_columns(sg) + [h_r, h_n, star])
     return 0
 
 
 def cmd_steer(args) -> int:
     g = _load_metric(args.chart)
     n_theta, n_phi = _grid_sizes(args.grid)
-    grid = SphereGrid(args.t, args.r, n_theta, n_phi)
-    fd = frame_data(g, grid.env())
-    q = steering_parameter(fd)
-    _emit(args, ["th", "ph", "Q"], _node_columns(grid) + [q])
+    sg = grid.SphereGrid(args.t, args.r, n_theta, n_phi)
+    fd = steering.frame_data(g, sg.env())
+    q = steering.steering_parameter(fd)
+    _emit(args, ["th", "ph", "Q"], _node_columns(sg) + [q])
     return 0
 
 
 def cmd_straightout(args) -> int:
     g = _load_metric(args.chart)
     n_theta, n_phi = _grid_sizes(args.grid)
-    grid = SphereGrid(args.t, args.r, n_theta, n_phi)
+    sg = grid.SphereGrid(args.t, args.r, n_theta, n_phi)
     if args.solve:
-        sol = solve_straight_out_d(g, grid, compat_tol=args.compat_tol)
+        sol = straightout.solve_straight_out_d(g, sg, compat_tol=args.compat_tol)
         for k, (upd, comp) in enumerate(zip(sol.update_norms, sol.compat_integrals)):
             print(f"iter {k}: update {upd:.3e}  solvability integral {comp:.3e}",
                   file=sys.stderr)
@@ -265,22 +270,22 @@ def cmd_straightout(args) -> int:
         if not sol.converged:
             print("Picard iteration did not converge", file=sys.stderr)
             return 3
-        _emit(args, ["th", "ph", "d"], _node_columns(grid) + [sol.d],
+        _emit(args, ["th", "ph", "d"], _node_columns(sg) + [sol.d],
               {"residual_inf": sol.residual_inf, "iterations": sol.iterations})
         return 0
-    out = straight_out_residual(g, grid)
+    out = straightout.straight_out_residual(g, sg)
     print(f"route agreement: max difference {out.max_difference:.3e}",
           file=sys.stderr)
     _emit(args, ["th", "ph", "residual_closed", "residual_direct"],
-          _node_columns(grid) + [out.closed, out.direct],
+          _node_columns(sg) + [out.closed, out.direct],
           {"max_difference": out.max_difference})
     return 0
 
 
 def cmd_adm(args) -> int:
-    factor = parse(args.factor)
+    factor = expr.parse(args.factor)
     radii = _floats(args.radii)
-    res = adm_mass(ConformalMetric3(factor), radii)
+    res = asymptotics.adm_mass(asymptotics.ConformalMetric3(factor), radii)
     _emit(args, ["r", "adm_integral"], [[*res.radii, "extrapolated"], [*res.values, res.mass]],
           {"mass": res.mass, "diverging": bool(res.diverging)})
     if res.diverging:
@@ -290,7 +295,7 @@ def cmd_adm(args) -> int:
 
 
 def cmd_flowscan(args) -> int:
-    cf = load_chart(args.chart)
+    cf = chart.load_chart(args.chart)
     u, v = cf.exprs["u"], cf.exprs["v"]
     try:
         lo, hi, n = args.r_range.split(":")
@@ -327,11 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the four chart conditions")
     common(p, grid=False)
-    spec = builder.ValidationSpec
-    p.add_argument("--t", type=float, default=spec.t)
+    # no default here: cmd_validate leaves an option not given to ValidationSpec
+    p.add_argument("--t", type=float)
     p.add_argument("--r-values", default="", help="comma-separated radii")
-    p.add_argument("--tol-cond3", type=float, default=spec.tol_cond3)
-    p.add_argument("--tol-cond4", type=float, default=spec.tol_cond4)
+    p.add_argument("--tol-cond3", type=float)
+    p.add_argument("--tol-cond4", type=float)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="solve for the d component")

@@ -397,8 +397,12 @@ class _Parser:
                 if isinstance(self.params[value], bool):
                     raise ExprSyntaxError(f"parameter {value!r} is a boolean, not a number",
                                           pos, expected={"finite parameter"})
-                return _finite(Lit(float(self.params[value])), pos, f"parameter {value!r}",
-                               "finite parameter")
+                try:
+                    number = float(self.params[value])
+                except (TypeError, ValueError):
+                    raise ExprSyntaxError(f"parameter {value!r} is not a number", pos,
+                                          expected={"finite parameter"}) from None
+                return _finite(Lit(number), pos, f"parameter {value!r}", "finite parameter")
             raise UnknownIdentifierError(
                 f"unknown identifier {value!r}", pos,
                 expected=set(COORDS) | set(FUNCTIONS) | {"pi"} | set(self.params))

@@ -248,3 +248,13 @@ def test_validate_degenerate_chart_reports_instead_of_raising():
     assert rep.cond3_max > rep.tolerances["cond3"]
     assert rep.as_dict()["degenerate"] is True
     assert validate_chart(build_seed("e", 1e-1)).degenerate is False
+
+
+@pytest.mark.parametrize("name", ["tol_cond3", "tol_cond4"])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, -float("inf")])
+def test_validation_spec_refuses_a_nan_or_negative_tolerance(name, tol):
+    """A nan bound fails every comparison, so every condition was reported
+    failed; a negative one can never be met."""
+    with pytest.raises(ValueError, match=f"{name} must be a number >= 0, got {tol}"):
+        ValidationSpec(**{name: tol})
+    assert getattr(ValidationSpec(**{name: 0.0}), name) == 0.0

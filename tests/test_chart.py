@@ -232,3 +232,20 @@ def test_chart_missing_d_requires_solve_flag(tmp_path):
     assert cf.solve_d and cf.exprs["d"] is None
     with pytest.raises(ValueError):
         cf.metric()
+
+
+@pytest.mark.parametrize("theta_min", [float("nan"), float("inf"), "1e-3", 0, -0.1,
+                                       math.pi / 2, 1.6, True, [1]])
+def test_block_metric_refuses_a_theta_min_outside_its_range(theta_min):
+    """validate samples theta on [theta_min, pi - theta_min], which lies in
+    (0, pi) and runs forwards only for a real theta_min in (0, pi/2)."""
+    with pytest.raises(ValueError, match=r"theta_min must be a real number in \(0, pi/2\)"):
+        BlockMetric(v="1", d="0", e="0", f="0", u="1", a="r^2", b="r^2*sin(th)^2", c="0",
+                    theta_min=theta_min)
+
+
+@pytest.mark.parametrize("theta_min", [1e-3, 1, np.float32(0.5), 1.57])
+def test_block_metric_keeps_a_theta_min_in_range_as_a_float(theta_min):
+    g = BlockMetric(v="1", d="0", e="0", f="0", u="1", a="r^2", b="r^2*sin(th)^2", c="0",
+                    theta_min=theta_min)
+    assert type(g.theta_min) is float and g.theta_min == float(theta_min)

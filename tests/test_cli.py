@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from imcvf import cli, expr
+from imcvf import builder, cli, curvature, expr, sphere
 from imcvf.chart import COMPONENTS
 from imcvf.cli import SCHEMA, _emit, _node_columns, main
 from imcvf.grid import SphereGrid
@@ -142,8 +142,8 @@ def test_hawking_reuses_one_process_wide_pool(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(SCHWARZSCHILD))
     argv = ["hawking", "--chart", str(path), "--grid", "16,32", "--r", "3,5,8"]
     hosts = []
-    real = cli.hawking_mass
-    monkeypatch.setattr(cli, "hawking_mass",
+    real = sphere.hawking_mass
+    monkeypatch.setattr(sphere, "hawking_mass",
                         lambda g, grid: hosts.append(threading.get_ident()) or real(g, grid))
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -172,7 +172,7 @@ def test_hawking_waits_for_every_sphere_when_one_fails(tmp_path, capsys, monkeyp
         finished.append(grid.r)
         return 1.0
 
-    monkeypatch.setattr(cli, "hawking_mass", fake)
+    monkeypatch.setattr(sphere, "hawking_mass", fake)
     path = tmp_path / "schw.json"
     path.write_text(json.dumps(SCHWARZSCHILD))
     assert main(["hawking", "--chart", str(path), "--grid", "16,32",
@@ -250,8 +250,9 @@ def test_curvature_evaluates_every_point_in_one_pass(k, ef_chart, evaluate_passe
     """k points are one curvature_values call on (k,) coordinate arrays,
     which is one evaluate pass."""
     calls = []
-    real = cli.curvature_values
-    monkeypatch.setattr(cli, "curvature_values", lambda g, env: calls.append(env) or real(g, env))
+    real = curvature.curvature_values
+    monkeypatch.setattr(curvature, "curvature_values",
+                        lambda g, env: calls.append(env) or real(g, env))
     points = ";".join(f"0,{2 + i},1.2,{i - 1.5}" for i in range(k))
     assert main(["curvature", "--chart", ef_chart, "--points", points]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + k
@@ -282,11 +283,70 @@ def test_bad_second_point_exits_1_before_any_evaluation(points, message, tmp_pat
                                                         monkeypatch):
     """Every point is checked before the one evaluation pass, so a bad
     second point gives the message it always gave and nothing is computed."""
-    monkeypatch.setattr(cli, "curvature_values", None)
+    monkeypatch.setattr(curvature, "curvature_values", None)
     path = tmp_path / "schw.json"
     path.write_text(json.dumps(SCHWARZSCHILD))
     assert main(["curvature", "--chart", str(path), "--points", points]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["hawking", "--grid", "8,16", "--r", "2"],
+    ["curvature", "--points", "0,4,1,0"],
+])
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "a chart must be a JSON object, got list"),
+    (dict(MINKOWSKI, params=[1, 2]), "chart key 'params' must be an object, got list"),
+    (dict(MINKOWSKI, u="1+q/r", params={"q": [1]}), "parameter 'q' is not a number"),
+    (dict(MINKOWSKI, theta_min=[1]), "theta_min must be a real number in (0, pi/2), got [1]"),
+    (dict(MINKOWSKI, solve_d="false"), "chart key 'solve_d' must be true or false, got 'false'"),
+])
+def test_malformed_chart_document_exits_1_naming_it(doc, message, command, tmp_path, capsys):
+    """A chart document of the wrong shape is one error line naming the
+    key, where it printed a traceback (or, for a "solve_d" string, read
+    any but "" as true)."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], "--chart", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("theta_min", [float("nan"), "1e400", 0, -0.1, 1.6, True])
+def test_theta_min_outside_its_range_exits_1(theta_min, tmp_path, capsys):
+    """theta_min must be a real number in (0, pi/2): validate printed nan
+    residuals and exited 2 for nan, "1e400" and 0, sampled outside (0, pi)
+    or a reversed range for -0.1 and 1.6, and read true as 1.0."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(dict(MINKOWSKI, theta_min=theta_min)))
+    assert main(["validate", "--chart", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: theta_min must be a real number in (0, pi/2), got {theta_min!r}\n")
+
+
+@pytest.mark.parametrize("option, value", [("--tol-cond3", "nan"), ("--tol-cond4", "-1e-8")])
+def test_validate_refuses_a_nan_or_negative_tolerance(option, value, minkowski_chart, capsys):
+    """A nan tolerance failed every condition and exited 2."""
+    assert main(["validate", "--chart", minkowski_chart, f"{option}={value}"]) == 1
+    name = option[2:].replace("-", "_")
+    assert capsys.readouterr() == ("", f"error: {name} must be a number >= 0, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("argv, given", [
+    ([], {}),
+    (["--t", "0.5", "--tol-cond4", "1e-6"], {"t": 0.5, "tol_cond4": 1e-6}),
+    (["--tol-cond3", "1e-9", "--r-values", "2,3"], {"tol_cond3": 1e-9, "r_values": (2.0, 3.0)}),
+])
+def test_validate_options_not_given_keep_the_spec_defaults(argv, given, minkowski_chart,
+                                                          monkeypatch, capsys):
+    """ValidationSpec is the one source of validate's defaults."""
+    specs, real = [], builder.validate_chart
+    monkeypatch.setattr(builder, "validate_chart",
+                        lambda g, spec: specs.append(spec) or real(g, spec))
+    assert main(["validate", "--chart", minkowski_chart, *argv]) == 0
+    assert specs == [builder.ValidationSpec(**given)]
 
 
 def test_usage_error_exit_1():
