@@ -59,7 +59,11 @@ def _extrapolate(radii, values):
     1e-2.  With fewer distinct radii the fit keeps as many terms as there
     are radii: two give m_inf + c/r, one its own value.  No radius at all,
     or a value that is not finite, is a ValueError; the message names the
-    smallest radius whose value is not finite."""
+    smallest radius whose value is not finite.
+
+    m_inf is the value at 1/r = 0 of the polynomial in 1/r through the
+    points, by Neville's scheme in plain float arithmetic of a fixed
+    order, so it does not depend on how a BLAS kernel orders a solve."""
     radii, values = np.asarray(radii, dtype=float), np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if bad.any():
@@ -68,10 +72,13 @@ def _extrapolate(radii, values):
     r, first = np.unique(radii, return_index=True)
     if not r.size:
         raise ValueError("no radius to extrapolate the mass from")
-    r, v = r[-3:], values[first][-3:]
-    design = np.stack([np.ones_like(r), 1.0 / r, 1.0 / r**2][:r.size], axis=1)
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return float(coef[0])
+    x = [1.0 / ri for ri in r[-3:].tolist()]
+    p = values[first][-3:].tolist()
+    # p[i] holds the value at 0 of the polynomial through points i..i+k
+    for k in range(1, len(x)):
+        for i in range(len(x) - k):
+            p[i] = (x[i] * p[i + 1] - x[i + k] * p[i]) / (x[i] - x[i + k])
+    return p[0]
 
 
 def _sphere_flux(r, value):

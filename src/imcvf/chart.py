@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import SingularMetricError
 from .expr import COORDS, FieldExpr, Plan, diff, evaluate, parse, to_source
 from .grid import check_radius, check_time
+from .tape import Operand, check_step
 
 T, R, TH, PH = 0, 1, 2, 3
 COMPONENTS = ("v", "d", "e", "f", "u", "a", "b", "c")
@@ -81,6 +83,7 @@ class BlockMetric:
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
         self.theta_min = _check_theta_min(theta_min)
         self._plans = {}
+        self._tapes = {}
 
     # individual components as attributes (read-only by convention)
     def __getattr__(self, name):
@@ -110,6 +113,17 @@ class BlockMetric:
     def jet_plan(self, keys: tuple) -> Plan:
         """The plan of the component jets named by keys, kept under keys."""
         return self.plan(keys, lambda: [self.deriv(*k.split("_")) for k in keys])
+
+    def tape(self, key, record):
+        """The tape record() makes, kept on the metric under key; under one
+        lock, so threads that miss together record it once."""
+        with _RECORD_LOCK:
+            if key not in self._tapes:
+                self._tapes[key] = record()
+            return self._tapes[key]
+
+
+_RECORD_LOCK = threading.Lock()
 
 
 class SphericalMetric:
@@ -179,12 +193,14 @@ def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
 
 def _named(names, values) -> dict:
     """names -> values as read-only float arrays.  Each is a view, so a
-    root that is an env coordinate leaves the caller's array writable, and
-    a PooledArray stays one."""
+    root that is an env coordinate leaves the caller's array writable; a
+    value a tape records stays as it is."""
     out = {}
     for k, v in zip(names, values):
-        out[k] = np.asanyarray(v, dtype=float).view()
-        out[k].flags.writeable = False
+        if type(v) is not Operand:
+            v = np.asarray(v, dtype=float).view()
+            v.flags.writeable = False
+        out[k] = v
     return out
 
 
@@ -237,6 +253,7 @@ def inverse_values(g: BlockMetric, env: Mapping) -> np.ndarray:
     return inverse_from_components(component_jets(g, env, COMPONENTS), env_shape(env))
 
 
+@check_step
 def check_det(det) -> None:
     """Raise SingularMetricError where |det| < 1e-14."""
     if np.any(np.abs(det) < 1e-14):
@@ -304,9 +321,10 @@ def load_chart(source) -> ChartFile:
 
     Expression strings are parsed with the file's "params" substituted.
     "d" may be omitted only when "solve_d" is true.  A document that is not
-    an object, a "params" that is not one and a "solve_d" that is not a
-    boolean are each a ValueError naming it, as is a theta_min that
-    BlockMetric would refuse.
+    an object, a "params" that is not one, a "solve_d" that is not a
+    boolean and a component that is neither a string nor a number (null,
+    a boolean, a list or an object) are each a ValueError naming it, as is
+    a theta_min that BlockMetric would refuse.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -331,7 +349,11 @@ def load_chart(source) -> ChartFile:
                 exprs["d"] = None
                 continue
             raise KeyError(f"chart file is missing component {key!r}")
-        exprs[key] = parse(str(raw[key]), params=params)
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise ValueError(f"chart component {key!r} must be an expression string or a "
+                             f"number, got {value!r}")
+        exprs[key] = parse(str(value), params=params)
     return ChartFile(exprs=exprs, params=params,
                      theta_min=_check_theta_min(raw.get("theta_min", DEFAULT_THETA_MIN)),
                      solve_d=solve_d)

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import threading
 
@@ -386,6 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_flowscan)
+    # read -1e3 as a value, as argparse reads -1: no imcvf option looks like a number
+    for p in (ap, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return ap
 
 

@@ -34,6 +34,7 @@ import re
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from .tape import check_step
 
 COORDS = ("t", "r", "th", "ph")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -491,15 +492,15 @@ class Plan:
     """A root list compiled once into one flat sequence of steps.
 
     The nodes are visited in the order a recursive evaluation takes (left
-    operand first, a denominator before its numerator), so domain errors
-    are raised in that order, and structurally equal subtrees share one
-    slot.  A literal is keyed on its value and its sign bit, so -0.0 and
-    0.0 keep their own slots.  Each step is (fn, out, a, b, free): slot out
-    gets fn(slot a), or fn(slot a, slot b), and then the slots it is the
-    last to read are released, unless the env is a point.  Each node
-    applies the numpy function it would apply alone to the same operands,
-    so its value holds the same bits.  A plan is immutable and may be run
-    from concurrent threads.
+    operand first, a denominator before its numerator), so domain errors,
+    each a check step of its own, are raised in that order, and
+    structurally equal subtrees share one slot.  A literal is keyed on its
+    value and its sign bit, so -0.0 and 0.0 keep their own slots.  Each
+    step is (fn, out, a, b, free): slot out gets fn(slot a), or fn(slot a,
+    slot b), and then the slots it is the last to read are released,
+    unless the env is a point.  Each node applies the numpy function it
+    would apply alone to the same operands, so its value holds the same
+    bits.  A plan is immutable and may be run from concurrent threads.
 
     ``roots`` are the result slots, in the order of the roots given, and
     ``coords`` the coordinates the roots read, in the order first read."""
@@ -515,11 +516,13 @@ class Plan:
         coords = []
         seen_get, slots_get = seen.get, slots.get
 
-        def slot(key, fn, a, b):
+        def slot(key, fn, a, b, guard=None):
             s = slots_get(key)
             if s is None:
                 s = slots[key] = len(consts)
                 consts.append(None)
+                if guard is not None:       # a domain check before the step
+                    steps.append((guard, _SINK, a, b))
                 steps.append((fn, s, a, b))
             return s
 
@@ -562,11 +565,11 @@ class Plan:
             elif t is Pow:
                 a = visit(e.base)
                 k = const(e.expo)
-                s = slot((_checked_pow, a, k), _checked_pow, a, k)
+                s = slot((np.power, a, k), np.power, a, k, _pow_domain)
             elif t is Call:
-                fn = _CALL[e.fn]
+                fn = _NUMPY_FN[e.fn]
                 a = visit(e.arg)
-                s = slot((fn, a), fn, a, None)
+                s = slot((fn, a), fn, a, None, _DOMAIN.get(e.fn))
             else:  # pragma: no cover
                 raise TypeError(f"not a FieldExpr node: {e!r}")
             seen[id(e)] = s
@@ -610,32 +613,33 @@ def _loader(name):
     return load
 
 
+@check_step
 def _nonzero(den):
     if np.any(den == 0.0):
         raise EvalDomainError("division by zero")
 
 
-def _checked_pow(base, k):
+@check_step
+def _pow_domain(base, k):
     if k != round(k) and np.any(base < 0.0):
         raise EvalDomainError(f"negative base for exponent {k}")
     if k < 0 and np.any(base == 0.0):
         raise EvalDomainError(f"zero base for negative exponent {k}")
-    return np.power(base, k)
 
 
-def _log(arg):
+@check_step
+def _log_domain(arg):
     if np.any(arg <= 0.0):
         raise EvalDomainError("log of a non-positive value")
-    return np.log(arg)
 
 
-def _sqrt(arg):
+@check_step
+def _sqrt_domain(arg):
     if np.any(arg < 0.0):
         raise EvalDomainError("sqrt of a negative value")
-    return np.sqrt(arg)
 
 
-_CALL = {**_NUMPY_FN, "log": _log, "sqrt": _sqrt}
+_DOMAIN = {"log": _log_domain, "sqrt": _sqrt_domain}
 _BINARY_FN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarseError
 
-__all__ = ["SphereGrid", "check_radius", "check_time"]
+__all__ = ["SphereGrid", "area_sum", "check_radius", "check_time"]
 
 
 def check_radius(r) -> None:
@@ -127,6 +127,13 @@ def _packing(n_theta: int, mmax: int):
     return _read_only([start, (np.arange(start[-1]) - start[em] + em).astype(float)])
 
 
+def area_sum(weights, sin_column, values, sqrt_gs):
+    """sum w f sqrt|g_S| / sin(theta) over the nodes, from the quadrature
+    weights and the sin(theta) column: SphereGrid.integrate_area, as a
+    numpy scalar."""
+    return np.sum(weights * values * sqrt_gs / sin_column)
+
+
 class SphereGrid:
     """Sphere S_{t,r} sampled on n_theta x n_phi nodes.
 
@@ -178,7 +185,7 @@ class SphereGrid:
 
     def integrate_area(self, values, sqrt_gs) -> float:
         """Integral of f against the area form sqrt|g_S| dtheta dphi."""
-        return float(np.sum(self.weights * values * sqrt_gs / self.sin_theta[:, None]))
+        return float(area_sum(self.weights, self.sin_theta[:, None], values, sqrt_gs))
 
     # -- spherical-harmonic transform ---------------------------------------
     # A stack of k fields (k, n_theta, n_phi) has Fourier rows (k, n_theta,

@@ -9,6 +9,8 @@ identity 2 H_{e_r} (ab - c^2) = e_r(ab - c^2).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, check_det, cofactors, \
@@ -16,8 +18,8 @@ from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, check_det, cofactors, 
 from .curvature import metric_partial, raise_sum
 from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
 from .expr import COORDS
-from .grid import SphereGrid
-from .workspace import PooledArray, pooled, pooled_env
+from .grid import SphereGrid, area_sum
+from .tape import check_step, record, signature
 
 __all__ = ["SURFACE_JETS", "surface_fields", "frame_values", "star_values",
            "mean_curvature_values", "inverse_mean_curvature_vector",
@@ -49,15 +51,20 @@ def surface_fields(g: BlockMetric, env, extra=()) -> dict:
     out = component_jets(g, env, SURFACE_JETS + tuple(extra))
     a, b, c = out["a"], out["b"], out["c"]
     out["W"], out["cf_be"], out["ce_af"] = cross_terms(out)
-    if np.any(out["W"] <= 0.0):
-        raise DegenerateSurfaceError("ab - c^2 <= 0 at a sampled node")
+    _nondegenerate(out["W"])
     out["W_r"] = out["a_r"] * b + a * out["b_r"] - 2.0 * c * out["c_r"]
     out["W_th"] = out["a_th"] * b + a * out["b_th"] - 2.0 * c * out["c_th"]
     out["W_ph"] = out["a_ph"] * b + a * out["b_ph"] - 2.0 * c * out["c_ph"]
     out["det"] = det_from_components(out, out["W"])
     out["nn"] = out["det"] / (out["u"] ** 2 * out["W"])
-    out["norm_n"] = pooled(np.sqrt, -out["nn"])
+    out["norm_n"] = np.sqrt(-out["nn"])
     return out
+
+
+@check_step
+def _nondegenerate(w) -> None:
+    if np.any(w <= 0.0):
+        raise DegenerateSurfaceError("ab - c^2 <= 0 at a sampled node")
 
 
 def gs_trace(f, x_thth, x_thph, x_phph):
@@ -203,22 +210,35 @@ def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
     with H from the trace formula.  A mass that is not finite (the chart's
     arithmetic overflows on the sphere) is a ValueError naming r.
 
-    The arithmetic runs on a pooled env, so its grid arrays, from the jets
-    to the quadrature products, come from the calling thread's workspace."""
-    with np.errstate(all="ignore"):     # an overflow shows in the mass, checked below
-        fields = surface_fields(g, pooled_env(grid.env()))
-        h_r, h_n = _trace_mean_curvature(fields)
-        hh = h_r**2 - h_n**2
-        # W of most charts reads no ph, so pooled_env leaves it a plain
-        # column; as a PooledArray its products with the grid's full
-        # quadrature weights pool too
-        sqrt_gs = pooled(np.sqrt, fields["W"].view(PooledArray))
-        area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)
-        integral = grid.integrate_area(hh, sqrt_gs)
-        mass = float(np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi)))
-    if not np.isfinite(mass):
-        raise ValueError(f"the Hawking mass at r = {grid.r!r} is not finite")
+    The arithmetic (_sphere_mass) is recorded once per metric and grid
+    signature, kept on the metric, and replayed on the calling thread's
+    buffers (imcvf.tape), with the bits of the plain arithmetic."""
+    inputs = (grid.env(), grid.weights, grid.sin_theta[:, None], grid.r)
+    with np.errstate(all="ignore"):     # an overflow shows in the mass, checked last
+        tape = g.tape(("hawking_mass", signature(inputs)),
+                      lambda: record(functools.partial(_sphere_mass, g), inputs))
+        return float(tape.run(*inputs))
+
+
+def _sphere_mass(g: BlockMetric, env, weights, sin_column, r):
+    """hawking_mass's arithmetic on a sphere's env, quadrature weights and
+    sin(th) column; r names the sphere whose mass is not finite.  The area
+    integrand is 1.0, whose products have the bits of ones'."""
+    fields = surface_fields(g, env)
+    h_r, h_n = _trace_mean_curvature(fields)
+    hh = h_r**2 - h_n**2
+    sqrt_gs = np.sqrt(fields["W"])
+    area = area_sum(weights, sin_column, 1.0, sqrt_gs)
+    integral = area_sum(weights, sin_column, hh, sqrt_gs)
+    mass = np.sqrt(area / (16.0 * np.pi)) * (1.0 - integral / (16.0 * np.pi))
+    _finite_mass(mass, r)
     return mass
+
+
+@check_step
+def _finite_mass(mass, r) -> None:
+    if not np.isfinite(mass):
+        raise ValueError(f"the Hawking mass at r = {r!r} is not finite")
 
 
 def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.ndarray:

@@ -249,3 +249,25 @@ def test_block_metric_keeps_a_theta_min_in_range_as_a_float(theta_min):
     g = BlockMetric(v="1", d="0", e="0", f="0", u="1", a="r^2", b="r^2*sin(th)^2", c="0",
                     theta_min=theta_min)
     assert type(g.theta_min) is float and g.theta_min == float(theta_min)
+
+
+_MINKOWSKI_DOC = {"v": "1", "d": "0", "e": "0", "f": "0", "u": "1",
+                  "a": "r^2", "b": "r^2*sin(th)^2", "c": "0"}
+
+
+@pytest.mark.parametrize("value", [None, True, False, [1], {"x": 1}, ["1"]])
+def test_load_chart_refuses_a_component_that_is_not_a_string_or_a_number(value):
+    """null, a boolean, a list and an object are refused by the key's name,
+    where their str() was parsed ('None', 'True', '[1]')."""
+    with pytest.raises(ValueError, match=r"^chart component 'u' must be an expression "
+                                         r"string or a number, got "):
+        load_chart(dict(_MINKOWSKI_DOC, u=value))
+
+
+@pytest.mark.parametrize("value, source", [(1, "1.0"), (2.5, "2.5"), (-3, "(-3.0)"),
+                                           ("1+r", "1.0 + r")])
+def test_load_chart_reads_a_number_or_a_string_component(value, source):
+    from imcvf.expr import to_source
+
+    cf = load_chart(dict(_MINKOWSKI_DOC, u=value))
+    assert to_source(cf.exprs["u"]) == source

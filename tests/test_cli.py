@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -301,6 +302,14 @@ def test_bad_second_point_exits_1_before_any_evaluation(points, message, tmp_pat
     (dict(MINKOWSKI, u="1+q/r", params={"q": [1]}), "parameter 'q' is not a number"),
     (dict(MINKOWSKI, theta_min=[1]), "theta_min must be a real number in (0, pi/2), got [1]"),
     (dict(MINKOWSKI, solve_d="false"), "chart key 'solve_d' must be true or false, got 'false'"),
+    (dict(MINKOWSKI, u=None), "chart component 'u' must be an expression string or a number, "
+                              "got None"),
+    (dict(MINKOWSKI, u=True), "chart component 'u' must be an expression string or a number, "
+                              "got True"),
+    (dict(MINKOWSKI, u=[1]), "chart component 'u' must be an expression string or a number, "
+                             "got [1]"),
+    (dict(MINKOWSKI, u={}), "chart component 'u' must be an expression string or a number, "
+                            "got {}"),
 ])
 def test_malformed_chart_document_exits_1_naming_it(doc, message, command, tmp_path, capsys):
     """A chart document of the wrong shape is one error line naming the
@@ -332,6 +341,22 @@ def test_validate_refuses_a_nan_or_negative_tolerance(option, value, minkowski_c
     assert main(["validate", "--chart", minkowski_chart, f"{option}={value}"]) == 1
     name = option[2:].replace("-", "_")
     assert capsys.readouterr() == ("", f"error: {name} must be a number >= 0, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("number", ["-1e3", "-1.5E-8", "-2e+1", "-.5e1", "-1"])
+@pytest.mark.parametrize("command, option", [
+    (["hawking", "--grid", "8,16", "--r", "2"], "--t"),
+    (["validate"], "--t"),
+    (["validate"], "--tol-cond4"),
+])
+def test_a_negative_number_in_exponent_form_is_read_as_a_value(command, option, number,
+                                                               minkowski_chart, capsys):
+    """--opt -1e3 gives the exit code, stdout and stderr of --opt=-1e3,
+    where argparse took -1e3 for an option and made it a usage error."""
+    argv = [command[0], "--chart", minkowski_chart, *command[1:]]
+    separate = main([*argv, option, number]), capsys.readouterr()
+    joined = main([*argv, f"{option}={number}"]), capsys.readouterr()
+    assert separate == joined and "expected one argument" not in separate[1].err
 
 
 @pytest.mark.parametrize("argv, given", [
@@ -548,21 +573,25 @@ def test_non_finite_t_exits_1_naming_it(argv, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_hawking_evaluates_every_sphere_with_one_plan(ef_chart, monkeypatch, capsys):
+def test_hawking_records_one_tape_that_every_sphere_replays(ef_chart, monkeypatch, capsys):
     """Four radii on the pool: the metric compiles its SURFACE_JETS plan
-    once, and every sphere's evaluate pass is handed that plan."""
-    from imcvf import chart
+    once and records one tape for its metric and grid shape, and all four
+    spheres replay that tape; only the recording runs the plan."""
+    from imcvf import chart, tape
     from imcvf.sphere import SURFACE_JETS
 
-    metrics, plans = [], []
-    load, real = cli._load_metric, chart.evaluate
+    metrics, plans, runs = [], [], []
+    load, real, replay = cli._load_metric, chart.evaluate, tape.Tape.run
     monkeypatch.setattr(cli, "_load_metric", lambda path: metrics.append(load(path)) or metrics[-1])
     monkeypatch.setattr(chart, "evaluate", lambda plan, env: plans.append(plan) or real(plan, env))
+    monkeypatch.setattr(tape.Tape, "run", lambda t, *inputs: runs.append(t) or replay(t, *inputs))
     assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,3,4,5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     (g,) = metrics
     assert list(g._plans) == [SURFACE_JETS]
-    assert len(plans) == 4 and all(p is g._plans[SURFACE_JETS] for p in plans)
+    assert len(plans) == 1 and plans[0] is g._plans[SURFACE_JETS]
+    (kept,) = g._tapes.values()
+    assert len(runs) == 4 and all(t is kept for t in runs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")    # no overflow warning escapes
@@ -674,6 +703,22 @@ def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
     assert main(golden_argv(name, ef_chart, str(out))) == 0
     with open(golden_path(name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_adm_golden_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    """adm extrapolates in plain float arithmetic of a fixed order, so a
+    process whose OpenBLAS runs the Haswell or the Prescott kernels writes
+    the bytes this process writes; a least-squares solve moved a cell by
+    one ulp under Haswell."""
+    here, there = tmp_path / "here.csv", tmp_path / "there.csv"
+    assert main(golden_argv("adm", None, str(here))) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "imcvf.cli", *golden_argv("adm", None, str(there))],
+                   env=env, capture_output=True, timeout=120, check=True)
+    assert there.read_bytes() == here.read_bytes()
 
 
 def test_validate_zero_tolerance_is_kept(ef_chart, capsys):
