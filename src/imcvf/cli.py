@@ -1,10 +1,10 @@
 """Command-line front end: load chart files, run validations and solvers,
 emit deterministic CSV or JSON tables.
 
-Exit codes: 0 success, 1 usage, parse, file or floating-point range error,
-2 validation/compatibility failure, 3 numerical non-convergence.  Floats are
-printed with 17 significant digits so identical inputs give byte-identical
-output.
+Exit codes: 0 success, 1 usage, parse, file, memory or floating-point range
+error, 2 validation/compatibility failure, 3 numerical non-convergence.
+Floats are printed with 17 significant digits so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -171,7 +171,11 @@ def cmd_validate(args) -> int:
     # an option not given keeps the ValidationSpec default
     given = {k: v for k, v in (("t", args.t), ("tol_cond3", args.tol_cond3),
                                ("tol_cond4", args.tol_cond4)) if v is not None}
-    spec = builder.ValidationSpec(r_values=tuple(_floats(args.r_values)), **given)
+    if args.r_values is not None:
+        given["r_values"] = tuple(_floats(args.r_values))
+        if not given["r_values"]:
+            raise ImcvfError(f"--r-values {args.r_values!r} names no radius")
+    spec = builder.ValidationSpec(**given)
     report = builder.validate_chart(g, spec)
     items = sorted(report.as_dict().items())
     _emit(args, [k for k, _ in items], [[v] for _, v in items])
@@ -335,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, grid=False)
     # no default here: cmd_validate leaves an option not given to ValidationSpec
     p.add_argument("--t", type=float)
-    p.add_argument("--r-values", default="", help="comma-separated radii")
+    p.add_argument("--r-values", help="comma-separated radii")
     p.add_argument("--tol-cond3", type=float)
     p.add_argument("--tol-cond4", type=float)
     p.set_defaults(fn=cmd_validate)
@@ -403,6 +407,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ExprSyntaxError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:      # numpy names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except CompatibilityError as exc:
         print(f"compatibility failure: {exc}", file=sys.stderr)

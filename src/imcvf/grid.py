@@ -83,10 +83,12 @@ def _legendre_tables(lmax: int, x: np.ndarray):
             [dbuf[start[m]:start[m + 1]] for m in range(size)])
 
 
-# Nodes and tables depend only on n_theta: built once per size, shared by
-# every grid of that size, and read-only so sharing cannot leak writes.
+# Nodes and tables depend only on n_theta, and a grid's node arrays on
+# (n_theta, n_phi): built once per size, shared by every grid of that
+# size, and read-only so sharing cannot leak writes.
 _MEMO_LOCK = threading.RLock()
 _NODES: dict = {}
+_NODE_ARRAYS: dict = {}
 _TABLES: dict = {}
 
 
@@ -104,6 +106,22 @@ def _gauss_nodes(n_theta: int):
             order = np.argsort(-x)
             _NODES[n_theta] = _read_only([x[order], w[order]])
         return _NODES[n_theta]
+
+
+def _node_arrays(n_theta: int, n_phi: int):
+    """(theta, phi, weights, sin_theta, cos_theta, cot_theta) of a grid
+    of this size: the full weights array too is built once per size, not
+    once per sphere."""
+    with _MEMO_LOCK:
+        if (n_theta, n_phi) not in _NODE_ARRAYS:
+            x, w_theta = _gauss_nodes(n_theta)
+            theta = np.arccos(x)
+            phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+            weights = w_theta[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)
+            sin_theta, cos_theta = np.sin(theta), np.cos(theta)
+            _NODE_ARRAYS[n_theta, n_phi] = _read_only([theta, phi, weights, sin_theta,
+                                                       cos_theta, cos_theta / sin_theta])
+        return _NODE_ARRAYS[n_theta, n_phi]
 
 
 def _tables(n_theta: int):
@@ -140,7 +158,9 @@ class SphereGrid:
     Carries the quadrature weights; all arrays indexed [i_theta, j_phi].
     Every transform takes a field that broadcasts to the grid, such as a
     column of a separable env.  The Legendre transform tables are shared per
-    n_theta and built on the first transform call.  Instances are immutable.
+    n_theta and built on the first transform call; the node arrays (theta,
+    phi, weights, sin/cos/cot theta) are shared, read-only, by every grid of
+    one size, so a sphere allocates none of them.  Instances are immutable.
     """
 
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
@@ -154,16 +174,11 @@ class SphereGrid:
         self.n_phi = int(n_phi)
 
         self.x, self.w_theta = _gauss_nodes(self.n_theta)
-        self.theta = np.arccos(self.x)
-        self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        self.weights = self.w_theta[:, None] * np.full(self.n_phi, 2.0 * np.pi / self.n_phi)
+        (self.theta, self.phi, self.weights, self.sin_theta, self.cos_theta,
+         self.cot_theta) = _node_arrays(self.n_theta, self.n_phi)
 
         self.lmax = self.n_theta - 1
         self.mmax = min(self.n_phi // 2, self.lmax)
-
-        self.sin_theta = np.sin(self.theta)
-        self.cos_theta = np.cos(self.theta)
-        self.cot_theta = self.cos_theta / self.sin_theta
 
     # -- coordinate helpers ------------------------------------------------
 

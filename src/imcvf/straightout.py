@@ -438,7 +438,11 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, max_iter: int = 200,
     than raised: it would be evidence against solvability at that
     configuration.  So is an inner Poisson solve that stalls above its
     floor: the solution comes back unconverged with its poisson_history.
+    compat_tol must be a number >= 0 (not nan), as ValidationSpec holds
+    its tolerances.
     """
+    if not compat_tol >= 0:
+        raise ValueError(f"compat_tol must be a number >= 0, got {compat_tol}")
     f = surface_fields(g, grid.env(), extra=_CLOSED_FORM_JETS + _ASSEMBLED_JETS)
     sqrt_gs = np.sqrt(f["W"])
     area = grid.integrate_area(np.ones_like(sqrt_gs), sqrt_gs)

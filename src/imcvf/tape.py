@@ -5,16 +5,19 @@ tools, replayed forward: Griewank & Walther, *Evaluating Derivatives*,
 
 ``record`` runs the program on Operands, which stand for arrays of a
 shape and hold no data: each ufunc of _UFUNCS and each np.sum applied to
-one is logged with the slots of its operands, a constant in a slot of its
-own, and a ``check_step`` in its place in the order.  A branch on a
-recorded value, a constant array (an array the program reads must be an
-input) or any other operation raises RecordingError.  Compiling keeps the
-steps the result or a check reads and gives each array value a buffer by
-linear scan over last readers (Poletto & Sarkar, ACM TOPLAS 21(5), 1999):
-a buffer is free once its value's last reader has read it, and that step
-may write into it.  A buffer is known by the axes of the inputs'
-broadcast shape it spans, so a tape replays any inputs of the signature
-it was recorded on; recording runs on a few nodes an axis.
+one is logged with the slots of its operands, a number in one slot per
+type and value, and a ``check_step`` in its place in the order.  A step
+the program repeats, the same function of the same operands, is logged
+once and its value read again (value numbering), and so is a repeated
+check.  A branch on a recorded value, a constant array (an array the
+program reads must be an input) or any other operation raises
+RecordingError.  Compiling keeps the steps the result or a check reads
+and gives each array value a buffer by linear scan over last readers
+(Poletto & Sarkar, ACM TOPLAS 21(5), 1999): a buffer is free once its
+value's last reader has read it, and that step may write into it.  A
+buffer is known by the axes of the inputs' broadcast shape it spans, so a
+tape replays any inputs of the signature it was recorded on; recording
+runs on a few nodes an axis.
 
 ``Tape.run`` applies each step's function to the same operands in the
 same order as the program, with ``out`` its buffer, so every value has
@@ -60,6 +63,12 @@ def check_step(check):
     return step
 
 
+def _operator(ufunc, reflected=False):
+    if reflected:
+        return lambda self, other: self.recorder.step(ufunc, (other, self))
+    return lambda self, other: self.recorder.step(ufunc, (self, other))
+
+
 class Operand(NDArrayOperatorsMixin):
     """A recorded value: the shape of an array and its slot on the tape."""
 
@@ -87,6 +96,17 @@ class Operand(NDArrayOperatorsMixin):
             return self.recorder.step(np.square, (self,))
         raise RecordingError(f"** {k!r} of a recorded value is not a step")
 
+    # the operators a program spends its steps on log the ufunc the mixin
+    # would call, without numpy's dispatch to __array_ufunc__
+    __add__, __radd__ = _operator(np.add), _operator(np.add, reflected=True)
+    __sub__, __rsub__ = _operator(np.subtract), _operator(np.subtract, reflected=True)
+    __mul__, __rmul__ = _operator(np.multiply), _operator(np.multiply, reflected=True)
+    __truediv__ = _operator(np.true_divide)
+    __rtruediv__ = _operator(np.true_divide, reflected=True)
+
+    def __neg__(self):
+        return self.recorder.step(np.negative, (self,))
+
     def _needs_data(self, *args, **kwargs):
         raise RecordingError("a recorded value holds no data: a test of it must be a "
                              "check_step")
@@ -96,9 +116,14 @@ class Operand(NDArrayOperatorsMixin):
 
 
 class _Recorder:
+    """Logs a program's steps; a number is one operand per type and value,
+    so that a repeated step is known by its function and operand slots,
+    and a repeated check, which passes where its first run passed, too."""
+
     def __init__(self):
         self.consts, self.shapes = [], []   # per slot: constant or None, and shape
         self.steps, self.inputs = [], []    # steps (fn, out slot or None for a check, args)
+        self.numbers, self.values = {}, {}  # a number's slot; (fn, slots) -> out slot or None
 
     def slot(self, const, shape) -> int:
         self.consts.append(const)
@@ -110,6 +135,11 @@ class _Recorder:
         for x in args:
             if type(x) is Operand and x.recorder is self:
                 slots.append(x.slot)
+            elif isinstance(x, (numbers.Number, np.generic)) and x == x:   # not nan
+                key = (type(x), repr(x))
+                if key not in self.numbers:
+                    self.numbers[key] = self.slot(x, ())
+                slots.append(self.numbers[key])
             elif isinstance(x, (numbers.Number, np.generic, np.ndarray)) and not np.ndim(x):
                 slots.append(self.slot(x, ()))
             else:
@@ -120,18 +150,22 @@ class _Recorder:
     def step(self, fn, args, shape=None) -> Operand:
         """fn(*args) logged; its value of shape, by default the operands'."""
         slots = self.operands(args)
-        if shape is None:
-            shape = np.broadcast_shapes(*(self.shapes[s] for s in slots))
-        out = self.slot(None, shape)
-        self.steps.append((fn, out, slots))
-        return Operand(self, out, shape)
+        out = self.values.get((fn, slots))
+        if out is None:
+            if shape is None:
+                shape = _broadcast(*(self.shapes[s] for s in slots))
+            out = self.values[fn, slots] = self.slot(None, shape)
+            self.steps.append((fn, out, slots))
+        return Operand(self, out, self.shapes[out])
 
     def check(self, fn, args) -> None:
         """fn(*args) logged; a check of constants, alike on every replay,
         runs now, and one that fails is the tape's last step."""
         slots = self.operands(args)
         if any(type(a) is Operand for a in args):
-            self.steps.append((fn, None, slots))
+            if (fn, slots) not in self.values:
+                self.values[fn, slots] = None
+                self.steps.append((fn, None, slots))
             return
         try:
             fn(*args)
@@ -149,25 +183,42 @@ class _Recorder:
                 live.update(args)
         kept.reverse()
         last = {a: i for i, (_, _, args) in enumerate(kept) for a in args}
-        steps, buffer_slots, axes_of, free, held = [], [], [], {}, {}
+        shapes, steps, buffer_slots, axes_of, free, held = self.shapes, [], [], [], {}, {}
         for i, (fn, out, args) in enumerate(kept):
             for a in args:                  # free what this step reads last
-                if a in held and last[a] == i:
+                if last[a] == i and a in held:
                     b = held.pop(a)
-                    free[axes_of[b]].append(b)
-            into = out not in (None, result) and self.shapes[out] != ()
-            if into:                        # the most recently freed buffer first
-                axes = tuple(n != 1 for n in self.shapes[out])
-                pool = free.setdefault(axes, [])
+                    free[shapes[a]].append(b)
+            a, b = args if len(args) == 2 else (args[0], None)
+            if out is None:
+                steps.append((fn, sink, a, b, False))
+                continue
+            shape = shapes[out]
+            into = out != result and shape != ()
+            if into:                        # the most recently freed buffer first;
+                pool = free.get(shape)      # a recorded shape stands for its axes
+                if pool is None:
+                    pool = free[shape] = []
                 if not pool:
                     pool.append(len(axes_of))
-                    axes_of.append(axes)
-                held[out] = pool.pop()
-                buffer_slots.append((out, held[out]))
-            steps.append((fn, sink if out is None else out, *args, *(None,) * (2 - len(args)),
-                          into))
+                    axes_of.append(tuple(n != 1 for n in shape))
+                held[out] = k = pool.pop()
+                buffer_slots.append((out, k))
+            steps.append((fn, out, a, b, into))
         return Tape(tuple(steps), [*self.consts, None], tuple(self.inputs), result,
                     tuple(axes_of), tuple(buffer_slots))
+
+
+def _broadcast(shape, other=()):
+    """The broadcast shape of two recorded shapes.  An axis a recorded
+    value spans has the same number of nodes in every value (record), so
+    the broadcast takes the larger count axis by axis."""
+    if len(shape) < len(other):
+        shape, other = other, shape
+    if shape == other or not other:
+        return shape
+    n = len(shape) - len(other)
+    return shape[:n] + tuple(map(max, shape[n:], other))
 
 
 def _leaves(inputs):

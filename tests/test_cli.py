@@ -28,6 +28,11 @@ SCHWARZSCHILD = {"v": "(1-2*m/r)^0.5", "d": "0", "e": "0", "f": "0",
                  "u": "(1-2*m/r)^(-0.5)", "a": "r^2", "b": "r^2*sin(th)^2",
                  "c": "0", "params": {"m": 1.0}}
 
+# a and b break ab - c^2 = r^4 sin^2 th, so straightout --solve meets a
+# solvability integral of 0.084 at r = 2 (on any grid) and reports it
+INCOMPATIBLE = {"v": "1", "d": "0", "e": "0.1*sin(th)", "f": "0", "u": "1",
+                "a": "r^2*(1+0.1*cos(th))", "b": "r^2*sin(th)^2", "c": "0"}
+
 
 @pytest.fixture
 def minkowski_chart(tmp_path):
@@ -208,9 +213,11 @@ def test_straightout_residual_and_solver(seed_chart, tmp_path):
     assert out_csv.read_text().startswith("th,ph,residual_closed,residual_direct")
     assert main(["straightout", "--chart", str(full), "--grid", "16,32",
                  "--r", "2.0", "--solve", "--out", str(tmp_path / 'd.csv')]) == 0
-    # forced compatibility failure reports exit code 2
-    assert main(["straightout", "--chart", str(full), "--grid", "16,32",
-                 "--r", "2.0", "--solve", "--compat-tol", "-1"]) == 2
+    # a chart whose solvability integral is 0.084 on every grid: exit code 2
+    incompatible = tmp_path / "incompatible.json"
+    incompatible.write_text(json.dumps(INCOMPATIBLE))
+    assert main(["straightout", "--chart", str(incompatible), "--grid", "16,32",
+                 "--r", "2.0", "--solve"]) == 2
 
 
 def test_flowscan(tmp_path, capsys):
@@ -335,10 +342,22 @@ def test_theta_min_outside_its_range_exits_1(theta_min, tmp_path, capsys):
         "", f"error: theta_min must be a real number in (0, pi/2), got {theta_min!r}\n")
 
 
-@pytest.mark.parametrize("option, value", [("--tol-cond3", "nan"), ("--tol-cond4", "-1e-8")])
-def test_validate_refuses_a_nan_or_negative_tolerance(option, value, minkowski_chart, capsys):
-    """A nan tolerance failed every condition and exited 2."""
-    assert main(["validate", "--chart", minkowski_chart, f"{option}={value}"]) == 1
+SOLVE = ["straightout", "--grid", "8,16", "--r", "2", "--solve"]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (["validate"], "--tol-cond3", "nan"),
+    (["validate"], "--tol-cond4", "-1e-8"),
+    (SOLVE, "--compat-tol", "nan"),
+    (SOLVE, "--compat-tol", "-1"),
+])
+def test_a_nan_or_negative_tolerance_exits_1_naming_it(command, option, value, minkowski_chart,
+                                                       capsys):
+    """A nan tolerance failed every validate condition and exited 2, and
+    turned the solvability check of straightout --solve off (abs(x) > nan
+    is False); a negative --compat-tol failed every solve with exit 2."""
+    assert main([command[0], "--chart", minkowski_chart, *command[1:],
+                 f"{option}={value}"]) == 1
     name = option[2:].replace("-", "_")
     assert capsys.readouterr() == ("", f"error: {name} must be a number >= 0, got {float(value)}\n")
 
@@ -541,13 +560,16 @@ def test_flowscan_with_an_angular_u_or_v_exits_1(component, source, coord, tmp_p
     (["validate", "--r-values", "0"], "r must be positive, got 0.0"),
     (["validate", "--r-values", "2,nan"], "r must be positive, got nan"),
     (["validate", "--r-values", "1e200"], "r^2 must be finite, got r = 1e+200"),
+    (["validate", "--r-values="], "--r-values '' names no radius"),
+    (["validate", "--r-values", ","], "--r-values ',' names no radius"),
     (["hawking", "--grid", "8,16", "--r", ""], "no radius to take the Hawking mass at"),
 ])
 def test_bad_radius_exits_1_naming_it(argv, message, tmp_path, capsys):
     """flowscan, validate and hawking hold every radius to SphereGrid's rule
     (r > 0, r^2 finite) before any sampling: one error line naming the
     radius or the option, where they used to print rows of inf, nan or
-    zeros, pass a negative radius, or exit 0 with no row."""
+    zeros, pass a negative radius, or exit 0 with no row (an empty
+    validate --r-values validated at the default radii)."""
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(dict(MINKOWSKI, u="1+1/r")))
     assert main([argv[0], "--chart", str(path), *argv[1:]]) == 1
@@ -592,6 +614,19 @@ def test_hawking_records_one_tape_that_every_sphere_replays(ef_chart, monkeypatc
     assert len(plans) == 1 and plans[0] is g._plans[SURFACE_JETS]
     (kept,) = g._tapes.values()
     assert len(runs) == 4 and all(t is kept for t in runs)
+
+
+@pytest.mark.parametrize("command", ["meancurv", "hawking"])
+def test_a_grid_numpy_cannot_allocate_exits_1(command, minkowski_chart, capsys):
+    """2^50 phi nodes: numpy refuses the first array of that size (8 PiB,
+    beyond any address space) outright, where the MemoryError ended in a
+    traceback."""
+    assert main([command, "--chart", minkowski_chart, "--grid", f"8,{2 ** 50}",
+                 "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: Unable to allocate 8.00 PiB")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")    # no overflow warning escapes

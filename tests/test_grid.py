@@ -112,7 +112,11 @@ def test_grids_of_one_size_share_read_only_arrays(counted_builds):
     plm_b, dplm_b = grid_mod._tables(b.n_theta)
     assert plm_a is plm_b and dplm_a is dplm_b
     assert counted_builds == [31]
-    for arr in (a.x, a.w_theta, *plm_a, *dplm_a):
+    c = SphereGrid(1.0, 3.0, 32, 64)
+    nodes = ("theta", "phi", "weights", "sin_theta", "cos_theta", "cot_theta")
+    assert all(getattr(a, k) is getattr(c, k) for k in nodes)
+    assert a.phi is not b.phi and a.weights.shape == (32, 64) and b.weights.shape == (32, 16)
+    for arr in (a.x, a.w_theta, *plm_a, *dplm_a, *(getattr(a, k) for k in nodes)):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         plm_a[3][0, 0] = 1.0

@@ -433,11 +433,23 @@ def test_picard_spherical_gradient_calls(monkeypatch):
 
 
 def test_picard_compatibility_reporting_path():
-    """Force the solvability gate shut: the solver must report, not raise."""
-    g = unsolved_seed("e", 1e-2)
-    grid = SphereGrid(0.0, 2.0, 16, 32)
-    sol = solve_straight_out_d(g, grid, compat_tol=-1.0)
+    """Shut the solvability gate by construction: a chart off the area
+    gauge (ab - c^2 != r^4 sin^2 th) has a solvability integral of 0.084 at
+    r = 2 on any grid.  The solver must report it, not raise."""
+    g = BlockMetric(v="1", d="0", e="0.1*sin(th)", f="0", u="1",
+                    a="r^2*(1+0.1*cos(th))", b="r^2*sin(th)^2", c="0")
+    sol = solve_straight_out_d(g, SphereGrid(0.0, 2.0, 16, 32))
     assert sol.compatibility_failed and not sol.converged
+    assert sol.compat_integrals == [pytest.approx(0.0841127879, rel=1e-9)]
+
+
+@pytest.mark.parametrize("compat_tol", [float("nan"), -1.0])
+def test_picard_refuses_a_nan_or_negative_compat_tol(compat_tol):
+    """nan turned the solvability gate off (abs(x) > nan is False), and a
+    negative tolerance failed every solve as a compatibility failure."""
+    g = unsolved_seed("e", 1e-2)
+    with pytest.raises(ValueError, match=f"^compat_tol must be a number >= 0, got {compat_tol}$"):
+        solve_straight_out_d(g, SphereGrid(0.0, 2.0, 16, 32), compat_tol=compat_tol)
 
 
 @pytest.mark.parametrize("kind,floor", [("ea", 1.83e-4), ("ef", 1.96e-6)])

@@ -175,6 +175,60 @@ def test_recording_refuses_what_a_replay_cannot_repeat(program):
         record(program, (np.zeros((3, 4)),))
 
 
+def _fns(t):
+    return [fn for fn, *_ in t.steps]
+
+
+def test_a_repeated_step_or_check_is_logged_once():
+    """The same function of the same operands, and the same check of the
+    same value, are logged once; the value is read again."""
+    checked = []
+    check = tape.check_step(lambda x: checked.append(x))
+
+    def program(x, y):
+        check(x * y)
+        check(x * y)
+        return x * y + x * y
+
+    t = record(program, (np.zeros((3, 1)), np.zeros((1, 4))))
+    assert [getattr(fn, "__name__", "check") for fn in _fns(t)] == ["multiply", "<lambda>", "add"]
+    x, y = np.linspace(0.5, 2.0, 3)[:, None], np.linspace(-1.0, 3.0, 4)[None, :]
+    assert np.array_equal(t.run(x, y), x * y + x * y) and len(checked) == 1
+
+
+def test_a_number_is_one_operand_per_type_and_value():
+    """2 and 2.0, 0.0 and -0.0, and two nans are kept apart: x + 0.0 and
+    x + -0.0 differ at x = -0.0."""
+    t = record(lambda x: (x * 2 + x * 2.0) + (x + 0.0) * (x + -0.0) + x * 2.0,
+               (np.zeros(3),))
+    assert _fns(t).count(np.multiply) == 3 and _fns(t).count(np.add) == 5
+    x = np.array([-0.0, 1.5, -3.0])
+    plain = (x * 2 + x * 2.0) + (x + 0.0) * (x + -0.0) + x * 2.0
+    assert t.run(x).tobytes() == plain.tobytes()
+    nans = record(lambda x: (x + np.nan) * (x + np.nan), (np.zeros(3),))
+    assert _fns(nans) == [np.add, np.add, np.multiply]
+
+
+def test_each_operator_logs_the_ufunc_numpy_applies():
+    """The operators an Operand takes directly log the ufunc numpy would
+    call for them, in the operands' order (x - y and y - x are two steps),
+    and replay its bits."""
+    def program(x, y):
+        return ((-x + 2.0 - x * y / 3.0 + (1.5 - y) * (2.0 / x)) * (y + 0.5) - y
+                + (x - y) * (y - x) + (x / y) / (y / x))
+
+    t = record(program, (np.zeros((2, 1)), np.zeros((1, 3))))
+    assert set(_fns(t)) == {np.negative, np.add, np.subtract, np.multiply, np.true_divide}
+    x, y = np.array([[0.3], [-1.7]]), np.array([[1e-3, 2.5, -4.0]])
+    assert t.run(x, y).tobytes() == program(x, y).tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 1)), ((1, 3), (2, 1)), ((3,), (2, 3)),
+                                    ((), (1, 3)), ((2, 1), (1, 1)), ((2, 3), (2, 3))])
+def test_recorded_shapes_broadcast_as_numpy_broadcasts_them(shapes):
+    assert tape._broadcast(*shapes) == np.broadcast_shapes(*shapes)
+
+
 def test_a_planted_grid_constant_in_the_sphere_fails_to_record(monkeypatch):
     """The quadrature reads the grid's weights from its inputs: one that
     reads a grid's own array instead cannot be recorded."""
