@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -789,20 +791,38 @@ def _row_text(args, header, columns, payload):
     return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]) + "\n"
 
 
-@pytest.mark.parametrize("as_json", [False, True])
-@pytest.mark.parametrize("command,header,payload", [
+WRITER_TABLES = pytest.mark.parametrize("command,header,payload", [
     ("meancurv", ["th", "ph", "H_r", "H_n", "star"], None),
     ("straightout", ["th", "ph", "d"], {"residual_inf": 3.1e-11, "iterations": 3}),
 ])
-def test_column_writer_matches_row_text(as_json, command, header, payload, capsys):
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@WRITER_TABLES
+def test_column_writer_matches_row_text(as_json, command, header, payload, capsys, monkeypatch):
     """Node columns formatted once per distinct node, value columns once
     per distinct value: byte for byte the row-wise text, special values,
     subnormals and repeats included.  The node columns come as a column
     and a row.  Three more value columns follow the command's own: a (1, 1)
     constant (H_r of a radial-u chart), a transposed (non-contiguous) one
-    and one broadcast along theta."""
-    grid = SphereGrid(0.0, 2.0, 6, 8)
-    shape = (grid.n_theta, grid.n_phi)
+    and one broadcast along theta.  A 6x8 grid is formatted value by
+    value."""
+    _check_column_writer(as_json, command, header, payload, (6, 8), capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@WRITER_TABLES
+def test_column_writer_matches_row_text_above_the_size_rule(as_json, command, header, payload,
+                                                            capsys, monkeypatch):
+    """The same tables on a 24x32 grid: its 768 nodes take the vectorized
+    CSV path, special values falling back inside it."""
+    _check_column_writer(as_json, command, header, payload, (24, 32), capsys, monkeypatch)
+
+
+def _check_column_writer(as_json, command, header, payload, shape, capsys, monkeypatch):
+    """_emit on a grid of shape against the row-wise text; the vectorized
+    formatter runs exactly when a CSV column reaches cli._VECTOR_MIN."""
+    grid = SphereGrid(0.0, 2.0, *shape)
     rng = np.random.default_rng(9)
     values = rng.normal(size=(len(header) - 2,) + shape)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 1 / 3, 1 / 3]
@@ -811,15 +831,18 @@ def test_column_writer_matches_row_text(as_json, command, header, payload, capsy
     if len(values) > 2:
         values[1] = np.repeat([0.1, -0.0, 2.0, np.nan], values[1].size // 4).reshape(shape)
     transposed = rng.normal(size=shape[::-1])
-    transposed.flat[::5] = special[:len(transposed.flat[::5])]
-    phi_row = np.array([special[:grid.n_phi]])
+    transposed.flat[::5] = np.resize(special, len(transposed.flat[::5]))
+    phi_row = np.resize(special, (1, grid.n_phi))
     header = [*header, "constant", "transposed", "broadcast"]
     columns = _node_columns(grid) + list(values) + [
         np.full((1, 1), -0.38786715231970426), transposed.T, np.broadcast_to(phi_row, shape)]
     assert not columns[-2].flags.c_contiguous and columns[-1].strides[0] == 0
+    vectorized, g17_text = [], cli._g17_text
+    monkeypatch.setattr(cli, "_g17_text", lambda a: vectorized.append(a.size) or g17_text(a))
     args = argparse.Namespace(json=as_json, out=None, command=command)
     _emit(args, header, columns, payload)
     assert capsys.readouterr().out == _row_text(args, header, columns, payload)
+    assert bool(vectorized) == (not as_json and grid.n_theta * grid.n_phi >= cli._VECTOR_MIN)
 
 
 @pytest.mark.parametrize("fmt", [cli._csv_floats, cli._json_floats])
@@ -863,6 +886,68 @@ def test_writer_matches_row_text_on_mixed_cells(as_json, command, header, column
     args = argparse.Namespace(json=as_json, out=None, command=command)
     _emit(args, header, columns, payload)
     assert capsys.readouterr().out == _row_text(args, header, columns, payload)
+
+
+def _near_ties(span=8) -> list:
+    """Doubles x = M * 2**E whose scaled value x * 10**k, k = 16 - e10 in
+    23..45, lies within span * 2**-s of a half-integer but not on one, with
+    s = -(k + E): M solves M * 5**k = 2**(s-1) + t (mod 2**s) for
+    0 < |t| <= span.  10**k is exact as hi + lo there, but x * lo rounds,
+    so p + q may land on the wrong side of the half."""
+    out = []
+    for e10 in range(-29, -6):
+        k = 16 - e10
+        first = math.floor(math.log2(10.0 ** e10)) - 52
+        for e in range(first, first + 5):
+            s = -(k + e)
+            inverse = pow(5 ** k, -1, 2 ** s)
+            for t in [*range(-span, 0), *range(1, span + 1)]:
+                m = (2 ** (s - 1) + t) * inverse % 2 ** s
+                x = math.ldexp(m, e)
+                if 2 ** 52 <= m < 2 ** 53 and 10 ** 16 <= x * 10.0 ** k < 10 ** 17:
+                    out.append(x)
+    return out
+
+
+def _g17_cases() -> np.ndarray:
+    """Floats for the differential test of the CSV formatter, in both
+    signs: random bit patterns, the powers of ten of the fast range and
+    their neighbours, the %g switch points, the fast range's edges, exact
+    and near 17-digit ties, and the special values."""
+    rng = np.random.default_rng(23)
+    powers = [float(f"1e{k}") for k in range(-250, 251)]
+    edges = [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 1e-250, 1e250]
+    anchors = np.array(powers + edges)
+    ties = [1234567890123456.25, 1234567890123456.75, *(m / 2 ** 24 for m in range(3, 16, 2)),
+            2 ** -25, 3 * 2 ** -25, *_near_ties()]
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
+    special = [0.0, np.inf, *nans, 5e-324, np.finfo(float).max]
+    cases = np.concatenate([
+        rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64),
+        anchors, np.nextafter(anchors, 0.0), np.nextafter(anchors, np.inf), ties, special])
+    return np.concatenate([cases, -cases])
+
+
+def test_csv_floats_match_percent_g_byte_for_byte():
+    """The vectorized CSV formatter writes what "%.17g" % v writes for each
+    case of _g17_cases, ties rounded half to even."""
+    cases = _g17_cases()
+    assert cases.size >= cli._VECTOR_MIN
+    text = cli._csv_floats(cases)
+    wrong = [(v.hex(), got, "%.17g" % v) for v, got in zip(cases.tolist(), text)
+             if got != "%.17g" % v]
+    assert not wrong, wrong[:10]
+    at = dict(zip(cases.tolist(), text))
+    assert at[1234567890123456.25] == "1234567890123456.2"
+    assert at[1234567890123456.75] == "1234567890123456.8"
+
+
+def test_pow10_table_is_exact_to_2_to_the_minus_104():
+    """Each hi + lo of the formatter's table is 10**k to 2**-104 relative."""
+    hi, lo = cli._pow10()
+    for k, h, low in zip(range(cli._K_MIN, cli._K_MAX + 1), hi.tolist(), lo.tolist()):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2 ** 104, k
 
 
 # ---------------------------------------------------------------------------
