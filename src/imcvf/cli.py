@@ -3,8 +3,9 @@ emit deterministic CSV or JSON tables.
 
 Exit codes: 0 success, 1 usage, parse, file, memory or floating-point range
 error, 2 validation/compatibility failure, 3 numerical non-convergence.
-Floats are printed with 17 significant digits so identical inputs give
-byte-identical output.
+Floats are printed with 17 significant digits in CSV and as Python's
+shortest round-trip repr in JSON, so identical inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -67,26 +68,44 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 # Below this many distinct values a column is formatted value by value: the
-# numpy passes of _g17_text cost more than they save.  Best of 300 on one
+# numpy passes of _float_text cost more than they save.  Best of 300 on one
 # core of a shared x86-64 host, Python 3.11, numpy 2.4, vectorized against
-# one by one: normal(0, 1) values 127 against 96 us at 192 values, 132
-# against 129 us at 256, 152 against 195 us at 384, 247 against 519 us at
-# 1024; the rounding-level H_n of a flat sphere (exponents -46 to -15)
-# 129 against 137 us at 192 values and 138 against 183 us at 256.
+# one by one.  "%.17g": normal(0, 1) values 127 against 96 us at 192
+# values, 132 against 129 us at 256, 152 against 195 us at 384, 247 against
+# 519 us at 1024; the rounding-level H_n of a flat sphere (exponents -46 to
+# -15) 129 against 137 us at 192 values and 138 against 183 us at 256.
+# repr, whose shortest digits take more passes and more layouts, crosses
+# later: normal(0, 1) 156 against 122 us at 256, 166 against 153 at 320,
+# 181 against 195 at 384, 211 against 255 at 512; the same H_n 163 against
+# 157 at 192 and 186 against 202 at 256; a row of phi (evenly spaced on
+# [0, 2 pi)) 163 against 126 at 256, 176 against 190 at 384.  So JSON has
+# its own rule.
 _VECTOR_MIN = 256
-# 10**k for _K_MIN <= k <= _K_MAX, which covers every scale _g17_text uses
+_REPR_VECTOR_MIN = 384
+# 10**k for _K_MIN <= k <= _K_MAX, which covers every scale _float_text uses
 _K_MIN, _K_MAX = -240, 270
 # Dekker's splitter 2**27 + 1: splits a double into two 26-bit halves
 _SPLIT = 134217729.0
-# width of the longest %.17g text, -1.2345678901234567e-250
-_G17_WIDTH = 24
+# width of the longest text of either layout, -1.2345678901234567e-250
+_TEXT_WIDTH = 24
 
 
 def _csv_floats(a: np.ndarray) -> list:
     flat = a.ravel()
     if flat.size < _VECTOR_MIN:
         return list(map("%.17g".__mod__, flat.tolist()))
-    return _g17_text(flat)
+    return _float_text(flat, shortest=False)
+
+
+def _json_floats(a: np.ndarray) -> list:
+    flat = a.ravel()
+    if flat.size < _REPR_VECTOR_MIN:
+        text = list(map(float.__repr__, flat.tolist()))
+    else:
+        text = _float_text(flat, shortest=True)
+    if np.isfinite(flat).all():
+        return text
+    return [_JSON_NONFINITE.get(s, s) for s in text]
 
 
 @functools.cache
@@ -120,28 +139,30 @@ def _digit_table() -> tuple:
 
 
 @functools.cache
-def _g17_layout(neg: bool, e10, sig: int) -> tuple:
-    """%.17g's layout of a value of sign neg and sig significant digits,
-    in fixed form at decimal exponent e10, or in exponential form for e10
-    None, where the exponent text follows the layout: its text, with each
-    digit as '#', as ASCII codes _G17_WIDTH wide, the (start, end) of each
-    run of digits in it, and its length."""
+def _layout(neg: bool, e10, sig: int, shortest: bool) -> tuple:
+    """The layout of a value of sign neg and sig significant digits, in
+    fixed form at decimal exponent e10, or in exponential form for e10
+    None, where the exponent text follows the layout: %.17g's, or repr's
+    for shortest, which ends a fixed text with no fractional digit in
+    ".0".  Its text, with each digit as '#', as ASCII codes _TEXT_WIDTH
+    wide, the (start, end) of each run of digits in it, and its length."""
     if e10 is None:
         text = "#" + ("." + "#" * (sig - 1) if sig > 1 else "")
     elif e10 < 0:
         text = "0." + "0" * (-e10 - 1) + "#" * sig
     else:
-        text = "#" * (e10 + 1) + ("." + "#" * (sig - e10 - 1) if sig > e10 + 1 else "")
+        text = "#" * (e10 + 1) + ("." + "#" * (sig - e10 - 1) if sig > e10 + 1
+                                  else ".0" if shortest else "")
     text = "-" * neg + text
     runs = [m.span() for m in re.finditer("#+", text)]
-    return np.frombuffer(text.ljust(_G17_WIDTH, "\0").encode(), np.uint8), runs, len(text)
+    return np.frombuffer(text.ljust(_TEXT_WIDTH, "\0").encode(), np.uint8), runs, len(text)
 
 
 @functools.cache
 def _exponent_table() -> np.ndarray:
-    """The exponent text of %.17g's exponential form for each decimal
-    exponent from -324 to 308, 'e-324' to 'e+308', as five ASCII codes,
-    NUL-padded."""
+    """The exponent text of the exponential form (of %.17g and of repr
+    alike) for each decimal exponent from -324 to 308, 'e-324' to 'e+308',
+    as five ASCII codes, NUL-padded."""
     text = ["e%+03d" % e10 for e10 in range(-324, 309)]
     return np.array(text, dtype="S5").view(np.uint8).reshape(-1, 5)
 
@@ -161,14 +182,45 @@ def _scaled(x: np.ndarray, k: np.ndarray) -> tuple:
     return p, ((xh * hh - p) + xh * hl + xl * hh) + xl * hl + x * low
 
 
-def _g17_text(a: np.ndarray) -> list:
-    """"%.17g" % v for each v of the 1-d float array a, byte for byte, in a
-    few numpy passes.  |v| * 10**(16 - e10) is formed in double-double to
-    about 1e-14 and rounded half to even to a 17-digit integer.  A value
-    whose rounding that error could change (its fraction within 1e-9 of
-    one half), and zero, inf, nan and |v| outside (1e-250, 1e250), take
-    Python's "%.17g" instead.  Values sharing a layout are written together
-    by slice copies."""
+def _shortest(x, e10, p, q, big, fast) -> np.ndarray:
+    """repr's digits of each |v| = x, as the 17-digit integer (zeros after
+    the last significant digit) that replaces big, the nearest 17-digit
+    decimal to S = p + q = x * 10**(16 - e10).  The nearest decimals of 15
+    and 16 significant digits, N * D for D = 100 and 10, are tried, and the
+    shortest that lies within half an ulp h of S (so reads back as x)
+    wins.  15-digit decimals are more than 2h apart, so one of at most 15
+    digits that reads back is the nearest 15-digit one; the interval is
+    symmetric about x, so no 16-digit one reads back if the nearest does
+    not; the 17-digit big always does, as h >= 0.55.  fast is cleared
+    where this is not certain: a power of two (whose interval is not
+    symmetric), a candidate within 1e-9 of a tie or of the interval's
+    edge."""
+    hi, _ = _pow10()
+    h = 0.5 * np.spacing(x) * hi[16 - e10 - _K_MIN]
+    fast &= np.frexp(x)[0] != 0.5
+    # p >= 1e16 > 2**53 is an integer, so P is exact and S = P + q
+    whole = p.astype(np.int64)
+    slack = 1e-9 * np.maximum(h, 1.0)
+    for d in (10, 100):
+        # S = (n + y) * D: N = n + rint(y), off = |N * D - S|
+        n, rest = np.divmod(whole, d)
+        y = (rest + q) / d
+        m = np.rint(y)
+        off = np.abs(y - m) * d
+        fast &= (np.abs(off - 0.5 * d) > 1e-9 * d) & (np.abs(off - h) > slack)
+        big = np.where(off < h, (n + m.astype(np.int64)) * d, big)
+    return big
+
+
+def _float_text(a: np.ndarray, shortest: bool) -> list:
+    """"%.17g" % v, or repr(v) for shortest, for each v of the 1-d float
+    array a, byte for byte, in a few numpy passes.  |v| * 10**(16 - e10)
+    is formed in double-double to about 1e-14 and rounded half to even to a
+    17-digit integer, which _shortest shortens for repr.  A value whose
+    rounding that error could change (its fraction within 1e-9 of one
+    half), one _shortest cannot certify, and zero, inf, nan and |v| outside
+    (1e-250, 1e250) take Python's "%.17g" or repr instead.  Values sharing
+    a layout are written together by slice copies."""
     n = a.size
     x = np.abs(a)
     fast = (x > 1e-250) & (x < 1e250)
@@ -185,6 +237,8 @@ def _g17_text(a: np.ndarray) -> list:
     # p >= 1e16 > 2**53 is an even integer, so p + q rounds as q does
     fast &= np.abs(q - np.floor(q) - 0.5) > 1e-9
     big = p.astype(np.int64) + np.rint(q).astype(np.int64)
+    if shortest:
+        big = _shortest(x, e10, p, q, big, fast)
     carry = big == 10 ** 17
     big[carry] = 10 ** 16
     e10 += carry
@@ -203,20 +257,21 @@ def _g17_text(a: np.ndarray) -> list:
     digits = digits.view(np.uint8)
     digits[:, 3] = lead + ord("0")
     # a layout is the sign, the number of significant digits and the form:
-    # fixed at -4 <= e10 < 17 (form e10 + 4) or exponential (form 21, each
-    # value then copying its own exponent text).  One int16 key per value
-    # lets argsort run as a radix sort and puts each layout in one slice.
-    form = np.where((e10 >= -4) & (e10 < 17), e10 + 4, 21)
+    # fixed at -4 <= e10 < 17, or < 16 for repr (form e10 + 4), or
+    # exponential (form 21, each value then copying its own exponent
+    # text).  One int16 key per value lets argsort run as a radix sort and
+    # puts each layout in one slice.
+    form = np.where((e10 >= -4) & (e10 < (16 if shortest else 17)), e10 + 4, 21)
     key = (form * 64 + np.signbit(a) * 32 + sig).astype(np.int16)
     order = np.argsort(key, kind="stable")
     key, e10, digits = key[order], e10[order], digits.take(order, axis=0)
     exponents = _exponent_table()
-    out = np.zeros((n, _G17_WIDTH), np.uint8)
+    out = np.zeros((n, _TEXT_WIDTH), np.uint8)
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     for s, e in zip(starts, [*starts[1:], n]):
         form, rest = divmod(int(key[s]), 64)
-        template, runs, length = _g17_layout(rest >= 32, form - 4 if form < 21 else None,
-                                             rest % 32)
+        template, runs, length = _layout(rest >= 32, form - 4 if form < 21 else None,
+                                         rest % 32, shortest)
         out[s:e] = template
         taken = 3
         for start, end in runs:
@@ -227,17 +282,12 @@ def _g17_text(a: np.ndarray) -> list:
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
     out = out.take(inverse, axis=0).astype(np.uint32)
-    text = out.view(f"U{_G17_WIDTH}")[:, 0].tolist()
-    for i in np.flatnonzero(~fast).tolist():
-        text[i] = "%.17g" % a[i]
+    text = out.view(f"U{_TEXT_WIDTH}")[:, 0].tolist()
+    slow = np.flatnonzero(~fast)
+    one = float.__repr__ if shortest else "%.17g".__mod__
+    for i, v in zip(slow.tolist(), a[slow].tolist()):
+        text[i] = one(v)
     return text
-
-
-def _json_floats(a: np.ndarray) -> list:
-    text = list(map(float.__repr__, a.ravel().tolist()))
-    if np.isfinite(a).all():
-        return text
-    return [_JSON_NONFINITE.get(s, s) for s in text]
 
 
 def _csv_word(v) -> str:
@@ -555,9 +605,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_flowscan)
-    # read -1e3 as a value, as argparse reads -1: no imcvf option looks like a number
+    # read -1e3, and a list of numbers that starts with one (-1,2,1,0 or
+    # -1:3:4), as a value, as argparse reads -1: no imcvf option looks like
+    # a number
+    number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+    matcher = re.compile(rf"^-{number}([,;:]-?{number})*$")
     for p in (ap, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        p._negative_number_matcher = matcher
     return ap
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from imcvf import builder, cli, curvature, expr, sphere
+from imcvf import builder, cli, curvature, expr, sphere, straightout
 from imcvf.chart import COMPONENTS
 from imcvf.cli import SCHEMA, _emit, _node_columns, main
 from imcvf.grid import SphereGrid
@@ -364,20 +364,39 @@ def test_a_nan_or_negative_tolerance_exits_1_naming_it(command, option, value, m
     assert capsys.readouterr() == ("", f"error: {name} must be a number >= 0, got {float(value)}\n")
 
 
-@pytest.mark.parametrize("number", ["-1e3", "-1.5E-8", "-2e+1", "-.5e1", "-1"])
-@pytest.mark.parametrize("command, option", [
-    (["hawking", "--grid", "8,16", "--r", "2"], "--t"),
-    (["validate"], "--t"),
-    (["validate"], "--tol-cond4"),
-])
+_NEGATIVE_VALUES = [
+    *(pytest.param(command, option, number, id=f"command{k}-{option}-{number}")
+      for k, (command, option) in enumerate([
+          (["hawking", "--grid", "8,16", "--r", "2"], "--t"),
+          (["validate"], "--t"),
+          (["validate"], "--tol-cond4")])
+      for number in ["-1e3", "-1.5E-8", "-2e+1", "-.5e1", "-1"]),
+    # lists whose first number is negative: a point at t = -1 runs, the
+    # radii and the radial range fail the radius rule
+    *(pytest.param(command, option, number, id=f"{command[0]}-{option}-{number}")
+      for command, option, number in [
+          (["curvature"], "--points", "-1,2,1,0"),
+          (["curvature"], "--points", "-1,2,1,0;0,3,-.5e-1,-2"),
+          (["hawking", "--grid", "8,16"], "--r", "-2,3"),
+          (["adm", "--factor", "1+1/r"], "--radii", "-10,20"),
+          (["validate"], "--r-values", "-2,3"),
+          (["flowscan"], "--r-range", "-1:3:4")]),
+]
+
+
+@pytest.mark.parametrize("command, option, number", _NEGATIVE_VALUES)
 def test_a_negative_number_in_exponent_form_is_read_as_a_value(command, option, number,
                                                                minkowski_chart, capsys):
     """--opt -1e3 gives the exit code, stdout and stderr of --opt=-1e3,
-    where argparse took -1e3 for an option and made it a usage error."""
-    argv = [command[0], "--chart", minkowski_chart, *command[1:]]
+    where argparse took -1e3, or a list that starts with a negative number,
+    for an option and made it a usage error.  -h is still an option."""
+    chart = [] if command[0] == "adm" else ["--chart", minkowski_chart]
+    argv = [command[0], *chart, *command[1:]]
     separate = main([*argv, option, number]), capsys.readouterr()
     joined = main([*argv, f"{option}={number}"]), capsys.readouterr()
     assert separate == joined and "expected one argument" not in separate[1].err
+    assert main([*argv, option, "-h"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, given", [
@@ -742,6 +761,35 @@ def test_grid_output_matches_golden_bytes(name, ef_chart, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("name", ["meancurv_closed.json", "straightout_solve.json"])
+def test_json_goldens_take_the_vectorized_path(name, ef_chart, tmp_path, monkeypatch):
+    """A value column of a 16x32 JSON golden (512 nodes, 406 to 495
+    distinct values) reaches the size rule, so it is written in repr's
+    layout by the vectorized formatter, byte for byte the golden."""
+    vectorized = _count_vectorized(monkeypatch)
+    out = tmp_path / "out"
+    assert main(golden_argv(name, ef_chart, str(out))) == 0
+    assert any(size >= cli._REPR_VECTOR_MIN and shortest for size, shortest in vectorized)
+    with open(golden_path(name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_straightout_solve_json_reads_back_d_bit_for_bit(ef_chart, monkeypatch, capsys):
+    """json.loads of a 128x256 straightout --solve --json payload gives
+    back the solved d, every float64 bit: an oracle that does not rest on
+    repr."""
+    solved, solve = [], straightout.solve_straight_out_d
+    monkeypatch.setattr(straightout, "solve_straight_out_d",
+                        lambda *a, **k: solved.append(solve(*a, **k)) or solved[-1])
+    vectorized = _count_vectorized(monkeypatch)
+    assert main(["straightout", "--chart", ef_chart, "--grid", "128,256", "--r", "4.7",
+                 "--solve", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    d = np.array([row[2] for row in rows])
+    assert d.view(np.int64).tolist() == solved[0].d.ravel().view(np.int64).tolist()
+    assert (np.unique(d).size, True) in vectorized
+
+
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_adm_golden_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
     """adm extrapolates in plain float arithmetic of a fixed order, so a
@@ -815,13 +863,15 @@ def test_column_writer_matches_row_text(as_json, command, header, payload, capsy
 def test_column_writer_matches_row_text_above_the_size_rule(as_json, command, header, payload,
                                                             capsys, monkeypatch):
     """The same tables on a 24x32 grid: its 768 nodes take the vectorized
-    CSV path, special values falling back inside it."""
+    path, CSV or JSON, special values falling back inside it."""
     _check_column_writer(as_json, command, header, payload, (24, 32), capsys, monkeypatch)
 
 
 def _check_column_writer(as_json, command, header, payload, shape, capsys, monkeypatch):
     """_emit on a grid of shape against the row-wise text; the vectorized
-    formatter runs exactly when a CSV column reaches cli._VECTOR_MIN."""
+    formatter runs exactly when a column reaches its size rule,
+    cli._VECTOR_MIN for CSV or cli._REPR_VECTOR_MIN for JSON, in repr's
+    layout for JSON."""
     grid = SphereGrid(0.0, 2.0, *shape)
     rng = np.random.default_rng(9)
     values = rng.normal(size=(len(header) - 2,) + shape)
@@ -837,12 +887,22 @@ def _check_column_writer(as_json, command, header, payload, shape, capsys, monke
     columns = _node_columns(grid) + list(values) + [
         np.full((1, 1), -0.38786715231970426), transposed.T, np.broadcast_to(phi_row, shape)]
     assert not columns[-2].flags.c_contiguous and columns[-1].strides[0] == 0
-    vectorized, g17_text = [], cli._g17_text
-    monkeypatch.setattr(cli, "_g17_text", lambda a: vectorized.append(a.size) or g17_text(a))
+    vectorized = _count_vectorized(monkeypatch)
     args = argparse.Namespace(json=as_json, out=None, command=command)
     _emit(args, header, columns, payload)
     assert capsys.readouterr().out == _row_text(args, header, columns, payload)
-    assert bool(vectorized) == (not as_json and grid.n_theta * grid.n_phi >= cli._VECTOR_MIN)
+    size_rule = cli._REPR_VECTOR_MIN if as_json else cli._VECTOR_MIN
+    assert bool(vectorized) == (grid.n_theta * grid.n_phi >= size_rule)
+    assert all(shortest == as_json for _, shortest in vectorized)
+
+
+def _count_vectorized(monkeypatch) -> list:
+    """The (size, shortest) of each call of the vectorized formatter, as
+    it runs from here on."""
+    vectorized, float_text = [], cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda a, shortest: vectorized.append(
+        (a.size, shortest)) or float_text(a, shortest))
+    return vectorized
 
 
 @pytest.mark.parametrize("fmt", [cli._csv_floats, cli._json_floats])
@@ -940,6 +1000,33 @@ def test_csv_floats_match_percent_g_byte_for_byte():
     at = dict(zip(cases.tolist(), text))
     assert at[1234567890123456.25] == "1234567890123456.2"
     assert at[1234567890123456.75] == "1234567890123456.8"
+
+
+def test_json_floats_match_repr_byte_for_byte():
+    """The vectorized JSON formatter writes what repr writes (nan and the
+    infinities as json writes them) for each case: those of _g17_cases,
+    k/64 and k * 0.1, decimals of 3 places, integers to 1e15, log-uniform
+    values across the fixed/exponent switch and in [1e-6, 1e-3], powers of
+    two (whose rounding interval is lopsided) and their neighbours, and
+    the switch points."""
+    rng = np.random.default_rng(25)
+    k = np.arange(1, 100_001)
+    powers = np.ldexp(1.0, np.arange(-800, 801))
+    cases = np.concatenate([
+        _g17_cases(), k / 64, k * 0.1, np.round(rng.normal(scale=1e3, size=100_000), 3),
+        rng.integers(0, 10 ** 15, size=100_000, endpoint=True).astype(float),
+        10 ** rng.uniform(14, 18, size=100_000), 10 ** rng.uniform(-6, -3, size=100_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [1e15, 1e16, 1e-4, 1e-5]])
+    assert cases.size >= cli._REPR_VECTOR_MIN
+    text = cli._json_floats(cases)
+    expected = [cli._JSON_NONFINITE.get(s, s) for s in map(repr, cases.tolist())]
+    wrong = [(v.hex(), got, want) for v, got, want in zip(cases.tolist(), text, expected)
+             if got != want]
+    assert not wrong, wrong[:10]
+    at = dict(zip(cases.tolist(), text))
+    assert (at[1e15], at[1e16], at[1e-4], at[1e-5], at[2.0]) == (
+        "1000000000000000.0", "1e+16", "0.0001", "1e-05", "2.0")
 
 
 def test_pow10_table_is_exact_to_2_to_the_minus_104():
