@@ -20,7 +20,7 @@ from .curvature import spherical_oracle
 from .errors import DegenerateSurfaceError
 from .expr import FieldExpr, Plan, call, diff, parse, var
 from .grid import check_radius, check_time
-from .sphere import _trace_mean_curvature, star_values, surface_fields
+from .sphere import _trace_mean_curvature, star_brackets, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
            "ValidationSpec", "validate_chart", "imcvf_flow_param",
@@ -40,13 +40,11 @@ def solve_d(a, b, c, e, f, u) -> FieldExpr:
     sth = call("sin", var("th"))
     w = r**4 * sth**2
 
-    b1 = (2.0 * b * diff(e, "th") - 2.0 * c * diff(e, "ph")
-          - 2.0 * c * diff(f, "th") + 2.0 * a * diff(f, "ph"))
-    b2 = (diff(a, "th") * b - 2.0 * diff(a, "ph") * c
-          + 2.0 * a * diff(c, "ph") - a * diff(b, "th"))
-    b3 = (2.0 * b * diff(c, "th") - diff(a, "ph") * b
-          - 2.0 * diff(b, "th") * c + a * diff(b, "ph"))
-    bracket = b1 + ((c * f - b * e) / w) * b2 + ((c * e - a * f) / w) * b3
+    jets = {"a": a, "b": b, "c": c, "e": e, "f": f}
+    jets.update([(f"{n}_{m}", diff(x, m)) for n, x in jets.items() for m in ("th", "ph")])
+    b1, b2, b3 = star_brackets(jets)
+    _, cf_be, ce_af = cross_terms(jets)
+    bracket = b1 + (cf_be / w) * b2 + (ce_af / w) * b3
     return -(u**2 / (4.0 * r**3 * sth**2)) * bracket
 
 

@@ -74,16 +74,16 @@ class CoordinatePoint:
 
 class BlockMetric:
     """The eight-component block metric.  Immutable; derivative expressions
-    and the plans that evaluate them are cached, so instances are cheap to
-    evaluate repeatedly."""
+    are cached on their nodes, and what is compiled or recorded from them
+    is kept in one store (cached), so instances are cheap to evaluate
+    repeatedly."""
 
     def __init__(self, *, v, d, e, f, u, a, b, c,
                  theta_min: float = DEFAULT_THETA_MIN):
         comps = {"v": v, "d": d, "e": e, "f": f, "u": u, "a": a, "b": b, "c": c}
         self.comps = {k: _as_expr(x) for k, x in comps.items()}
         self.theta_min = _check_theta_min(theta_min)
-        self._plans = {}
-        self._tapes = {}
+        self._store = {}
 
     # individual components as attributes (read-only by convention)
     def __getattr__(self, name):
@@ -100,30 +100,21 @@ class BlockMetric:
             expr = diff(expr, v)
         return expr
 
-    def plan(self, key, roots) -> Plan:
-        """The plan of the expressions that roots() builds, compiled on
-        first use and kept on the metric under key.  Two threads that both
-        miss compile alike, and setdefault hands both the plan stored
-        first."""
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans.setdefault(key, Plan(roots()))
-        return plan
-
-    def jet_plan(self, keys: tuple) -> Plan:
-        """The plan of the component jets named by keys, kept under keys."""
-        return self.plan(keys, lambda: [self.deriv(*k.split("_")) for k in keys])
-
-    def tape(self, key, record):
-        """The tape record() makes, kept on the metric under key; under one
-        lock, so threads that miss together record it once."""
-        with _RECORD_LOCK:
-            if key not in self._tapes:
-                self._tapes[key] = record()
-            return self._tapes[key]
+    def cached(self, key, make):
+        """make(), kept under key: the Plan of some jet keys (component_jets),
+        the "frame" Plan (steering) or a ("hawking_mass", signature) tape.
+        A hit takes no lock; a miss builds under the re-entrant _STORE_LOCK,
+        which a recording holds while it compiles the jet plan it reads.
+        Jets stay Plans, which serve every env: a tape serves one env
+        signature and takes three to five times a Plan compile to record."""
+        if key not in self._store:
+            with _STORE_LOCK:
+                if key not in self._store:
+                    self._store[key] = make()
+        return self._store[key]
 
 
-_RECORD_LOCK = threading.Lock()
+_STORE_LOCK = threading.RLock()
 
 
 class SphericalMetric:
@@ -188,7 +179,8 @@ def component_jets(g: BlockMetric, env: Mapping, keys) -> dict:
     keys (e.g. 'a', 'a_th', 'a_r_th'), and only those, as field_jets gives
     them, from one evaluate pass over the metric's plan of those keys."""
     keys = tuple(keys)
-    return plan_jets(g.jet_plan(keys), keys, env)
+    plan = g.cached(keys, lambda: Plan([g.deriv(*k.split("_")) for k in keys]))
+    return plan_jets(plan, keys, env)
 
 
 def _named(names, values) -> dict:

@@ -166,6 +166,10 @@ class SphereGrid:
     def __init__(self, t: float, r: float, n_theta: int = 64, n_phi: int = 128):
         if n_theta < 4 or n_phi < 4:
             raise GridTooCoarseError("need at least 4x4 nodes")
+        # Legendre tables of n_theta^2 (n_theta + 1) floats: refused before leggauss
+        if 8 * int(n_theta) ** 2 * (int(n_theta) + 1) > np.iinfo(np.intp).max:
+            raise ValueError(f"n_theta = {n_theta} is too large: its Legendre tables "
+                             "would exceed the largest array numpy can address")
         check_time(t)
         check_radius(r)
         self.t = float(t)

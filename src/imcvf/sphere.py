@@ -106,17 +106,20 @@ def star_values(g: BlockMetric, env, fields=None) -> np.ndarray:
     ab - c^2 = r^4 sin^2(th).
     """
     f = fields if fields is not None else surface_fields(g, env)
-    b1 = (2.0 * f["b"] * f["e_th"] - 2.0 * f["c"] * f["e_ph"]
-          - 2.0 * f["c"] * f["f_th"] + 2.0 * f["a"] * f["f_ph"])
-    b2 = (f["a_th"] * f["b"] - 2.0 * f["a_ph"] * f["c"]
-          + 2.0 * f["a"] * f["c_ph"] - f["a"] * f["b_th"])
-    b3 = (2.0 * f["b"] * f["c_th"] - f["a_ph"] * f["b"]
-          - 2.0 * f["b_th"] * f["c"] + f["a"] * f["b_ph"])
+    b1, b2, b3 = star_brackets(f)
     u2 = f["u"] ** 2
     num = (u2 * f["W"] * b1 + f["d"] * f["W"] * f["W_r"]
            + u2 * f["cf_be"] * b2 + u2 * f["ce_af"] * b3)
     return num / (2.0 * f["det"])
 
+
+def star_brackets(j) -> tuple:
+    """The brackets (b1, b2, b3) of the star obstruction from the jets j,
+    keyed as surface_fields keys them: arrays, floats or FieldExprs alike."""
+    a, b, c = j["a"], j["b"], j["c"]
+    return (2.0 * b * j["e_th"] - 2.0 * c * j["e_ph"] - 2.0 * c * j["f_th"] + 2.0 * a * j["f_ph"],
+            j["a_th"] * b - 2.0 * j["a_ph"] * c + 2.0 * a * j["c_ph"] - a * j["b_th"],
+            2.0 * b * j["c_th"] - j["a_ph"] * b - 2.0 * j["b_th"] * c + a * j["b_ph"])
 
 # ---------------------------------------------------------------------------
 # mean curvature
@@ -215,8 +218,8 @@ def hawking_mass(g: BlockMetric, grid: SphereGrid) -> float:
     buffers (imcvf.tape), with the bits of the plain arithmetic."""
     inputs = (grid.env(), grid.weights, grid.sin_theta[:, None], grid.r)
     with np.errstate(all="ignore"):     # an overflow shows in the mass, checked last
-        tape = g.tape(("hawking_mass", signature(inputs)),
-                      lambda: record(functools.partial(_sphere_mass, g), inputs))
+        tape = g.cached(("hawking_mass", signature(inputs)),
+                        lambda: record(functools.partial(_sphere_mass, g), inputs))
         return float(tape.run(*inputs))
 
 

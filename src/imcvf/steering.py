@@ -20,7 +20,7 @@ import numpy as np
 
 from .chart import BlockMetric, cross_terms, det_from_components, plan_jets
 from .errors import NotAreaExpandingError
-from .expr import COORDS, call, diff
+from .expr import COORDS, Plan, call, diff
 from .sphere import gs_trace
 
 __all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
@@ -87,7 +87,7 @@ def frame_data(g: BlockMetric, env) -> FrameData:
     evaluate pass over a plan the metric compiles on the first call and
     keeps; every array broadcasts to the env's shape, at the size of the
     coordinates it depends on."""
-    j = plan_jets(g.plan("frame", lambda: _frame_roots(g)), _FRAME_KEYS, env)
+    j = plan_jets(g.cached("frame", lambda: Plan(_frame_roots(g))), _FRAME_KEYS, env)
     lam = j["lam"]
 
     def e_t(k):

@@ -7,10 +7,11 @@ Each NAME is a key of GOLDEN in tests/test_cli.py (for example
 (golden_path: tests/data/ef_16x32_NAME, .csv unless NAME ends in .json)
 are written, each by the argv that test_grid_output_matches_golden_bytes
 runs (golden_argv), on the chart its fixture builds; commands that read no
-chart (adm) are not given one.  For each CSV file it prints how many cells
-changed and the largest shift in ulps of the column maximum (|max| of the
-column's old values); for a JSON file only whether it changed.  It only
-reports and never refuses to write.
+chart (adm) are not given one, and build is given the seed it completes.
+For each CSV file it prints how many cells changed and the largest shift
+in ulps of the column maximum (|max| of the column's old values); for a
+JSON file only whether it changed.  It only reports and never refuses to
+write.
 """
 
 import csv

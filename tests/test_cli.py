@@ -631,10 +631,30 @@ def test_hawking_records_one_tape_that_every_sphere_replays(ef_chart, monkeypatc
     assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,3,4,5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     (g,) = metrics
-    assert list(g._plans) == [SURFACE_JETS]
-    assert len(plans) == 1 and plans[0] is g._plans[SURFACE_JETS]
-    (kept,) = g._tapes.values()
+    plan_key, tape_key = g._store
+    assert plan_key == SURFACE_JETS and tape_key[0] == "hawking_mass"
+    assert len(plans) == 1 and plans[0] is g._store[SURFACE_JETS]
+    kept = g._store[tape_key]
     assert len(runs) == 4 and all(t is kept for t in runs)
+
+
+@pytest.mark.parametrize("command", ["meancurv", "hawking"])
+def test_a_huge_n_theta_exits_1_before_leggauss(command, minkowski_chart, monkeypatch, capsys):
+    """1e8 theta nodes: the grid refuses n_theta by the size of its
+    Legendre tables, where numpy's leggauss first built two lists of 1e8
+    entries (about 1.6 GB) and then refused; leggauss is patched to fail
+    if it is called, so the test allocates nothing."""
+    from imcvf import grid
+
+    def leggauss(n):
+        raise AssertionError(f"leggauss({n}) was called")
+
+    monkeypatch.setattr(grid, "leggauss", leggauss)
+    assert main([command, "--chart", minkowski_chart, "--grid", "100000000,16",
+                 "--r", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: n_theta = 100000000 is too large: its "
+                                   "Legendre tables would exceed the largest array numpy "
+                                   "can address\n")
 
 
 @pytest.mark.parametrize("command", ["meancurv", "hawking"])
@@ -698,9 +718,11 @@ def test_json_booleans_are_true_false(minkowski_chart, capsys):
 
 # Golden outputs on the ef seed (eps = 0.1) at 16x32, written by the code
 # before the separable env and the single jet evaluator (the .json ones by
-# the writer before it formatted each distinct value once); the grid
-# commands must keep reproducing them byte for byte.  A name ending in .json is run with
-# --json and names its own file; any other name is a .csv.
+# the writer before it formatted each distinct value once; build.json, the
+# completed chart, by the code before solve_d and star_values shared their
+# brackets); the commands must keep reproducing them byte for byte.  A name
+# ending in .json is run with --json and names its own file; any other name
+# is a .csv.
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = {
     "meancurv_closed": ["meancurv", "--grid", "16,32", "--r", "4.7", "--method", "closed"],
@@ -717,10 +739,13 @@ GOLDEN = {
                        "0,2,1,7.0;0,3.5,0.7,-1.0;0,6,2.2,4.5;0.3,4.7,1.4,0;0,9,2.9,6.2"],
     "flowscan": ["flowscan", "--r-range", "1.5:10:16"],
     "adm": ["adm", "--factor", "1+1/(2*r)", "--radii", "10,20,40,80"],
+    "build.json": ["build", "--solve-d"],
 }
 
 # golden commands that read no chart file
 CHARTLESS = {"adm"}
+# golden commands that read the seed chart the completed one is built from
+SEEDED = {"build"}
 
 
 def golden_path(name) -> str:
@@ -731,8 +756,11 @@ def golden_path(name) -> str:
 
 def golden_argv(name, chart, out) -> list:
     """The argv that writes golden NAME to out; --chart only for the
-    commands that take one, --json for the .json goldens."""
+    commands that take one (the seed.json write_ef_chart leaves beside
+    chart for build), --json for the .json goldens."""
     command, *rest = GOLDEN[name]
+    if command in SEEDED:
+        chart = os.path.join(os.path.dirname(chart), "seed.json")
     return [command, *([] if command in CHARTLESS else ["--chart", chart]), *rest,
             *(["--json"] if name.endswith(".json") else []), "--out", out]
 

@@ -52,6 +52,27 @@ def test_grid_rejects_a_radius_whose_square_overflows(r):
     assert SphereGrid(0.0, 1e154).r == 1e154
 
 
+class LeggaussCalled(Exception):
+    """grid.leggauss was called: the n_theta passed the size rule."""
+
+
+@pytest.mark.skipif(np.iinfo(np.intp).bits != 64, reason="the bound is that of a 64-bit intp")
+def test_grid_refuses_an_n_theta_whose_tables_numpy_cannot_address(monkeypatch):
+    """The Legendre tables of n_theta nodes hold n_theta^2 (n_theta + 1)
+    floats.  2^20 - 1 is the largest n_theta whose tables np.intp can
+    address in bytes: it goes on to leggauss (patched to raise, so nothing
+    is allocated), and 2^20 and 1e8 are refused before it, naming n_theta."""
+    def leggauss(n):
+        raise LeggaussCalled(n)
+
+    monkeypatch.setattr(grid_mod, "leggauss", leggauss)
+    with pytest.raises(LeggaussCalled):
+        SphereGrid(0.0, 2.0, 2**20 - 1, 16)
+    for n in (2**20, 10**8):
+        with pytest.raises(ValueError, match=f"n_theta = {n} is too large"):
+            SphereGrid(0.0, 2.0, n, 16)
+
+
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("make", [
     lambda t: SphereGrid(t, 2.0),

@@ -272,7 +272,7 @@ def test_component_jets_evaluate_only_the_requested_keys(evaluate_calls):
     assert list(jets) == list(keys)
     assert {k: v.shape for k, v in jets.items()} == {"a": (1, 1), "u_th": (), "d_th_ph": (16, 32)}
     assert not any(v.flags.writeable for v in jets.values())
-    assert len(evaluate_calls) == 1 and evaluate_calls[0] is g.jet_plan(keys)
+    assert len(evaluate_calls) == 1 and evaluate_calls[0] is g._store[keys]
     requested = [g.deriv("a"), g.deriv("u", "th"), g.deriv("d", "th", "ph")]
     assert len(evaluate_calls[0].roots) == len(requested)
     for key, e in zip(keys, requested):
@@ -298,17 +298,17 @@ def test_hawking_plan_holds_no_partial_of_d(evaluate_calls):
     g = build_seed("ef", 0.1)
     hawking_mass(g, SphereGrid(0.0, 4.7, 16, 32))
     (plan,) = evaluate_calls
-    assert plan is g.jet_plan(SURFACE_JETS)
+    assert plan is g._store[SURFACE_JETS]
     roots = [g.deriv(*k.split("_")) for k in SURFACE_JETS]
     for x in expr.COORDS:
         assert len(expr.Plan(roots + [g.deriv("d", x)]).steps) > len(plan.steps), x
 
 
 def test_frame_data_compiles_its_plan_once_per_metric(evaluate_calls):
-    """frame_data keeps its plan on the metric, as jet_plan does: a second
-    call hands evaluate the very plan of the first, that plan gives bit for
-    bit what a plan compiled afresh from the same expressions gives, and so
-    do the two calls' frame data."""
+    """frame_data keeps its plan on the metric, as component_jets does: a
+    second call hands evaluate the very plan of the first, that plan gives
+    bit for bit what a plan compiled afresh from the same expressions gives,
+    and so do the two calls' frame data."""
     from imcvf.steering import _frame_roots
 
     g = build_seed("ef", 0.1)
@@ -381,14 +381,15 @@ def test_evaluate_sequence_shares_one_memo():
 @pytest.mark.parametrize("where", ["point", "grid"])
 def test_plan_gives_each_root_the_bits_it_has_alone(seed_charts, where):
     """Every first and second jet of the twelve seeds, from the metric's
-    plan, equals bit for bit (and in shape) the root evaluated alone, at a
-    point and on a 16x32 sphere, though the plan merges equal subtrees."""
+    plan (component_jets), equals bit for bit (and in shape) the root
+    evaluated alone, at a point and on a 16x32 sphere, though the plan
+    merges equal subtrees."""
     keys = FIRST_JETS + SECOND_JETS
     env = ({"t": 0.3, "r": 2.7, "th": 1.1, "ph": 4.0} if where == "point"
            else SphereGrid(0.3, 2.7, 16, 32).env())
     for kind, eps, g in seed_charts:
-        together = evaluate(g.jet_plan(keys), env)
-        for key, value in zip(keys, together):
+        together = component_jets(g, env, keys)
+        for key, value in together.items():
             alone = evaluate(g.deriv(*key.split("_")), env)
             assert np.shape(value) == np.shape(alone), (kind, eps, key)
             assert np.asarray(value).tobytes() == np.asarray(alone).tobytes(), (kind, eps, key)
@@ -396,9 +397,10 @@ def test_plan_gives_each_root_the_bits_it_has_alone(seed_charts, where):
 
 def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
     """Threads that start together on a fresh BlockMetric (four of them,
-    more than the cores, with a short switch interval) may each compile its
-    plan; every one gets the plan stored first, and the jets and masses are
-    those of one thread on another fresh copy, bit for bit."""
+    more than the cores, with a short switch interval) all miss its plan:
+    the first to take the store's lock compiles it, every one gets that
+    plan, and the jets and masses are those of one thread on another fresh
+    copy, bit for bit."""
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -412,8 +414,8 @@ def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
 
     def run(grid):
         barrier.wait()
-        plan = shared.jet_plan(FIRST_JETS)
-        return plan, component_jets(shared, grid.env(), FIRST_JETS), hawking_mass(shared, grid)
+        jets = component_jets(shared, grid.env(), FIRST_JETS)
+        return shared._store[FIRST_JETS], jets, hawking_mass(shared, grid)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -422,8 +424,8 @@ def test_two_threads_on_a_fresh_metric_give_the_bits_of_one():
             got = [job.result(timeout=60) for job in [pool.submit(run, gr) for gr in grids]]
     finally:
         sys.setswitchinterval(interval)
-    assert list(shared._plans) == [FIRST_JETS, SURFACE_JETS]
-    assert all(plan is shared._plans[FIRST_JETS] for plan, _, _ in got)
+    assert list(shared._store)[:2] == [FIRST_JETS, SURFACE_JETS] and len(shared._store) == 3
+    assert all(plan is shared._store[FIRST_JETS] for plan, _, _ in got)
     for (_, jets, mass), (ref_jets, ref_mass) in zip(got, expected):
         assert mass == ref_mass
         for key in FIRST_JETS:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +18,8 @@ from imcvf import sphere, tape
 from imcvf.chart import BlockMetric, save_chart
 from imcvf.errors import DegenerateSurfaceError, EvalDomainError, SingularMetricError
 from imcvf.grid import SphereGrid
-from imcvf.sphere import _sphere_mass, _trace_mean_curvature, hawking_mass, surface_fields
+from imcvf.sphere import SURFACE_JETS, _sphere_mass, _trace_mean_curvature, hawking_mass, \
+    surface_fields
 from imcvf.tape import RecordingError, record
 
 from conftest import U_BUMP, V_BUMP, build_seed
@@ -116,7 +118,36 @@ def test_the_tapes_of_two_signatures_are_kept_apart():
     g = build_seed("ef", 0.1)
     sep, mesh = SphereGrid(0.0, 3.0, 16, 32), MeshGrid(0.0, 3.0, 16, 32)
     assert hawking_mass(g, sep) == hawking_mass(g, mesh) == _plain_hawking_mass(g, sep)
-    assert len(g._tapes) == 2
+    assert sum(key[0] == "hawking_mass" for key in g._store) == 2
+
+
+def test_two_threads_that_miss_together_record_one_tape(monkeypatch):
+    """Two threads start hawking_mass together on a fresh metric.  The one
+    that takes the store's lock records the tape and, still holding it,
+    compiles the SURFACE_JETS plan the tape reads, so the lock must be
+    re-entrant; the other waits and replays that tape.  The store then
+    holds one jet plan and one tape, from one recording.  The threads are
+    joined with a timeout, so a lock that blocks on itself fails the test
+    instead of hanging it."""
+    recordings, real = [], sphere.record
+    monkeypatch.setattr(sphere, "record", lambda *args: recordings.append(args) or real(*args))
+    g, grid = build_seed("ef", 0.1), SphereGrid(0.0, 3.0, 16, 32)
+    barrier, masses = threading.Barrier(2, timeout=30), []
+
+    def run():
+        barrier.wait()
+        masses.append(hawking_mass(g, grid))
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(2)]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + 30
+    for t in threads:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), "a thread is stuck on the store's lock"
+    assert len(recordings) == 1
+    assert list(g._store) == [SURFACE_JETS, ("hawking_mass", tape.signature(_inputs(grid)))]
+    assert masses == [_plain_hawking_mass(g, grid)] * 2
 
 
 # ---------------------------------------------------------------------------
