@@ -23,8 +23,8 @@ from .grid import check_radius, check_time
 from .sphere import _trace_mean_curvature, star_brackets, star_values, surface_fields
 
 __all__ = ["solve_d", "complete_chart", "complete_chart_file", "ChartReport",
-           "ValidationSpec", "validate_chart", "imcvf_flow_param",
-           "imcvf_flow_radius", "MonotonicityReport", "monotonicity_check_spherical"]
+           "ValidationSpec", "validate_chart", "imcvf_flow_param", "MonotonicityReport",
+           "monotonicity_check_spherical"]
 
 
 def solve_d(a, b, c, e, f, u) -> FieldExpr:
@@ -174,11 +174,6 @@ def imcvf_flow_param(r: float) -> float:
     """Flow parameter s with r^2 = e^s (unit constant): s = 2 ln r."""
     check_radius(r)
     return 2.0 * math.log(r)
-
-
-def imcvf_flow_radius(s: float) -> float:
-    """Inverse of imcvf_flow_param."""
-    return math.exp(0.5 * s)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ SECOND_JETS = tuple(f"{n}_{m}_{k}" for n in COMPONENTS
 DEFAULT_THETA_MIN = 1e-3
 
 __all__ = ["T", "R", "TH", "PH", "COMPONENTS", "FIRST_JETS", "SECOND_JETS",
-           "CoordinatePoint", "BlockMetric", "SphericalMetric", "field_jets",
+           "CoordinatePoint", "BlockMetric", "field_jets",
            "component_jets", "metric_values", "det_values", "inverse_values",
            "load_chart", "save_chart", "ChartFile", "DEFAULT_THETA_MIN"]
 
@@ -115,19 +115,6 @@ class BlockMetric:
 
 
 _STORE_LOCK = threading.RLock()
-
-
-class SphericalMetric:
-    """Spherically symmetric specialization: u, v functions of (t, r) only,
-    a = r^2, b = r^2 sin^2(th), all off-block terms zero."""
-
-    def __init__(self, u, v):
-        self.u = _as_expr(u)
-        self.v = _as_expr(v)
-
-    def block(self) -> BlockMetric:
-        return BlockMetric(v=self.v, d=0.0, e=0.0, f=0.0, u=self.u,
-                           a=parse("r^2"), b=parse("r^2*sin(th)^2"), c=0.0)
 
 
 def _check_theta_min(x) -> float:

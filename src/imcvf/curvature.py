@@ -10,8 +10,7 @@ metric components (no finite differencing), then contracts
     G      = Ric - (1/2) R g
 
 The spherically symmetric closed forms (diagonal u, v chart with
-a = r^2, b = r^2 sin^2 th) are provided alongside as independent oracles,
-together with the conformal scalar-curvature transformation laws.
+a = r^2, b = r^2 sin^2 th) are provided alongside as independent oracles.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from .chart import FIRST_JETS, PH, R, SECOND_JETS, T, TH, BlockMetric, component
     env_shape, field_jets, inverse_from_components, metric_from_components
 from .expr import COORDS, FieldExpr, diff
 
-__all__ = ["christoffel_values", "curvature_values", "spherical_oracle",
-           "conformal_scalar"]
+__all__ = ["christoffel_values", "curvature_values", "spherical_oracle"]
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +192,3 @@ def spherical_oracle(u: FieldExpr, v: FieldExpr, env) -> dict:
         "Gamma_th_rth": 1.0 / r, "Gamma_th_phph": -sth * cth,
         "Gamma_ph_rph": 1.0 / r, "Gamma_ph_thph": cth / sth,
     }
-
-
-def conformal_scalar(scalar: float, u_val: float, lap_u: float, n: int) -> float:
-    """Scalar curvature after a conformal change of metric.
-
-    Dimension n >= 3 uses the factor u^(4/(n-2)); n = 2 uses e^(2u).
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if n == 2:
-        return float(np.exp(-2.0 * u_val) * (scalar - 2.0 * lap_u))
-    if not u_val > 0:
-        raise ValueError("conformal factor must be positive")
-    return float(u_val ** (-(n + 2.0) / (n - 2.0))
-                 * (scalar * u_val - 4.0 * (n - 1.0) / (n - 2.0) * lap_u))

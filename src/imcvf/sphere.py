@@ -1,10 +1,11 @@
 """Geometry of the coordinate sphere S_{t,r} and its rank-two normal bundle.
 
-Provides the induced metric, the orthonormal normal frame {e_r, e_n}, the
+Provides the induced metric and the norm of the timelike normal n, the
 timelike-tangency obstruction (the bracketed "star" invariant), the mean
 curvature vector in closed form and by the generic trace formula, the
-Hawking mass quadrature, the surface Laplacian, and the first-variation
-identity 2 H_{e_r} (ab - c^2) = e_r(ab - c^2).
+inverse mean curvature vector, the Hawking mass quadrature, the g_S-trace
+and first-order coefficients of the surface Laplacian, and the
+first-variation identity 2 H_{e_r} (ab - c^2) = e_r(ab - c^2).
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import functools
 import numpy as np
 
 from .chart import COMPONENTS, PH, R, T, TH, BlockMetric, check_det, cofactors, \
-    component_jets, cross_terms, det_from_components, env_shape
+    component_jets, cross_terms, det_from_components
 from .curvature import metric_partial, raise_sum
-from .errors import DegenerateSurfaceError, GridTooCoarseError, NullMeanCurvatureError
+from .errors import DegenerateSurfaceError, NullMeanCurvatureError
 from .expr import COORDS
 from .grid import SphereGrid, area_sum
 from .tape import check_step, record, signature
 
-__all__ = ["SURFACE_JETS", "surface_fields", "frame_values", "star_values",
-           "mean_curvature_values", "inverse_mean_curvature_vector",
-           "generalized_flow_radial_residual", "hawking_mass", "sphere_laplacian",
-           "first_variation_area_check"]
+__all__ = ["SURFACE_JETS", "surface_fields", "star_values", "mean_curvature_values",
+           "inverse_mean_curvature_vector", "hawking_mass", "first_variation_area_check"]
 
 
 # the jets surface_fields evaluates: all that its frame scalars, star_values
@@ -78,20 +77,6 @@ def gs_laplacian_coefficients(f, cot):
     psi_th and psi_ph in |g_S| Lap_{g_S}(psi) besides its g_S-trace of the
     second partials; f holds the surface_fields jets."""
     return (f["b_th"] - f["b"] * cot - f["c_ph"], -f["c_th"] + f["c"] * cot + f["a_ph"])
-
-
-def frame_values(g: BlockMetric, env) -> dict:
-    """The normal frame on an env grid: n = d_t - (d/u^2) d_r + ((cf - be)/W) d_th
-    + ((ce - af)/W) d_ph, the timelike normal (<n, n> is surface_fields' 'nn'),
-    e_r = (1/u) d_r and e_n = n / ||n||, each of shape env_shape(env) + (4,)."""
-    f, shape = surface_fields(g, env), env_shape(env)
-
-    def vector(*parts):
-        return np.stack([np.broadcast_to(x, shape) for x in parts], axis=-1)
-
-    n = vector(1.0, -f["d"] / f["u"] ** 2, f["cf_be"] / f["W"], f["ce_af"] / f["W"])
-    return {"n": n, "e_r": vector(0.0, 1.0 / f["u"], 0.0, 0.0),
-            "e_n": n / np.broadcast_to(f["norm_n"], shape)[..., None]}
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +177,6 @@ def inverse_mean_curvature_vector(h_r, h_n) -> tuple:
     return -h_r / hh, -h_n / hh
 
 
-def generalized_flow_radial_residual(h_r, h_n, beta: float):
-    """Defect of the direction I + beta I^perp being parallel to d_r, per
-    node.
-
-    The perp rotation swaps the frame legs (e_r <-> e_n), so the timelike
-    component of the flow direction is I_n + beta I_r; its magnitude is the
-    predicate residual.  Zero for beta = 0 exactly when the chart already
-    steers the mean curvature into the slice."""
-    i_r, i_n = inverse_mean_curvature_vector(h_r, h_n)
-    return np.abs(i_n + beta * i_r)
-
-
 # ---------------------------------------------------------------------------
 # Hawking mass and surface integrals
 # ---------------------------------------------------------------------------
@@ -242,22 +215,6 @@ def _sphere_mass(g: BlockMetric, env, weights, sin_column, r):
 def _finite_mass(mass, r) -> None:
     if not np.isfinite(mass):
         raise ValueError(f"the Hawking mass at r = {r!r} is not finite")
-
-
-def sphere_laplacian(g: BlockMetric, grid: SphereGrid, psi: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator of the induced sphere metric applied to
-    samples of a scalar, with spectral tangential derivatives."""
-    if grid.n_theta < 8 or grid.n_phi < 8:
-        raise GridTooCoarseError("sphere_laplacian needs at least 8x8 nodes")
-    env = grid.env()
-    f = surface_fields(g, env)
-    psi = np.asarray(psi, dtype=float)
-    p_th, p_ph = grid.gradient(psi)
-    p_thth = grid.d2_theta(psi)
-    p_thph = grid.d_phi(p_th)
-    p_phph = grid.d_phi(p_ph)
-    coef_th, coef_ph = gs_laplacian_coefficients(f, grid.cot_theta[:, None])
-    return (gs_trace(f, p_thth, p_thph, p_phph) + (coef_th * p_th + coef_ph * p_ph)) / f["W"]
 
 
 def first_variation_area_check(g: BlockMetric, grid: SphereGrid) -> float:

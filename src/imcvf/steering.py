@@ -21,11 +21,8 @@ import numpy as np
 from .chart import BlockMetric, cross_terms, det_from_components, plan_jets
 from .errors import NotAreaExpandingError
 from .expr import COORDS, Plan, call, diff
-from .sphere import gs_trace
 
-__all__ = ["FrameData", "frame_data", "steering_parameter", "steer_metric",
-           "tangentiality_residual", "minimal_surface_lemma_check",
-           "steered_normal_component"]
+__all__ = ["FrameData", "frame_data", "steering_parameter"]
 
 
 @dataclass(frozen=True)
@@ -112,57 +109,13 @@ def steering_parameter(fd: FrameData):
     """The unique Q making the mean curvature vector tangential.
 
     Raises NotAreaExpandingError when e_r(ab - c^2) <= 0 anywhere: by the
-    first-variation identity that marks a minimal surface in the slice.
+    first-variation identity that marks a minimal surface in the slice.  An
+    e_r(ab - c^2) that is not finite (the chart's arithmetic overflows on
+    the sphere) is a ValueError.
     """
+    if not np.all(np.isfinite(fd.er_W)):
+        raise ValueError("e_r(ab - c^2) is not finite on the sphere")
     if not fd.area_expanding:
         raise NotAreaExpandingError("e_r(ab - c^2) <= 0: surface is minimal, "
                                     "no steering parameter exists")
     return (fd.et_W - 2.0 * fd.W * (fd.C_th_tth + fd.C_ph_tph)) / fd.er_W
-
-
-def tangentiality_residual(fd: FrameData, q):
-    """Left side of the steering condition; zero exactly at the solution."""
-    return fd.er_W * q - fd.et_W + 2.0 * fd.W * (fd.C_th_tth + fd.C_ph_tph)
-
-
-def steer_metric(a, b, c, q) -> np.ndarray:
-    """Frame-dual matrix of the steered metric: diag(-1, 1, g_S) plus Q on
-    the (e_t, e_r) off-diagonal.  Scalar inputs give a single 4x4."""
-    a, b, c, q = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                       for x in (a, b, c, q)))
-    m = np.zeros(a.shape + (4, 4))
-    m[..., 0, 0] = -1.0
-    m[..., 0, 1] = m[..., 1, 0] = q
-    m[..., 1, 1] = 1.0
-    m[..., 2, 2] = a
-    m[..., 2, 3] = m[..., 3, 2] = c
-    m[..., 3, 3] = b
-    return m
-
-
-def minimal_surface_lemma_check(fd: FrameData, h_er):
-    """|2 H_{e_r} (ab - c^2) - e_r(ab - c^2)| per node."""
-    return np.abs(2.0 * np.asarray(h_er) * fd.W - fd.er_W)
-
-
-def steered_normal_component(fd: FrameData, q):
-    """<H, e_n> of the sphere in the steered metric, assembled from the
-    frame connection coefficients (not from the simplified Q equation):
-
-        omega^t_ij = (W / 2|g_Q|) [ (-e_t(g_ij) + commutator terms)
-                                    - Q (-e_r(g_ij) + radial commutators) ]
-        <H, e_n>   = -(1 + Q^2)^(1/2) (b w_thth - 2c w_thph + a w_phph) / W
-
-    with |g_Q| = -(1 + Q^2) W.  Zero at the steering solution."""
-    q = np.asarray(q, dtype=float)
-    det_q = -(1.0 + q * q) * fd.W
-    pref = fd.W / (2.0 * det_q)
-    w_hh = pref * ((-fd.et_a + 2.0 * fd.a * fd.C_th_tth + 2.0 * fd.c * fd.C_ph_tth)
-                   - q * (-fd.er_a))
-    w_hp = pref * ((-fd.et_c + fd.c * fd.C_th_tth + fd.b * fd.C_ph_tth
-                    + fd.a * fd.C_th_tph + fd.c * fd.C_ph_tph)
-                   - q * (-fd.er_c))
-    w_pp = pref * ((-fd.et_b + 2.0 * fd.c * fd.C_th_tph + 2.0 * fd.b * fd.C_ph_tph)
-                   - q * (-fd.er_b))
-    return -np.sqrt(1.0 + q * q) * (gs_trace(vars(fd), w_hh, w_hp, w_pp) / fd.W)
-

@@ -19,6 +19,7 @@ second-order equation Lap(d) + G(d, d') = 0 with G = F / |g_S|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,8 @@ from .sphere import _trace_mean_curvature, gs_laplacian_coefficients, gs_trace, 
     surface_fields
 
 __all__ = ["ConnectionOneForm", "HyperbolicAngle", "connection_one_form",
-           "connection_one_form_direct", "divergence_alpha", "gauge_rotation",
-           "rotate_one_form", "one_form_energy", "is_time_flat",
-           "StraightOutResidual", "straight_out_residual",
+           "divergence_alpha", "gauge_rotation", "rotate_one_form", "one_form_energy",
+           "is_time_flat", "StraightOutResidual", "straight_out_residual",
            "StraightOutSolution", "solve_straight_out_d"]
 
 
@@ -87,20 +87,6 @@ def connection_one_form(g: BlockMetric, grid: SphereGrid, fields=None) -> Connec
     g_thr, g_phr = _gamma_t_radial(f)
     scale = -np.sqrt(-f["det"] / f["W"]) / f["u"] ** 2
     return ConnectionOneForm(alpha_th=scale * g_thr, alpha_ph=scale * g_phr)
-
-
-def connection_one_form_direct(g: BlockMetric, grid: SphereGrid) -> ConnectionOneForm:
-    """Defining inner product <nabla_X e_r, e_n>, via generic Christoffels;
-    the independent oracle for the closed form."""
-    from .chart import R, T, TH, PH
-    from .curvature import christoffel_values
-    env = grid.env()
-    f = surface_fields(g, env)
-    gam = christoffel_values(g, env)
-    # <nabla_i e_r, e_n> = (1/u) Gamma^t_ir <d_t, n>/||n|| = -(1/u) Gamma^t_ir ||n||
-    factor = -f["norm_n"] / f["u"]
-    return ConnectionOneForm(alpha_th=factor * gam[..., T, TH, R],
-                             alpha_ph=factor * gam[..., T, PH, R])
 
 
 def _dual_vector(f, alpha: ConnectionOneForm):
@@ -174,7 +160,8 @@ def _poisson_solve(grid, fields, rhs, tol, floor_tol=None):
 
     The residual cannot drop below the band-truncation floor of the metric
     coefficient fields; a stagnated iterate is accepted when it sits under
-    floor_tol (defaults to tol, i.e. strict), raised otherwise.
+    floor_tol (defaults to tol, i.e. strict), raised otherwise.  A residual
+    that is not finite ends the iteration at once: no step mends it.
     """
     floor_tol = tol if floor_tol is None else floor_tol
     sqrt_gs = np.sqrt(fields["W"])
@@ -189,14 +176,16 @@ def _poisson_solve(grid, fields, rhs, tol, floor_tol=None):
             best_x, best = x, rnorm
         if rnorm <= tol:
             return x, rnorm, k
+        if not math.isfinite(rnorm):
+            break
         if k >= 5 and rnorm > 0.99 * max(history[-5:-1] + [0.0]):
             break                                  # stagnated at the floor
         x = grid.mean_zero(x + grid.solve_poisson_round(res), sqrt_gs)
     if best <= max(tol, floor_tol):
         return best_x, best, len(history)
-    raise ConvergenceError(
-        f"Poisson iteration stalled at residual {best:.3e} (tol {tol:.1e})",
-        history=history)
+    why = (f"stalled at residual {best:.3e}" if math.isfinite(rnorm)
+           else f"reached a residual that is not finite ({rnorm!r})")
+    raise ConvergenceError(f"Poisson iteration {why} (tol {tol:.1e})", history=history)
 
 
 def gauge_rotation(g: BlockMetric, grid: SphereGrid, alpha: ConnectionOneForm,
@@ -438,8 +427,10 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, max_iter: int = 200,
     than raised: it would be evidence against solvability at that
     configuration.  So is an inner Poisson solve that stalls above its
     floor: the solution comes back unconverged with its poisson_history.
-    compat_tol must be a number >= 0 (not nan), as ValidationSpec holds
-    its tolerances.
+    A solvability integral that is not finite (the chart's arithmetic
+    overflows on the sphere) is a ValueError naming r, raised before any
+    Poisson step.  compat_tol must be a number >= 0 (not nan), as
+    ValidationSpec holds its tolerances.
     """
     if not compat_tol >= 0:
         raise ValueError(f"compat_tol must be a number >= 0, got {compat_tol}")
@@ -465,6 +456,8 @@ def solve_straight_out_d(g: BlockMetric, grid: SphereGrid, max_iter: int = 200,
     for k in range(max_iter):
         big_g = big_g_of(_grid_d_data(grid, f, d))
         compat = grid.integrate_area(big_g, sqrt_gs)
+        if not math.isfinite(compat):
+            raise ValueError(f"the solvability integral at r = {grid.r!r} is not finite")
         sol.compat_integrals.append(float(compat))
         if abs(compat) > compat_tol * (1.0 + float(np.max(np.abs(big_g)))):
             sol.compatibility_failed = True

@@ -5,23 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from imcvf.asymptotics import (
-    ConformalMetric3,
-    adm_conformal_delta,
-    adm_mass,
-    conformal_sphere_mean_curvature,
-    _extrapolate,
-    _sphere_flux,
-    hawking_to_adm_convergence,
-)
-from imcvf.expr import diff, evaluate, parse
+from imcvf.asymptotics import ConformalMetric3, _extrapolate, _sphere_flux, adm_mass
+from imcvf.expr import FieldExpr, diff, evaluate, parse
 from imcvf.grid import SphereGrid
+
+from conftest import conformal_sphere_mean_curvature, hawking_to_adm_convergence
 
 RADII = (10.0, 20.0, 40.0, 80.0)
 
 
 def schwarzschild_factor(m=1.0):
     return ConformalMetric3(parse("1+m/(2*r)", params={"m": m}))
+
+
+def adm_conformal_delta(u3: FieldExpr, radii) -> float:
+    """Mass shift of the conformal transformation: the limit of
+    -(1/2 pi) times the flux of du/dr through large coordinate spheres."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    u_r = ConformalMetric3(u3).jets(radii)[1]
+    return _extrapolate(radii, [-_sphere_flux(r, du) / (2.0 * np.pi)
+                                for r, du in zip(radii, u_r)])
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +49,11 @@ def test_subleading_term_does_not_shift_mass():
 
 
 def test_asymptotic_flatness_check():
-    assert schwarzschild_factor(1.0).asymptotically_flat()
-    assert not ConformalMetric3(parse("1+r/1000")).asymptotically_flat()
+    """u(1e6) is within 1e-3 of 1 for a decaying factor, not for a growing one."""
+    def u_far(factor):
+        return float(factor.jets([1e6])[0][0])
+    assert abs(u_far(schwarzschild_factor(1.0)) - 1.0) <= 1e-3
+    assert not abs(u_far(ConformalMetric3(parse("1+r/1000"))) - 1.0) <= 1e-3
 
 
 def test_non_decaying_factor_flagged():

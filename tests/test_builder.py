@@ -11,7 +11,6 @@ from imcvf.builder import (
     complete_chart,
     complete_chart_file,
     imcvf_flow_param,
-    imcvf_flow_radius,
     monotonicity_check_spherical,
     solve_d,
     validate_chart,
@@ -21,7 +20,7 @@ from imcvf.expr import Lit, evaluate, parse
 from imcvf.grid import SphereGrid
 from imcvf.sphere import star_values
 
-from conftest import U_BUMP, V_BUMP, build_seed, seed_inputs
+from conftest import U_BUMP, V_BUMP, build_seed, seed_inputs, spherical_block
 
 
 def test_solve_d_spherical_inputs_gives_zero_literal():
@@ -58,8 +57,7 @@ def test_completed_chart_has_tiny_star():
 
 
 def test_validate_spherical_chart_passes():
-    from imcvf.chart import SphericalMetric
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     rep = validate_chart(g)
     assert rep.passed
     # cond3 is float-rounding only; its absolute size scales with r^4
@@ -132,7 +130,7 @@ def test_pole_smoothness_of_solved_d():
 def test_flow_param_values():
     assert imcvf_flow_param(1.0) == 0.0
     assert imcvf_flow_param(math.e) == pytest.approx(2.0)
-    assert imcvf_flow_radius(imcvf_flow_param(3.7)) == pytest.approx(3.7, rel=1e-14)
+    assert math.exp(0.5 * imcvf_flow_param(3.7)) == pytest.approx(3.7, rel=1e-14)
     with pytest.raises(ValueError):
         imcvf_flow_param(0.0)
 
@@ -143,7 +141,7 @@ def test_area_scales_like_exp_s():
     g = build_seed("ea", 1e-2)
 
     def area(s):
-        grid = SphereGrid(0.0, imcvf_flow_radius(s), 24, 48)
+        grid = SphereGrid(0.0, math.exp(0.5 * s), 24, 48)
         f = surface_fields(g, grid.env())
         return grid.integrate_area(np.ones_like(f["W"]), np.sqrt(f["W"]))
 

@@ -9,7 +9,6 @@ import pytest
 from imcvf.chart import (
     BlockMetric,
     CoordinatePoint,
-    SphericalMetric,
     det_values,
     inverse_values,
     load_chart,
@@ -19,15 +18,17 @@ from imcvf.chart import (
 from imcvf.errors import SingularMetricError
 from imcvf.expr import lit, parse
 
+from conftest import spherical_block
+
 
 def minkowski():
-    return SphericalMetric("1", "1").block()
+    return spherical_block("1", "1")
 
 
 def schwarzschild_areal(m=1.0):
     u = parse("(1-2*m/r)^(-0.5)", params={"m": m})
     v = parse("(1-2*m/r)^0.5", params={"m": m})
-    return SphericalMetric(u, v).block()
+    return spherical_block(u, v)
 
 
 def random_block_metric(rng):
@@ -109,7 +110,7 @@ def test_det_minkowski():
 
 
 def test_det_spherical_closed_form():
-    g = SphericalMetric("1+1/r", "2").block()
+    g = spherical_block("1+1/r", "2")
     p = CoordinatePoint(0.0, 2.0, 0.9, 0.3)
     u, v, r = 1.5, 2.0, 2.0
     expected = -(u * v) ** 2 * r**4 * math.sin(0.9) ** 2
@@ -180,7 +181,7 @@ def test_singular_metric_raises():
 
 
 def test_spherical_layout_constraint():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     p = CoordinatePoint(0.0, 3.0, 0.7, 0.2)
     m = metric_values(g, p.env())
     w = m[2, 2] * m[3, 3] - m[2, 3] ** 2

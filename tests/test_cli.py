@@ -21,7 +21,7 @@ from imcvf.chart import COMPONENTS
 from imcvf.cli import SCHEMA, _emit, _node_columns, main
 from imcvf.grid import SphereGrid
 
-from conftest import seed_inputs
+from conftest import EF_BUILD, seed_inputs
 
 MINKOWSKI = {"v": "1", "d": "0", "e": "0", "f": "0", "u": "1",
              "a": "r^2", "b": "r^2*sin(th)^2", "c": "0"}
@@ -679,6 +679,21 @@ def test_hawking_mass_that_is_not_finite_exits_1(ef_chart, capsys):
     assert main(["hawking", "--chart", ef_chart, "--grid", "16,32", "--r", "2,1e76,1e100"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: the Hawking mass at r = 1e+76 is not finite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the chart's own overflow
+@pytest.mark.parametrize("command, message", [
+    ("straightout", "the solvability integral at r = 1e+76 is not finite"),
+    ("steer", "e_r(ab - c^2) is not finite on the sphere")])
+def test_a_sphere_whose_arithmetic_overflows_exits_1(command, message, capsys):
+    """On the golden ef chart at r = 1e76: straightout --solve exited 3
+    after 10 n_theta Poisson steps on nan, and steer called the sphere
+    minimal."""
+    argv = [command, "--chart", EF_BUILD, "--grid", "16,32", "--r", "1e76"]
+    assert main(argv + (["--solve"] if command == "straightout" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

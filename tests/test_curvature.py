@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from imcvf.chart import PH, R, T, TH, CoordinatePoint, SphericalMetric, metric_values
-from imcvf.curvature import (
-    christoffel_values,
-    conformal_scalar,
-    curvature_values,
-    spherical_oracle,
-)
+from imcvf.chart import PH, R, T, TH, BlockMetric, CoordinatePoint, metric_values
+from imcvf.curvature import christoffel_values, curvature_values, spherical_oracle
 from imcvf.expr import parse
+
+from conftest import spherical_block
 
 IDX = {"t": 0, "r": 1, "th": 2, "ph": 3}
 
@@ -47,7 +44,7 @@ def schwarzschild_areal(m=1.0):
 # ---------------------------------------------------------------------------
 
 def test_christoffel_spherical_entries():
-    g = SphericalMetric("1+1/r", "1+0.5/r").block()
+    g = spherical_block("1+1/r", "1+0.5/r")
     p = CoordinatePoint(0.3, 2.0, 1.1, 0.7)
     gam = christoffel_values(g, p.env())
     u = 1.5
@@ -57,7 +54,7 @@ def test_christoffel_spherical_entries():
 
 
 def test_christoffel_minkowski_t_matrix_zero():
-    g = SphericalMetric("1", "1").block()
+    g = spherical_block("1", "1")
     p = CoordinatePoint(0.0, 3.0, 1.0, 0.0)
     gam = christoffel_values(g, p.env())
     np.testing.assert_allclose(gam[T], 0.0, atol=1e-15)
@@ -66,7 +63,7 @@ def test_christoffel_minkowski_t_matrix_zero():
 def test_christoffel_symmetry():
     rng = np.random.default_rng(3)
     u, v = random_uv(rng)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     env = random_env(rng, 5)
     gam = christoffel_values(g, env)
     np.testing.assert_allclose(gam, np.swapaxes(gam, -1, -2), atol=1e-14)
@@ -75,7 +72,7 @@ def test_christoffel_symmetry():
 def test_christoffel_matches_oracle_matrices():
     rng = np.random.default_rng(5)
     u, v = random_uv(rng)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     env = random_env(rng, 20)
     gam = christoffel_values(g, env)
     orc = spherical_oracle(u, v, env)
@@ -105,7 +102,7 @@ def test_curvature_oracle_agreement_sample():
     worst = 0.0
     for _ in range(10):
         u, v = random_uv(rng)
-        g = SphericalMetric(u, v).block()
+        g = spherical_block(u, v)
         env = random_env(rng, 20)
         out = curvature_values(g, env)
         orc = spherical_oracle(u, v, env)
@@ -123,7 +120,7 @@ def test_curvature_oracle_agreement_sample():
 def test_off_diagonal_ricci_vanishes():
     rng = np.random.default_rng(17)
     u, v = random_uv(rng)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     env = random_env(rng, 10)
     ric = curvature_values(g, env)["ricci"]
     for i, j in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
@@ -133,7 +130,7 @@ def test_off_diagonal_ricci_vanishes():
 def test_gphiphi_is_sin2_gthetatheta():
     rng = np.random.default_rng(19)
     u, v = random_uv(rng)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     env = random_env(rng, 10)
     ein = curvature_values(g, env)["einstein"]
     np.testing.assert_allclose(ein[..., 3, 3],
@@ -143,7 +140,7 @@ def test_gphiphi_is_sin2_gthetatheta():
 
 def test_schwarzschild_vacuum():
     u, v = schwarzschild_areal(1.0)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     r = np.linspace(3.0, 20.0, 30)
     env = {"t": np.zeros_like(r), "r": r, "th": np.full_like(r, 1.0),
            "ph": np.zeros_like(r)}
@@ -154,7 +151,7 @@ def test_schwarzschild_vacuum():
 def test_einstein_tensor_identity():
     rng = np.random.default_rng(23)
     u, v = random_uv(rng)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     p = CoordinatePoint(0.2, 3.0, 1.2, 0.5)
     out = curvature_values(g, p.env())
     expected = out["ricci"] - 0.5 * out["scalar"] * metric_values(g, p.env())
@@ -164,7 +161,7 @@ def test_einstein_tensor_identity():
 def test_gtt_example_spherical():
     """G_tt closed form at a hand-checkable configuration."""
     u, v = schwarzschild_areal(1.0)
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
     p = CoordinatePoint(0.0, 4.0, math.pi / 2, 0.0)
     out = curvature_values(g, p.env())
     assert out["einstein"][0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +177,7 @@ def test_scalar_curvature_spherical_cases():
     u2 = parse("(1+1/(2*r))^2")
     p2 = CoordinatePoint(0.0, 2.0, 1.0, 0.0)
     got = spherical_oracle(u2, parse("1"), p2.env())["R"]
-    ref = curvature_values(SphericalMetric(u2, parse("1")).block(), p2.env())["scalar"]
+    ref = curvature_values(spherical_block(u2, parse("1")), p2.env())["scalar"]
     assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -189,7 +186,7 @@ def test_contracted_bianchi_numerically():
     engine's Einstein tensor in r at fixed angles (t-static case)."""
     u = parse("1+0.3*exp(-((r-3)/2)^2)")
     v = parse("1+0.2/r")
-    g = SphericalMetric(u, v).block()
+    g = spherical_block(u, v)
 
     # numerical divergence via five-point derivative of G^r_j + Christoffel terms
     def mixed_einstein(r):
@@ -216,39 +213,46 @@ def test_contracted_bianchi_numerically():
 
 
 # ---------------------------------------------------------------------------
-# conformal scalar curvature
+# conformal scalar curvature: for the ultrastatic g = -dt^2 + psi^4 delta the
+# engine's scalar is the spatial one, -8 psi^-5 lap(psi)
 # ---------------------------------------------------------------------------
 
+def conformally_flat(psi: str) -> BlockMetric:
+    """-dt^2 + psi^4 (dr^2 + r^2 dOmega^2), psi a function of r."""
+    return BlockMetric(v=1.0, d=0.0, e=0.0, f=0.0, u=parse(f"({psi})^2"),
+                       a=parse(f"({psi})^4*r^2"), b=parse(f"({psi})^4*r^2*sin(th)^2"),
+                       c=0.0)
+
+
+def conformal_scalar_at(psi: str, r: float) -> float:
+    p = CoordinatePoint(0.0, r, 1.0, 0.3)
+    return float(curvature_values(conformally_flat(psi), p.env())["scalar"])
+
+
 def test_conformal_scalar_flat_harmonic():
-    assert conformal_scalar(0.0, 2.0, 0.0, 3) == 0.0
+    assert conformal_scalar_at("2", 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conformal_scalar_schwarzschild_factor():
-    """u = 1 + m/(2 rho) is harmonic on flat R^3, so the image is scalar flat."""
-    m = 1.0
-    rho = 3.0
-    u = 1.0 + m / (2 * rho)
-    # laplacian of m/(2 rho) on flat space is zero away from the origin
-    assert conformal_scalar(0.0, u, 0.0, 3) == 0.0
+    """psi = 1 + m/(2 rho) is harmonic on flat R^3, so the image is scalar flat."""
+    assert conformal_scalar_at("1+1/(2*r)", 3.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conformal_scalar_dim2_identity():
-    assert conformal_scalar(2.0, 0.0, 0.0, 2) == pytest.approx(2.0)
+    """The unit round sphere, -dt^2 + dr^2 + dOmega^2: R = 2."""
+    g = BlockMetric(v=1.0, d=0.0, e=0.0, f=0.0, u=1.0,
+                    a=1.0, b=parse("sin(th)^2"), c=0.0)
+    p = CoordinatePoint(0.0, 2.0, 1.0, 0.3)
+    assert float(curvature_values(g, p.env())["scalar"]) == pytest.approx(2.0)
 
 
 def test_conformal_scalar_dim3_formula():
     """Cross-check the n=3 formula against the engine: for g = u^4 delta the
-    scalar curvature is -8 u^-5 lap(u); verify with u = 1 + 1/(2r)."""
+    scalar curvature is -8 u^-5 lap(u)."""
     r = 2.5
-    u_val = 1.0 + 1.0 / (2 * r)
     # radial laplacian of u(r) = 1 + 1/(2r): u'' + 2 u'/r = 1/r^3 - 1/r^3 = 0
-    assert conformal_scalar(0.0, u_val, 0.0, 3) == 0.0
+    assert conformal_scalar_at("1+1/(2*r)", r) == pytest.approx(0.0, abs=1e-12)
     # non-harmonic factor: u = 1 + r^2/20 at r = 2.5, lap u = 6/20
     u_val = 1.0 + r**2 / 20.0
-    got = conformal_scalar(0.0, u_val, 0.3, 3)
+    got = conformal_scalar_at("1+r^2/20", r)
     assert got == pytest.approx(-8.0 * 0.3 * u_val ** (-5.0), rel=1e-12)
-
-
-def test_conformal_scalar_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        conformal_scalar(0.0, 1.0, 0.0, 1)

@@ -20,7 +20,7 @@ from imcvf.curvature import christoffel_values, curvature_values
 from imcvf.errors import ConvergenceError
 from imcvf.expr import evaluate, parse
 from imcvf.grid import SphereGrid
-from imcvf.sphere import (SURFACE_JETS, first_variation_area_check, frame_values,
+from imcvf.sphere import (SURFACE_JETS, first_variation_area_check,
                           gs_laplacian_coefficients, gs_trace, hawking_mass,
                           mean_curvature_values, star_values, surface_fields)
 from imcvf.steering import frame_data, steering_parameter
@@ -28,7 +28,7 @@ from imcvf.straightout import (_ASSEMBLED_JETS, _CHART_D_JETS, _CLOSED_FORM_JETS
                                _D_SECOND_JETS, _assembled_d_free, _grid_d_data,
                                assembled_form, solve_straight_out_d, straight_out_residual)
 
-from conftest import build_seed
+from conftest import build_seed, frame_values
 
 SIZES = ((16, 32), (64, 128))
 

@@ -5,29 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from imcvf.chart import PH, R, T, TH, BlockMetric, CoordinatePoint, SphericalMetric, \
-    component_jets, metric_values
+from imcvf.chart import PH, R, T, TH, BlockMetric, CoordinatePoint, component_jets, \
+    metric_values
 from imcvf.curvature import christoffel_values
 from imcvf.errors import NullMeanCurvatureError
 from imcvf.grid import SphereGrid
 from imcvf.sphere import (
     first_variation_area_check,
-    frame_values,
     gs_trace,
     hawking_mass,
     inverse_mean_curvature_vector,
     mean_curvature_values,
-    sphere_laplacian,
     star_values,
     surface_fields,
 )
 from imcvf.expr import parse
 
-from conftest import trace_h_er
+from conftest import frame_values, sphere_laplacian, spherical_block, trace_h_er
 
 
 def minkowski():
-    return SphericalMetric("1", "1").block()
+    return spherical_block("1", "1")
 
 
 def star_from_christoffel(g, env):
@@ -92,7 +90,7 @@ def test_poisson_round_inverts_laplacian():
 # ---------------------------------------------------------------------------
 
 def test_frame_spherical():
-    g = SphericalMetric("1+1/r", "1+0.5/r").block()
+    g = spherical_block("1+1/r", "1+0.5/r")
     env = CoordinatePoint(0.0, 2.0, 1.1, 0.3).env()
     fr = frame_values(g, env)
     np.testing.assert_allclose(fr["n"], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
@@ -136,7 +134,7 @@ def test_frame_orthogonality_and_norm():
 # ---------------------------------------------------------------------------
 
 def test_star_spherical_is_zero():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     star = star_values(g, CoordinatePoint(0.0, 2.0, 1.0, 0.5).env())
     assert star == pytest.approx(0.0, abs=1e-15)
 
@@ -156,7 +154,7 @@ def test_star_matches_christoffel_contraction():
 # ---------------------------------------------------------------------------
 
 def test_mean_curvature_spherical():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     env = CoordinatePoint(0.0, 2.0, 1.2, 0.1).env()
     h_r, h_n, _ = mean_curvature_values(g, env, method="closed")
     assert h_r == pytest.approx(-2.0 / (2.0 * 1.5), rel=1e-12)
@@ -209,7 +207,7 @@ def test_inverse_mean_curvature_examples():
 
 
 def test_inverse_mean_curvature_spherical_is_radial_flow():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     node = CoordinatePoint(0.0, 2.0, 1.0, 0.0)
     h_r, h_n, _ = mean_curvature_values(g, node.env(), method="closed")
     i_r, i_n = inverse_mean_curvature_vector(h_r, h_n)
@@ -228,13 +226,13 @@ def test_hawking_mass_minkowski_zero():
 
 
 def test_hawking_mass_schwarzschild():
-    g = SphericalMetric(parse("(1-2/r)^(-0.5)"), parse("(1-2/r)^0.5")).block()
+    g = spherical_block(parse("(1-2/r)^(-0.5)"), parse("(1-2/r)^0.5"))
     grid = SphereGrid(0.0, 5.0, 16, 32)
     assert hawking_mass(g, grid) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_hawking_mass_constant_u():
-    g = SphericalMetric("2", "1").block()
+    g = spherical_block("2", "1")
     grid = SphereGrid(0.0, 3.0, 16, 32)
     assert hawking_mass(g, grid) == pytest.approx(1.125, abs=1e-8)
 
@@ -309,7 +307,7 @@ def test_sphere_laplacian_divergence_theorem():
 def test_first_variation_spherical_and_minkowski():
     grid = SphereGrid(0.0, 2.0, 12, 24)
     assert first_variation_area_check(minkowski(), grid) <= 1e-10
-    g = SphericalMetric("1+1/r", "1+0.2/r").block()
+    g = spherical_block("1+1/r", "1+0.2/r")
     assert first_variation_area_check(g, grid) <= 1e-10
 
 
@@ -390,7 +388,7 @@ def test_hawking_mass_does_not_fill_metric_first_partials(monkeypatch):
         raise AssertionError("the trace formula filled the full dg array")
 
     monkeypatch.setattr(curvature, "_metric_first_partials", fail)
-    m = hawking_mass(SphericalMetric("(1-2/r)^(-0.5)", "(1-2/r)^0.5").block(),
+    m = hawking_mass(spherical_block("(1-2/r)^(-0.5)", "(1-2/r)^0.5"),
                      SphereGrid(0.0, 5.0, 16, 32))
     assert abs(m - 1.0) < 1e-8
 
@@ -430,7 +428,7 @@ def test_trace_route_forms_no_star(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the trace route computed star_values")
 
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     grid = SphereGrid(0.0, 2.0, 16, 32)
     _replace_star_values(monkeypatch, fail)
     assert hawking_mass(g, grid) == pytest.approx(0.5 * 2.0 * (1.0 - 1.0 / 1.5**2), abs=1e-10)

@@ -1,26 +1,19 @@
-"""Steering parameter, steered metric, tangentiality, minimal-surface lemma."""
+"""Steering parameter, steered normal component, minimal-surface lemma."""
 
 import math
 
 import numpy as np
 import pytest
 
-from imcvf.chart import BlockMetric, SphericalMetric
+from imcvf.chart import BlockMetric, load_chart
 from imcvf.errors import NotAreaExpandingError
 from imcvf.expr import parse
 from imcvf.grid import SphereGrid
 from imcvf.sphere import mean_curvature_values, surface_fields
-from imcvf.steering import (
-    FrameData,
-    frame_data,
-    minimal_surface_lemma_check,
-    steer_metric,
-    steered_normal_component,
-    steering_parameter,
-    tangentiality_residual,
-)
+from imcvf.steering import FrameData, frame_data, steering_parameter
 
-from conftest import seed_inputs, trace_h_er
+from conftest import EF_BUILD, seed_inputs, spherical_block, steered_normal_component, \
+    trace_h_er
 
 
 def unsteered_seed(kind="ef", eps=1e-2):
@@ -42,7 +35,7 @@ def synthetic_frame(et_w=4.0, w=1.0, c_sum=1.0, er_w=2.0):
 # ---------------------------------------------------------------------------
 
 def test_spherical_chart_q_vanishes():
-    g = SphericalMetric("1+1/r", "1+0.2/r").block()
+    g = spherical_block("1+1/r", "1+0.2/r")
     grid = SphereGrid(0.0, 2.5, 12, 24)
     fd = frame_data(g, grid.env())
     q = steering_parameter(fd)
@@ -64,6 +57,11 @@ def test_not_area_expanding_raises():
     steering_parameter(synthetic_frame(er_w=1e-6))  # strictly positive is fine
 
 
+def tangentiality_residual(fd: FrameData, q):
+    """Left side of the steering condition; zero exactly at the solution."""
+    return fd.er_W * q - fd.et_W + 2.0 * fd.W * (fd.C_th_tth + fd.C_ph_tph)
+
+
 def test_tangentiality_residual_properties():
     fd = synthetic_frame()
     q = steering_parameter(fd)
@@ -75,18 +73,18 @@ def test_tangentiality_residual_properties():
     assert lo < 0 < hi
 
 
-def test_steer_metric_properties():
-    m0 = steer_metric(2.0, 3.0, 0.5, 0.0)
-    np.testing.assert_allclose(m0, np.array([[-1, 0, 0, 0], [0, 1, 0, 0],
-                                             [0, 0, 2.0, 0.5], [0, 0, 0.5, 3.0]]))
-    q = 1.0
-    m = steer_metric(2.0, 3.0, 0.5, q)
-    n = np.array([1.0, -q, 0.0, 0.0])       # e_t - Q e_r
-    assert n @ m @ n == pytest.approx(-(1 + q**2))  # = -2 at Q = 1
-    e_r = np.array([0.0, 1.0, 0.0, 0.0])
-    assert n @ m @ e_r == pytest.approx(0.0, abs=1e-15)
-    # induced metric on the sphere block is untouched
-    np.testing.assert_allclose(m[2:, 2:], m0[2:, 2:])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the chart's own overflow
+def test_an_er_w_that_is_not_finite_is_not_called_minimal():
+    """On the golden ef chart at r = 1e76, e_r(ab - c^2) overflows to -inf
+    at every node: a ValueError says so, where NotAreaExpandingError called
+    the sphere minimal."""
+    fd = frame_data(load_chart(EF_BUILD).metric(), SphereGrid(0.0, 1e76, 16, 32).env())
+    assert np.all(np.isneginf(fd.er_W))
+    with pytest.raises(ValueError, match=r"^e_r\(ab - c\^2\) is not finite on the sphere$"):
+        steering_parameter(fd)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            steering_parameter(synthetic_frame(er_w=value))
 
 
 def test_steering_makes_normal_component_vanish():
@@ -96,7 +94,6 @@ def test_steering_makes_normal_component_vanish():
     fd = frame_data(g, env)
     q = steering_parameter(fd)
     assert np.max(np.abs(q)) > 1e-6         # the chart genuinely needs steering
-    assert np.max(np.abs(tangentiality_residual(fd, q))) <= 1e-12
     assert np.max(np.abs(steered_normal_component(fd, q))) <= 1e-8
 
 
@@ -125,11 +122,11 @@ def test_minimal_surface_lemma_on_charts():
     fields = surface_fields(g, env)
     fd = frame_data(g, env)
     h_er = trace_h_er(g, env, fields=fields)
-    assert np.max(minimal_surface_lemma_check(fd, h_er)) <= 1e-8
+    assert np.max(np.abs(2.0 * h_er * fd.W - fd.er_W)) <= 1e-8
 
 
 def test_minimal_surface_lemma_round_sphere_hand_values():
-    g = SphericalMetric("1", "1").block()
+    g = spherical_block("1", "1")
     env = {"t": 0.0, "r": 2.0, "th": 1.0, "ph": 0.0}
     fd = frame_data(g, env)
     h_er = trace_h_er(g, env)
@@ -137,9 +134,18 @@ def test_minimal_surface_lemma_round_sphere_hand_values():
     assert float(fd.W) == pytest.approx(w, rel=1e-12)
     assert float(h_er) == pytest.approx(1.0, rel=1e-12)        # 2/(r u) at r=2
     assert float(fd.er_W) == pytest.approx(32.0 * math.sin(1.0) ** 2, rel=1e-12)
-    assert float(minimal_surface_lemma_check(fd, h_er)) <= 1e-12
+    assert float(np.abs(2.0 * h_er * fd.W - fd.er_W)) <= 1e-12
 
 
 def test_minimal_case_residual_zero():
-    fd = synthetic_frame(er_w=1.0)
-    assert minimal_surface_lemma_check(fd, 0.5) == pytest.approx(0.0)
+    """The isotropic Schwarzschild throat r = m/2 is minimal: H_{e_r} and
+    e_r(ab - c^2) both vanish there, and so does the lemma's residual."""
+    g = BlockMetric(v=1.0, d=0.0, e=0.0, f=0.0, u=parse("(1+1/(2*r))^2"),
+                    a=parse("(1+1/(2*r))^4*r^2"), b=parse("(1+1/(2*r))^4*r^2*sin(th)^2"),
+                    c=0.0)
+    env = SphereGrid(0.0, 0.5, 8, 16).env()
+    fd = frame_data(g, env)
+    h_er = trace_h_er(g, env)
+    assert np.max(np.abs(fd.er_W)) <= 1e-12
+    assert np.max(np.abs(h_er)) <= 1e-12
+    assert np.max(np.abs(2.0 * h_er * fd.W - fd.er_W)) <= 1e-12

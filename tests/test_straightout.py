@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from imcvf import straightout
-from imcvf.chart import BlockMetric, SphericalMetric
-from imcvf.errors import CompatibilityError
+from imcvf.chart import PH, R, T, TH, BlockMetric, load_chart
+from imcvf.curvature import christoffel_values
+from imcvf.errors import CompatibilityError, ConvergenceError
 from imcvf.expr import parse
 from imcvf.grid import SphereGrid
 from imcvf.sphere import surface_fields
 from imcvf.straightout import (
     ConnectionOneForm,
     connection_one_form,
-    connection_one_form_direct,
     divergence_alpha,
     gauge_rotation,
     is_time_flat,
@@ -27,11 +27,11 @@ from imcvf.straightout import (
 )
 from imcvf.straightout import _CHART_D_JETS, _CLOSED_FORM_JETS
 
-from conftest import build_seed, seed_inputs
+from conftest import EF_BUILD, build_seed, seed_inputs, sphere_laplacian, spherical_block
 
 
 def minkowski():
-    return SphericalMetric("1", "1").block()
+    return spherical_block("1", "1")
 
 
 def unsolved_seed(kind="e", eps=1e-2):
@@ -41,12 +41,24 @@ def unsolved_seed(kind="e", eps=1e-2):
                        a=ins["a"], b=b, c=ins["c"])
 
 
+def connection_one_form_direct(g: BlockMetric, grid: SphereGrid) -> ConnectionOneForm:
+    """Defining inner product <nabla_X e_r, e_n>, via generic Christoffels;
+    the independent oracle for the closed form."""
+    env = grid.env()
+    f = surface_fields(g, env)
+    gam = christoffel_values(g, env)
+    # <nabla_i e_r, e_n> = (1/u) Gamma^t_ir <d_t, n>/||n|| = -(1/u) Gamma^t_ir ||n||
+    factor = -f["norm_n"] / f["u"]
+    return ConnectionOneForm(alpha_th=factor * gam[..., T, TH, R],
+                             alpha_ph=factor * gam[..., T, PH, R])
+
+
 # ---------------------------------------------------------------------------
 # the one-form and its divergence
 # ---------------------------------------------------------------------------
 
 def test_alpha_vanishes_spherical():
-    g = SphericalMetric("1+1/r", "1+0.2/r").block()
+    g = spherical_block("1+1/r", "1+0.2/r")
     grid = SphereGrid(0.0, 2.0, 12, 24)
     alpha = connection_one_form(g, grid)
     assert np.max(np.abs(alpha.alpha_th)) <= 1e-14
@@ -105,7 +117,6 @@ def test_sphere_laplacian_matches_poisson_operator(kind):
     Poisson operator div(g_S^-1 grad) built from the spectral divergence.
     ea and c perturb the sphere metric itself (a_ph, c_th, c_ph != 0), so
     every first-order coefficient is exercised."""
-    from imcvf.sphere import sphere_laplacian
     from imcvf.straightout import _laplace_full
     g = build_seed(kind, 0.1)
     grid = SphereGrid(0.0, 2.0, 48, 96)
@@ -115,6 +126,19 @@ def test_sphere_laplacian_matches_poisson_operator(kind):
     div_grad = _laplace_full(grid, surface_fields(g, grid.env()), psi)
     assert np.max(np.abs(lap)) > 1.0
     assert np.max(np.abs(lap - div_grad)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the chart's own overflow
+def test_gauge_rotation_on_a_nan_one_form_stops_at_the_first_residual():
+    """On the golden ef chart at r = 1e76 the one-form is nan: the Poisson
+    solve raises after one residual, not after 10 n_theta steps."""
+    g = load_chart(EF_BUILD).metric()
+    grid = SphereGrid(0.0, 1e76, 16, 32)
+    alpha = connection_one_form(g, grid)
+    assert np.all(np.isnan(alpha.alpha_th))
+    with pytest.raises(ConvergenceError, match=r"not finite \(nan\)") as info:
+        gauge_rotation(g, grid, alpha)
+    assert len(info.value.history) == 1
 
 
 def test_gauge_rotation_zero_alpha():
@@ -264,7 +288,7 @@ def test_energy_minimized_by_gauge_rotation():
 # ---------------------------------------------------------------------------
 
 def test_spherical_sphere_is_time_flat():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     grid = SphereGrid(0.0, 2.0, 16, 32)
     flat, sup = is_time_flat(g, grid)
     assert flat and sup <= 1e-12
@@ -313,7 +337,7 @@ def test_gauge_rotation_does_not_make_a_surface_time_flat():
 # ---------------------------------------------------------------------------
 
 def test_straight_out_residual_spherical_zero():
-    g = SphericalMetric("1+1/r", "1+0.1/r").block()
+    g = spherical_block("1+1/r", "1+0.1/r")
     grid = SphereGrid(0.0, 2.0, 16, 32)
     out = straight_out_residual(g, grid)
     assert np.max(np.abs(out.closed)) <= 1e-12
@@ -343,7 +367,7 @@ def test_straight_out_two_routes_agree_solved_chart():
 # ---------------------------------------------------------------------------
 
 def test_picard_spherical_converges_immediately():
-    g = SphericalMetric("1+1/r", "1").block()
+    g = spherical_block("1+1/r", "1")
     grid = SphereGrid(0.0, 2.0, 16, 32)
     sol = solve_straight_out_d(g, grid)
     assert sol.converged and sol.iterations == 1
@@ -426,7 +450,7 @@ def test_picard_spherical_gradient_calls(monkeypatch):
         return gradient(self, f)
 
     monkeypatch.setattr(SphereGrid, "gradient", counted)
-    sol = solve_straight_out_d(SphericalMetric("1+1/r", "1").block(),
+    sol = solve_straight_out_d(spherical_block("1+1/r", "1"),
                                SphereGrid(0.0, 2.0, 16, 32))
     assert sol.converged and sol.iterations == 1
     assert len(calls) == 3
@@ -450,6 +474,27 @@ def test_picard_refuses_a_nan_or_negative_compat_tol(compat_tol):
     g = unsolved_seed("e", 1e-2)
     with pytest.raises(ValueError, match=f"^compat_tol must be a number >= 0, got {compat_tol}$"):
         solve_straight_out_d(g, SphereGrid(0.0, 2.0, 16, 32), compat_tol=compat_tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the chart's own overflow
+def test_picard_refuses_a_solvability_integral_that_is_not_finite(monkeypatch):
+    """On the golden ef chart at r = 1e76 the symbolic b_r overflows, and
+    G(d, d') and its solvability integral are nan at Picard step 0: the
+    solve names r before any Poisson step, where it applied the operator
+    10 n_theta times on nan."""
+    steps = []
+    laplace = straightout._laplace_full
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return laplace(*args, **kwargs)
+
+    monkeypatch.setattr(straightout, "_laplace_full", counted)
+    g = load_chart(EF_BUILD).metric()
+    with pytest.raises(ValueError,
+                       match=r"^the solvability integral at r = 1e\+76 is not finite$"):
+        solve_straight_out_d(g, SphereGrid(0.0, 1e76, 16, 32))
+    assert steps == []
 
 
 @pytest.mark.parametrize("kind,floor", [("ea", 1.83e-4), ("ef", 1.96e-6)])
